@@ -187,6 +187,30 @@ void BM_Silu(benchmark::State& state) {
 }
 BENCHMARK(BM_Silu)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
+// One Linear+SiLU training step (forward and backward) over 4096 edge rows:
+// the fused linear_act node (arg 1 = 1) against the unfused
+// silu(add(matmul(x, W), b)) chain it replaces (arg 1 = 0).
+void BM_LinearAct(benchmark::State& state) {
+  const auto h = state.range(0);
+  const bool fused = state.range(1) != 0;
+  constexpr std::int64_t kRows = 4096;
+  Rng rng(8);
+  Tensor x = Tensor::randn(Shape{kRows, h}, rng).set_requires_grad(true);
+  Tensor w = Tensor::randn(Shape{h, h}, rng, 0.1).set_requires_grad(true);
+  Tensor b = Tensor::randn(Shape{1, h}, rng, 0.1).set_requires_grad(true);
+  const Tensor grad_out = Tensor::randn(Shape{kRows, h}, rng);
+  for (auto _ : state) {
+    Tensor y = fused ? linear_act(x, w, b, Activation::kSiLU)
+                     : silu(add(matmul(x, w), b));
+    y.backward(grad_out);
+    x.zero_grad();
+    w.zero_grad();
+    b.zero_grad();
+  }
+  state.SetItemsProcessed(state.iterations() * kRows * h);
+}
+BENCHMARK(BM_LinearAct)->ArgsProduct({{16, 128}, {0, 1}});
+
 void BM_BroadcastMul(benchmark::State& state) {
   const auto rows = state.range(0);
   Rng rng(6);

@@ -9,19 +9,14 @@
 
 namespace sgnn {
 
-/// Activation functions selectable in MLP stacks.
-enum class Activation { kNone, kReLU, kSiLU, kTanh };
-
-/// Applies the selected activation.
-Tensor apply_activation(const Tensor& x, Activation activation);
-
-/// Fully-connected layer y = x W + b.
+/// Fully-connected layer y = act(x W + b), one fused op (linear_act).
 class Linear : public Module {
  public:
   Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
          bool bias = true);
 
-  Tensor forward(const Tensor& x) const;
+  Tensor forward(const Tensor& x,
+                 Activation activation = Activation::kNone) const;
 
   std::int64_t in_features() const { return weight_.dim(0); }
   std::int64_t out_features() const { return weight_.dim(1); }

@@ -26,6 +26,7 @@
 // carry a documented tolerance.
 
 #include <cstdint>
+#include <functional>
 
 namespace sgnn {
 // Storage scalar, re-declared here (identically to tensor.hpp) so the SIMD
@@ -119,6 +120,12 @@ struct KernelTable {
                         real c, std::int64_t n);
   void (*unary_bwd_f32)(UnaryOp op, const real* x, const real* g, real* gx,
                         real c, std::int64_t n);
+  // gx[i] = s·(1 + v·(1 − s))·g[i] with s = sigmoid(v) saved by the forward:
+  // the kSilu unary_bwd expression without recomputing the exp.
+  void (*silu_bwd_saved_f64)(const real* v, const real* s, const real* g,
+                             real* gx, std::int64_t n);
+  void (*silu_bwd_saved_f32)(const real* v, const real* s, const real* g,
+                             real* gx, std::int64_t n);
 
   // Chunk sum with a fp64 accumulator (fp32 flavour rounds each input).
   double (*sum_chunk_f64)(const real* x, std::int64_t n);
@@ -192,9 +199,15 @@ class ScopedComputeDtype {
 // fp32 matmul) manage the float scratch buffers. The op layer calls these
 // inside its KernelScope.
 
-/// c(m,n) = a(m,k) @ b(k,n).
+/// Runs on each finished row band [row_begin, row_end) of a matmul result,
+/// on the thread that computed it, while the band is still in cache.
+using RowBandEpilogue =
+    std::function<void(std::int64_t row_begin, std::int64_t row_end)>;
+
+/// c(m,n) = a(m,k) @ b(k,n), then `epilogue` (if set) on each row band.
 void matmul(const real* a, const real* b, real* c, std::int64_t m,
-            std::int64_t k, std::int64_t n);
+            std::int64_t k, std::int64_t n,
+            const RowBandEpilogue& epilogue = {});
 
 /// c(k,n) = aᵀ @ b with a given as (m,k), b as (m,n).
 void matmul_at_b(const real* a, const real* b, real* c, std::int64_t m,

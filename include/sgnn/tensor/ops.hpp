@@ -59,6 +59,18 @@ inline Tensor operator-(const Tensor& x, real s) { return add_scalar(x, -s); }
 
 /// (m, k) x (k, n) -> (m, n) dense matrix product.
 Tensor matmul(const Tensor& a, const Tensor& b);
+
+/// Activation functions of a Linear layer (see linear_act).
+enum class Activation { kNone, kReLU, kSiLU, kTanh };
+
+/// Fused Linear layer act(x W + b): x (m, k), w (k, n), b (1, n) or
+/// undefined for no bias. One autograd node over {x, w, b}, bit-identical
+/// to act(add(matmul(x, w), b)) on every backend, dtype and thread count.
+/// The bias add is fp64, the activation runs in the compute dtype, and the
+/// bias gradient sums rows in ascending order (see docs/kernels.md).
+Tensor linear_act(const Tensor& x, const Tensor& w, const Tensor& b,
+                  Activation activation);
+
 /// 2-D transpose.
 Tensor transpose(const Tensor& x);
 

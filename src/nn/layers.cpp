@@ -4,16 +4,6 @@
 
 namespace sgnn {
 
-Tensor apply_activation(const Tensor& x, Activation activation) {
-  switch (activation) {
-    case Activation::kNone: return x;
-    case Activation::kReLU: return relu(x);
-    case Activation::kSiLU: return silu(x);
-    case Activation::kTanh: return tanh_op(x);
-  }
-  throw Error("unknown activation");
-}
-
 Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
                bool bias) {
   SGNN_CHECK(in_features > 0 && out_features > 0,
@@ -29,12 +19,10 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
   }
 }
 
-Tensor Linear::forward(const Tensor& x) const {
+Tensor Linear::forward(const Tensor& x, Activation activation) const {
   SGNN_CHECK(x.rank() == 2, "Linear expects (batch, features), got "
                                 << x.shape().to_string());
-  Tensor y = matmul(x, weight_);
-  if (bias_.defined()) y = y + bias_;
-  return y;
+  return linear_act(x, weight_, bias_, activation);
 }
 
 MLP::MLP(const std::vector<std::int64_t>& dims, Rng& rng,
@@ -51,9 +39,9 @@ MLP::MLP(const std::vector<std::int64_t>& dims, Rng& rng,
 Tensor MLP::forward(const Tensor& x) const {
   Tensor h = x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i]->forward(h);
     const bool last = (i + 1 == layers_.size());
-    h = apply_activation(h, last ? output_activation_ : hidden_activation_);
+    h = layers_[i]->forward(
+        h, last ? output_activation_ : hidden_activation_);
   }
   return h;
 }

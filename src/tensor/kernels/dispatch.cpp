@@ -185,21 +185,24 @@ inline std::int64_t matmul_grain(std::int64_t work_per_row) {
 // the ops-layer matmul (ops_linalg.cpp) owns the KernelScope, and opening a
 // second one here would double-book every matmul in the roofline report.
 void matmul(const real* a, const real* b, real* c, std::int64_t m,
-            std::int64_t k, std::int64_t n) {
+            std::int64_t k, std::int64_t n, const RowBandEpilogue& epilogue) {
   SGNN_CHECK(m >= 0 && k >= 0 && n >= 0,
              "kernels::matmul requires non-negative extents, got m=" << m
                  << " k=" << k << " n=" << n);
   const KernelTable& t = active_table();
   if (active_compute_dtype() == ComputeDtype::kFloat64) {
     parallel_for(0, m, matmul_grain(k * n),
-                 [=, &t](std::int64_t row_begin, std::int64_t row_end) {
+                 [=, &t, &epilogue](std::int64_t row_begin,
+                                    std::int64_t row_end) {
                    t.matmul_rows_f64(a, b, c, k, n, row_begin, row_end);
+                   if (epilogue) epilogue(row_begin, row_end);
                  });
     return;
   }
   // fp32 compute: one-time casts (O(mk + kn + mn)) bound the conversion
   // cost; the O(mkn) inner product runs on float panels with float
-  // accumulation. Scratch is untracked transient memory.
+  // accumulation, and each band is widened into c before its epilogue.
+  // Scratch is untracked transient memory.
   std::vector<float> fa(static_cast<std::size_t>(m * k));
   std::vector<float> fb(static_cast<std::size_t>(k * n));
   std::vector<float> fc(static_cast<std::size_t>(m * n));
@@ -209,10 +212,14 @@ void matmul(const real* a, const real* b, real* c, std::int64_t m,
   const float* fbp = fb.data();
   float* fcp = fc.data();
   parallel_for(0, m, matmul_grain(k * n),
-               [=, &t](std::int64_t row_begin, std::int64_t row_end) {
+               [=, &t, &epilogue](std::int64_t row_begin,
+                                  std::int64_t row_end) {
                  t.matmul_rows_f32(fap, fbp, fcp, k, n, row_begin, row_end);
+                 for (std::int64_t i = row_begin * n; i < row_end * n; ++i) {
+                   c[i] = static_cast<real>(fcp[i]);
+                 }
+                 if (epilogue) epilogue(row_begin, row_end);
                });
-  widen_from_float(fcp, c, m * n);
 }
 
 void matmul_at_b(const real* a, const real* b, real* c, std::int64_t m,

@@ -407,6 +407,20 @@ void unary_bwd_ref(UnaryOp op, const real* x, const real* g, real* gx, real c,
   }
 }
 
+/// The kSilu case of unary_bwd_ref with s = sigmoid(v) read from the
+/// forward's saved buffer instead of recomputed: the same expression on the
+/// same C-rounded operands, so the result is bit-identical.
+template <typename C>
+void silu_bwd_saved_ref(const real* v, const real* s, const real* g, real* gx,
+                        std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const C vv = static_cast<C>(v[i]);
+    const C ss = static_cast<C>(s[i]);
+    gx[i] = static_cast<real>((ss * (C{1} + vv * (C{1} - ss))) *
+                              static_cast<C>(g[i]));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Reductions: fp64 accumulator in both flavours; C=float rounds each input.
 

@@ -27,6 +27,8 @@ const KernelTable& scalar_table() {
       /*unary_f32=*/unary_ref<float>,
       /*unary_bwd_f64=*/unary_bwd_ref<double>,
       /*unary_bwd_f32=*/unary_bwd_ref<float>,
+      /*silu_bwd_saved_f64=*/silu_bwd_saved_ref<double>,
+      /*silu_bwd_saved_f32=*/silu_bwd_saved_ref<float>,
       /*sum_chunk_f64=*/sum_chunk_ref<double>,
       /*sum_chunk_f32=*/sum_chunk_ref<float>,
       /*accumulate_f64=*/accumulate_ref<double>,

@@ -595,6 +595,24 @@ void unary_bwd_simd_f64(UnaryOp op, const real* x, const real* g, real* gx,
   if (nv < n) unary_bwd_ref<double>(op, x + nv, g + nv, gx + nv, c, n - nv);
 }
 
+// No transcendental left once s is saved, so this one vectorizes: the same
+// mul/sub/add sequence per lane as the reference.
+void silu_bwd_saved_simd_f64(const real* v, const real* s, const real* g,
+                             real* gx, std::int64_t n) {
+  const std::int64_t nv = n - n % sd::kVD;
+  const sd::vd one = sd::vd_set1(1.0);
+  for (std::int64_t i = 0; i < nv; i += sd::kVD) {
+    const sd::vd vv = sd::vd_load(v + i);
+    const sd::vd ss = sd::vd_load(s + i);
+    const sd::vd d =
+        sd::vd_mul(ss, sd::vd_add(one, sd::vd_mul(vv, sd::vd_sub(one, ss))));
+    sd::vd_store(gx + i, sd::vd_mul(d, sd::vd_load(g + i)));
+  }
+  if (nv < n) {
+    silu_bwd_saved_ref<double>(v + nv, s + nv, g + nv, gx + nv, n - nv);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Reductions.
 
@@ -683,6 +701,8 @@ const KernelTable& simd_table() {
       /*unary_f32=*/unary_ref<float>,
       /*unary_bwd_f64=*/unary_bwd_simd_f64,
       /*unary_bwd_f32=*/unary_bwd_ref<float>,
+      /*silu_bwd_saved_f64=*/silu_bwd_saved_simd_f64,
+      /*silu_bwd_saved_f32=*/silu_bwd_saved_ref<float>,
       /*sum_chunk_f64=*/sum_chunk_simd_f64,
       /*sum_chunk_f32=*/sum_chunk_simd_f32,
       /*accumulate_f64=*/accumulate_simd_f64,
@@ -715,6 +735,8 @@ const KernelTable& simd_table() {
       /*unary_f32=*/unary_ref<float>,
       /*unary_bwd_f64=*/unary_bwd_ref<double>,
       /*unary_bwd_f32=*/unary_bwd_ref<float>,
+      /*silu_bwd_saved_f64=*/silu_bwd_saved_ref<double>,
+      /*silu_bwd_saved_f32=*/silu_bwd_saved_ref<float>,
       /*sum_chunk_f64=*/sum_chunk_ref<double>,
       /*sum_chunk_f32=*/sum_chunk_ref<float>,
       /*accumulate_f64=*/accumulate_ref<double>,

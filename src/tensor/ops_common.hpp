@@ -70,6 +70,24 @@ void binary_broadcast(const Tensor& a, const Tensor& b, Tensor& out, F f) {
 
   const auto sa = broadcast_strides(a.shape(), out.shape());
   const auto sb = broadcast_strides(b.shape(), out.shape());
+  if (out.rank() == 2) {
+    // Row and column broadcasts, (m,n)∘(m,1) and (m,n)∘(1,n): address by
+    // row and column instead of decomposing every flat index.
+    const std::int64_t cols = out.dim(1);
+    const std::int64_t ra = sa[0], ca = sa[1], rb = sb[0], cb = sb[1];
+    parallel_for(0, out.dim(0), parallel_grain(cols),
+                 [=](std::int64_t begin, std::int64_t end) {
+                   for (std::int64_t i = begin; i < end; ++i) {
+                     const real* arow = pa + i * ra;
+                     const real* brow = pb + i * rb;
+                     real* orow = po + i * cols;
+                     for (std::int64_t j = 0; j < cols; ++j) {
+                       orow[j] = f(arow[j * ca], brow[j * cb]);
+                     }
+                   }
+                 });
+    return;
+  }
   const auto so = out.shape().strides();
   const std::size_t rank = out.rank();
   parallel_for(0, n, kElementwiseGrain, [&, pa, pb, po](std::int64_t begin,
@@ -102,10 +120,41 @@ inline Tensor reduce_to(const Tensor& grad, const Shape& target) {
                          obs::prof::sat_add(grad.numel(), target.numel())));
   Tensor out = Tensor::zeros(target);
   const auto st = broadcast_strides(target, grad.shape());
-  const auto sg = grad.shape().strides();
-  const std::size_t rank = grad.rank();
   const real* pg = grad.data();
   real* po = out.data();
+  if (grad.rank() == 2) {
+    // Every target element sums its grad elements in row-major order,
+    // starting from zero, exactly as the flat loop below does.
+    const std::int64_t rows = grad.dim(0);
+    const std::int64_t cols = grad.dim(1);
+    if (st[0] == 1 && st[1] == 0) {  // (rows, 1): row sums
+      parallel_for(0, rows, parallel_grain(cols),
+                   [=](std::int64_t begin, std::int64_t end) {
+                     for (std::int64_t i = begin; i < end; ++i) {
+                       real acc = 0;
+                       for (std::int64_t j = 0; j < cols; ++j) {
+                         acc += pg[i * cols + j];
+                       }
+                       po[i] = acc;
+                     }
+                   });
+      return out;
+    }
+    if (st[0] == 0 && st[1] == 1) {  // (1, cols): column sums
+      parallel_for(0, cols, parallel_grain(rows),
+                   [=](std::int64_t begin, std::int64_t end) {
+                     for (std::int64_t i = 0; i < rows; ++i) {
+                       const real* row = pg + i * cols;
+                       for (std::int64_t j = begin; j < end; ++j) {
+                         po[j] += row[j];
+                       }
+                     }
+                   });
+      return out;
+    }
+  }
+  const auto sg = grad.shape().strides();
+  const std::size_t rank = grad.rank();
   const std::int64_t n = grad.numel();
   for (std::int64_t i = 0; i < n; ++i) {
     std::int64_t rem = i;

@@ -2,7 +2,6 @@
 
 #include "ops_common.hpp"
 #include "sgnn/obs/prof.hpp"
-#include "sgnn/tensor/grad_reducer.hpp"
 #include "sgnn/tensor/kernels.hpp"
 #include "sgnn/tensor/ops.hpp"
 #include "sgnn/util/thread_pool.hpp"
@@ -89,31 +88,52 @@ Tensor binary_op(const Tensor& a, const Tensor& b, const char* name,
                 ops_detail::broadcast_strides(a_shape, grad.shape());
             const auto sb =
                 ops_detail::broadcast_strides(b_shape, grad.shape());
-            const auto so = grad.shape().strides();
             const std::size_t rank = grad.rank();
             const real* pa = ad.data();
             const real* pb = bd.data();
             const real* pg = grad.data();
             real* pga = ga.data();
             real* pgb = gb.data();
-            parallel_for(
-                0, n, kElementwiseGrain,
-                [&, pa, pb, pg, pga, pgb](std::int64_t begin,
-                                          std::int64_t end) {
-                  for (std::int64_t i = begin; i < end; ++i) {
-                    std::int64_t rem = i;
-                    std::int64_t oa = 0;
-                    std::int64_t ob = 0;
-                    for (std::size_t axis = 0; axis < rank; ++axis) {
-                      const std::int64_t coord = rem / so[axis];
-                      rem -= coord * so[axis];
-                      oa += coord * sa[axis];
-                      ob += coord * sb[axis];
+            if (rank == 2) {
+              // Row/column broadcasts: the same fp64 expressions, indexed
+              // by row and column (see binary_broadcast).
+              const std::int64_t cols = grad.dim(1);
+              const std::int64_t ra = sa[0], ca = sa[1];
+              const std::int64_t rb = sb[0], cb = sb[1];
+              parallel_for(
+                  0, grad.dim(0), parallel_grain(cols),
+                  [=](std::int64_t begin, std::int64_t end) {
+                    for (std::int64_t i = begin; i < end; ++i) {
+                      for (std::int64_t j = 0; j < cols; ++j) {
+                        const real x = pa[i * ra + j * ca];
+                        const real y = pb[i * rb + j * cb];
+                        const std::int64_t o = i * cols + j;
+                        pga[o] = bwd_a(x, y) * pg[o];
+                        pgb[o] = bwd_b(x, y) * pg[o];
+                      }
                     }
-                    pga[i] = bwd_a(pa[oa], pb[ob]) * pg[i];
-                    pgb[i] = bwd_b(pa[oa], pb[ob]) * pg[i];
-                  }
-                });
+                  });
+            } else {
+              const auto so = grad.shape().strides();
+              parallel_for(
+                  0, n, kElementwiseGrain,
+                  [&, pa, pb, pg, pga, pgb](std::int64_t begin,
+                                            std::int64_t end) {
+                    for (std::int64_t i = begin; i < end; ++i) {
+                      std::int64_t rem = i;
+                      std::int64_t oa = 0;
+                      std::int64_t ob = 0;
+                      for (std::size_t axis = 0; axis < rank; ++axis) {
+                        const std::int64_t coord = rem / so[axis];
+                        rem -= coord * so[axis];
+                        oa += coord * sa[axis];
+                        ob += coord * sb[axis];
+                      }
+                      pga[i] = bwd_a(pa[oa], pb[ob]) * pg[i];
+                      pgb[i] = bwd_b(pa[oa], pb[ob]) * pg[i];
+                    }
+                  });
+            }
           }
         }
         return {reduce_to(ga, a_shape), reduce_to(gb, b_shape)};
@@ -162,25 +182,10 @@ Tensor add(const Tensor& a, const Tensor& b) {
   SGNN_CHECK(a.defined() && b.defined(), "add requires defined inputs");
   const Shape a_shape = a.shape();
   const Shape b_shape = b.shape();
-  // Bias pattern: a (1, n) leaf parameter broadcast over row-sharded
-  // activations. Its gradient is a column sum over the global rows, which a
-  // graph-parallel run continues rank to rank (see grad_reducer.hpp). The
-  // condition depends only on the leaf's own shape so all ranks agree.
-  const auto bias_like = [](const Tensor& t) {
-    return t.is_leaf() && t.requires_grad() && t.rank() == 2 && t.dim(0) == 1;
-  };
-  ShardedGradReducer* reducer =
-      (bias_like(a) || bias_like(b)) ? current_sharded_grad_reducer()
-                                     : nullptr;
-  const bool ring_a = reducer != nullptr && bias_like(a);
-  const bool ring_b = reducer != nullptr && bias_like(b);
   Tensor out = Tensor::make_result(
       Shape::broadcast(a_shape, b_shape), {a, b},
       [=](const Tensor& grad) -> std::vector<Tensor> {
-        return {ring_a ? reducer->rows_sum_grad(grad)
-                       : reduce_to(grad, a_shape),
-                ring_b ? reducer->rows_sum_grad(grad)
-                       : reduce_to(grad, b_shape)};
+        return {reduce_to(grad, a_shape), reduce_to(grad, b_shape)};
       },
       "add");
   {

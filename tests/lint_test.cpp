@@ -433,6 +433,22 @@ TEST(LintR9, SuppressedKernelPasses) {
       << describe(findings);
 }
 
+TEST(LintR9, ScopeOnlyInsideLambdaFires) {
+  // A backward closure's scope does not cover the forward call.
+  const auto findings = lint_kernel_prof(fixture_index("r9_tree"));
+  const auto lambda_only = in_file(findings, "src/tensor/lambda_only.cpp");
+  ASSERT_EQ(lambda_only.size(), 1u) << describe(findings);
+  EXPECT_EQ(lambda_only.front().rule, "kernel-prof");
+}
+
+TEST(LintR9, QualifiedCallDoesNotBorrowSameNamedScope) {
+  const auto findings = lint_kernel_prof(fixture_index("r9_tree"));
+  const auto qualified = in_file(findings, "src/tensor/qualified.cpp");
+  ASSERT_EQ(qualified.size(), 1u) << describe(findings);
+  EXPECT_NE(qualified.front().message.find("fused_apply"), std::string::npos)
+      << qualified.front().message;
+}
+
 TEST(LintR10, ReachableBareThrowFires) {
   // The throw sits in src/util/, but a src/comm/ root reaches it through
   // the call graph — another index-only finding.

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <vector>
 
 #include "sgnn/util/error.hpp"
+#include "sgnn/util/rng.hpp"
 
 namespace sgnn {
 namespace {
@@ -28,6 +33,50 @@ TEST(OpsTest, AddBroadcastColumnVector) {
   const Tensor b = Tensor::from_vector({100, 200}, Shape{2, 1});
   const auto c = (a + b).to_vector();
   EXPECT_EQ(c, (std::vector<real>{101, 102, 103, 204, 205, 206}));
+}
+
+std::vector<std::uint64_t> bit_pattern(const Tensor& t) {
+  std::vector<std::uint64_t> out(static_cast<std::size_t>(t.numel()));
+  std::memcpy(out.data(), t.data(), out.size() * sizeof(std::uint64_t));
+  return out;
+}
+
+// Rank-2 row/column broadcasts take a row-and-column fast path in the
+// forward, the broadcasting backward and reduce_to. The same data viewed
+// as rank 3 takes the general strided loop, so the two must agree bit for
+// bit on the output and both gradients.
+TEST(OpsTest, RowColumnBroadcastFastPathsMatchStridedLoop) {
+  constexpr std::int64_t m = 300;
+  constexpr std::int64_t n = 17;
+  Rng rng(21);
+  const Tensor a = Tensor::randn(Shape{m, n}, rng);
+  const Tensor grad_out = Tensor::randn(Shape{m, n}, rng);
+  const std::vector<std::function<Tensor(const Tensor&, const Tensor&)>>
+      ops = {[](const Tensor& x, const Tensor& y) { return add(x, y); },
+             [](const Tensor& x, const Tensor& y) { return sub(x, y); },
+             [](const Tensor& x, const Tensor& y) { return mul(x, y); },
+             [](const Tensor& x, const Tensor& y) { return div(x, y); }};
+  for (const Shape& b_shape : {Shape{m, 1}, Shape{1, n}, Shape{n}}) {
+    const Tensor b = Tensor::uniform(b_shape, rng, 0.5, 2.0);
+    for (const auto& op : ops) {
+      const auto run = [&](bool rank3) {
+        Tensor x = a.clone().set_requires_grad(true);
+        Tensor y = b.clone().set_requires_grad(true);
+        Tensor out =
+            rank3 ? reshape(op(reshape(x, Shape{1, m, n}),
+                               reshape(y, b_shape.rank() == 2
+                                              ? Shape{1, b_shape.dim(0),
+                                                      b_shape.dim(1)}
+                                              : b_shape)),
+                            Shape{m, n})
+                  : op(x, y);
+        out.backward(grad_out);
+        return std::vector<std::vector<std::uint64_t>>{
+            bit_pattern(out), bit_pattern(x.grad()), bit_pattern(y.grad())};
+      };
+      EXPECT_EQ(run(false), run(true)) << b_shape.to_string();
+    }
+  }
 }
 
 TEST(OpsTest, MulBroadcastScalarTensor) {

@@ -14,10 +14,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "sgnn/data/sources.hpp"
+#include "sgnn/graph/batch.hpp"
+#include "sgnn/nn/egnn.hpp"
+#include "sgnn/potential/potential.hpp"
 #include "sgnn/tensor/ops.hpp"
 
 namespace sgnn {
@@ -103,6 +108,39 @@ TEST_F(ProfTest, UnaryBackwardCost) {
   EXPECT_EQ(row->bytes, 3 * kW * 10);  // read grad, read saved x, write dx
 }
 
+TEST_F(ProfTest, LinearActCosts) {
+  prof::disable();
+  Tensor x = Tensor::full(Shape{3, 4}, 0.5);
+  Tensor w = Tensor::full(Shape{4, 5}, 0.25);
+  Tensor b = Tensor::full(Shape{1, 5}, 0.1);
+  x.set_requires_grad(true);
+  w.set_requires_grad(true);
+  b.set_requires_grad(true);
+  prof::enable();
+  sum(linear_act(x, w, b, Activation::kSiLU)).backward();
+  const prof::Report report = prof::report(/*with_calibration=*/false);
+  const auto fwd = find_kernel(report, "linear_act");
+  ASSERT_TRUE(fwd.has_value());
+  // 2mkn + (bias + act)·mn; W(mk + kn + (1 + saved v, s)·mn + n).
+  EXPECT_EQ(fwd->flops, 2 * 3 * 4 * 5 + 2 * 15);
+  EXPECT_EQ(fwd->bytes, kW * (12 + 20 + 3 * 15 + 5));
+  const auto bwd = find_kernel(report, "linear_act.bwd");
+  ASSERT_TRUE(bwd.has_value());
+  // Two GEMMs 4mkn + (2·act + bias)·mn; W((1 + act + saved)·mn +
+  // 2(mk + kn + mn) + n).
+  EXPECT_EQ(bwd->flops, 4 * 3 * 4 * 5 + 3 * 15);
+  EXPECT_EQ(bwd->bytes, kW * (4 * 15 + 2 * (12 + 20 + 15) + 5));
+  // No tape: nothing saved, so only the output is written.
+  prof::reset();
+  {
+    const autograd::NoGradGuard no_grad;
+    (void)linear_act(x, w, b, Activation::kSiLU);
+  }
+  const prof::Totals totals = prof::totals();
+  EXPECT_EQ(totals.kernel_calls, 1);
+  EXPECT_EQ(totals.bytes, kW * (12 + 20 + 15 + 5));
+}
+
 TEST_F(ProfTest, BinaryMulCosts) {
   Tensor a = Tensor::full(Shape{2, 3}, 2.0);
   Tensor b = Tensor::full(Shape{2, 3}, 3.0);
@@ -169,6 +207,52 @@ TEST_F(ProfTest, CountsAreThreadCountInvariant) {
   EXPECT_EQ(totals.flops, 2 * n * n * n + n * n + n * n);
   EXPECT_EQ(totals.bytes,
             kW * (3 * n * n) + 2 * kW * (n * n) + kW * (n * n + 1));
+}
+
+// Kernel call counts of one seeded h=16, depth-3 EGNN train step (forward,
+// loss, backward) — deterministic counters, so any change to how the step
+// is decomposed into kernels shows here. Every Linear is one fused
+// linear_act node: 3 layers × (phi_e, phi_x, phi_h, phi_f) × 2 Linears +
+// the 2-Linear energy head = 26, and none of them leaves a matmul, a bias
+// add, a silu/tanh or a bias reduce_to behind. The remaining reduce_to
+// calls are 5 (m,1) broadcasts per layer: the two inv_degree scalings,
+// the coordinate gate, rel / dist and the force gate.
+TEST_F(ProfTest, EgnnTrainStepKernelCounts) {
+  prof::disable();
+  const ReferencePotential potential;
+  Rng data_rng(11);
+  std::vector<MolecularGraph> graphs;
+  for (int i = 0; i < 2; ++i) {
+    graphs.push_back(generate_sample(DataSource::kANI1x, data_rng, potential));
+  }
+  const GraphBatch batch = GraphBatch::from_graphs(graphs);
+  ModelConfig config;
+  config.hidden_dim = 16;
+  config.num_layers = 3;
+  const EGNNModel model(config);
+  prof::enable();
+  const auto out = model.forward(batch);
+  Tensor loss = sum(square(out.energy)) + sum(square(out.forces));
+  loss.backward();
+  std::map<std::string, std::int64_t> calls;
+  for (const auto& row : prof::report(/*with_calibration=*/false).kernels) {
+    calls[row.name] = row.calls;
+  }
+  const std::map<std::string, std::int64_t> expected = {
+      {"add", 13},          {"add_scalar", 27},   {"add_scalar.bwd", 27},
+      {"concat", 13},       {"concat.bwd", 13},   {"div", 3},
+      {"div.bwd", 3},       {"exp", 24},          {"exp.bwd", 24},
+      {"index_select", 13}, {"index_select.bwd", 13},
+      {"linear_act", 26},   {"linear_act.bwd", 26},
+      {"mul", 12},          {"mul.bwd", 12},      {"narrow", 11},
+      {"narrow.bwd", 11},   {"reduce_to", 15},    {"scale", 29},
+      {"scale.bwd", 27},    {"scatter_add", 10},  {"scatter_add.bwd", 10},
+      {"sqrt", 3},          {"sqrt.bwd", 3},      {"square", 30},
+      {"square.bwd", 29},   {"sub", 4},           {"sub.bwd", 3},
+      {"sum", 3},           {"sum.bwd", 2},       {"sum_axis", 4},
+      {"sum_axis.bwd", 3},
+  };
+  EXPECT_EQ(calls, expected);
 }
 
 // -- call tree --------------------------------------------------------------

@@ -220,7 +220,10 @@ std::vector<Finding> lint_spmd(const ProjectIndex& index);
 /// R9 (rule id `kernel-prof`): kernel entry points declared in
 /// tensor/ops.hpp and graph/neighbor.hpp must open a KernelScope/ProfRegion
 /// directly or via a callee in the kernel source set, with no top-level
-/// early return before the scope opens.
+/// early return before the scope opens. Only synchronous code counts:
+/// scopes inside lambda bodies (backward closures) do not, and a
+/// namespace-qualified call delegates only to a definition under that
+/// qualifier.
 std::vector<Finding> lint_kernel_prof(const ProjectIndex& index);
 
 /// R10 (rule id `check-throw`): functions reachable from the comm layer's

@@ -586,10 +586,28 @@ bool in_kernel_sources(const std::string& path) {
   return false;
 }
 
+/// True when `pos` lies inside a lambda body nested in `def`'s body.
+bool inside_lambda(const std::string& code, const FunctionDef& def,
+                   std::size_t pos) {
+  for (std::size_t p = def.body_begin + 1; p < pos && p < def.body_end; ++p) {
+    if (code[p] != '{' || !lambda_brace(code, p)) continue;
+    const std::size_t close = text::match_brace(code, p);
+    if (close == std::string::npos || close > pos) return true;
+    p = close;
+  }
+  return false;
+}
+
+/// Whether the body opens a KernelScope/ProfRegion on its own synchronous
+/// path. Scopes inside lambda bodies do not count: an op's backward closure
+/// prices the deferred backward, not the forward call that records it.
 bool body_has_scope(const std::string& code, const FunctionDef& def) {
   for (const auto* token : {"KernelScope", "ProfRegion"}) {
     for (const auto pos : find_words(code, token)) {
-      if (pos > def.body_begin && pos < def.body_end) return true;
+      if (pos > def.body_begin && pos < def.body_end &&
+          !inside_lambda(code, def, pos)) {
+        return true;
+      }
     }
   }
   return false;
@@ -844,14 +862,29 @@ std::vector<Finding> lint_kernel_prof(const ProjectIndex& index) {
         index.file_of(index.functions[static_cast<std::size_t>(f)]).code,
         index.functions[static_cast<std::size_t>(f)]);
   }
+  // Delegation follows synchronous calls only, and a namespace-qualified
+  // call (`kernels::matmul`) only to a definition under that qualifier:
+  // falling back to every same-named function would let a backend kernel
+  // borrow the scope of the public op it shares a name with.
+  std::map<int, std::vector<std::string>> sync_callees;
+  for (const int f : kernel_defs) {
+    const FunctionDef& def = index.functions[static_cast<std::size_t>(f)];
+    sync_callees[f] = synchronous_callees(index.file_of(def).code,
+                                          def.body_begin + 1, def.body_end);
+  }
+  const auto delegates_to = [&index](const std::string& callee) {
+    static const std::vector<int> none;
+    if (callee.find("::") == std::string::npos) return index.resolve(callee);
+    const auto exact = index.functions_by_name.find(callee);
+    return exact == index.functions_by_name.end() ? none : exact->second;
+  };
   bool changed = true;
   while (changed) {
     changed = false;
     for (const int f : kernel_defs) {
       if (covered[f]) continue;
-      for (const auto& callee :
-           index.functions[static_cast<std::size_t>(f)].callees) {
-        for (const int target : index.resolve(callee)) {
+      for (const auto& callee : sync_callees[f]) {
+        for (const int target : delegates_to(callee)) {
           const auto cov = covered.find(target);
           if (cov != covered.end() && cov->second) {
             covered[f] = true;
@@ -895,7 +928,8 @@ std::vector<Finding> lint_kernel_prof(const ProjectIndex& index) {
         std::size_t first_scope = std::string::npos;
         for (const auto* token : {"KernelScope", "ProfRegion"}) {
           for (const auto pos : find_words(source.code, token)) {
-            if (pos > def.body_begin && pos < def.body_end) {
+            if (pos > def.body_begin && pos < def.body_end &&
+                !inside_lambda(source.code, def, pos)) {
               first_scope = std::min(first_scope, pos);
             }
           }
