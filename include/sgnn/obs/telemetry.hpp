@@ -21,7 +21,11 @@ struct StepTelemetry {
   int rank = -1;           ///< emitting rank; -1 for single-process training
 
   double loss = 0;           ///< total multitask loss of the batch
-  double grad_norm = 0;      ///< joint L2 gradient norm before the update
+  /// Joint L2 norm of the gradient the update consumed, before clipping:
+  /// the rank-averaged gradient under DDP/ZeRO, so every rank reports the
+  /// same value. 0 when the step was skipped, or when neither clipping nor
+  /// a telemetry sink asked for it.
+  double grad_norm = 0;
   double learning_rate = 0;  ///< LR applied by this step
 
   std::int64_t batch_graphs = 0;

@@ -113,6 +113,8 @@ struct DistTrainReport {
   std::int64_t peak_forward = 0;
   std::int64_t peak_backward = 0;
   std::int64_t peak_optimizer = 0;
+  /// Steps this call ran on each rank; after a resume, only the remaining
+  /// ones (like final_train_loss and compute_seconds).
   std::int64_t steps = 0;
 
   /// All-exposed accounting: every modeled comm second serializes after

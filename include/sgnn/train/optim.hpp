@@ -1,57 +1,42 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "sgnn/comm/communicator.hpp"
 #include "sgnn/tensor/tensor.hpp"
 #include "sgnn/util/error.hpp"
 
 namespace sgnn {
 
-/// Gradient-descent optimizer interface over a fixed parameter list.
-class Optimizer {
+namespace ckpt {
+class SnapshotBuilder;
+class SnapshotView;
+}  // namespace ckpt
+
+class GradBucketer;
+
+/// Flattening helpers shared by the optimizers and their checkpoints.
+std::vector<real> flatten_parameters(const std::vector<Tensor>& parameters);
+/// Undefined gradients flatten to zeros (a parameter a branch never touched).
+std::vector<real> flatten_gradients(const std::vector<Tensor>& parameters);
+void unflatten_into_parameters(const std::vector<real>& flat,
+                               std::vector<Tensor>& parameters);
+
+/// How one rank turns its local gradients into a parameter update: the one
+/// interface the shared training step (TrainStep) drives. Every
+/// implementation is Adam (Kingma & Ba) and differs only in how gradients
+/// are synchronized and where the moments live:
+///   Adam     — no synchronization (single process, graph-parallel ranks);
+///   DDPAdam  — averaged all-reduce, replicated moments (zero.hpp);
+///   ZeroAdam — reduce-scatter + all-gather, sharded moments (zero.hpp).
+/// The two moment vectors are the "optimizer states" of Fig. 6, allocated
+/// under MemCategory::kOptimizerState so the memory benches see them.
+class GradSync {
  public:
-  explicit Optimizer(std::vector<Tensor> parameters);
-  virtual ~Optimizer() = default;
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  /// Applies one update from the accumulated gradients. Parameters whose
-  /// gradient is undefined are skipped (treated as zero gradient).
-  virtual void step() = 0;
-
-  void zero_grad();
-  void set_learning_rate(double lr) { learning_rate_ = lr; }
-  double learning_rate() const { return learning_rate_; }
-
- protected:
-  std::vector<Tensor>& parameters() { return parameters_; }
-  double learning_rate_ = 1e-3;
-
- private:
-  std::vector<Tensor> parameters_;
-};
-
-/// Plain SGD with optional momentum — the baseline optimizer.
-class SGD : public Optimizer {
- public:
-  SGD(std::vector<Tensor> parameters, double learning_rate,
-      double momentum = 0.0);
-
-  void step() override;
-
- private:
-  double momentum_;
-  std::vector<Tensor> velocity_;  ///< kOptimizerState, lazily allocated
-};
-
-/// Adam (Kingma & Ba). The two moment vectors are the "optimizer states"
-/// of Fig. 6 — storage equal to twice the model weights, allocated under
-/// MemCategory::kOptimizerState so the memory benches see exactly the 2x
-/// footprint the paper describes.
-class Adam : public Optimizer {
- public:
+  /// Adam hyperparameters.
   struct Options {
     double learning_rate = 1e-3;
     double beta1 = 0.9;
@@ -59,32 +44,114 @@ class Adam : public Optimizer {
     double epsilon = 1e-8;
   };
 
-  Adam(std::vector<Tensor> parameters, const Options& options);
+  virtual ~GradSync();
+  GradSync(const GradSync&) = delete;
+  GradSync& operator=(const GradSync&) = delete;
 
-  void step() override;
+  void zero_grad();
 
-  /// Shared by ZeroAdam: one Adam update on a flat array slice.
+  /// Runs loss.backward() with the sync armed: with bucketing on, the
+  /// bucketer begins the step for `rank` and the autograd leaf-grad hook
+  /// posts each bucket's collective the moment its last gradient lands, so
+  /// communication overlaps the rest of backward.
+  void backward(Tensor& loss, int rank);
+
+  /// Applies one update from the accumulated gradients; collective for the
+  /// distributed implementations (every rank calls it once per step). When
+  /// clipping is on or `measure_norm` is set, returns the joint L2 norm of
+  /// the gradient the update consumed — rank-averaged where gradients are
+  /// synchronized — before clipping; otherwise returns 0.
+  double step(int rank = 0, bool measure_norm = false);
+
+  double learning_rate() const { return options_.learning_rate; }
+  void set_learning_rate(double lr) { options_.learning_rate = lr; }
+  /// Completed updates: Adam's bias-correction step count.
+  std::int64_t timestep() const { return timestep_; }
+
+  /// Joint L2 clip of the gradient the update consumes (0 disables). The
+  /// distributed implementations clip the rank-AVERAGED gradient, so every
+  /// replica scales by the identical factor and stays bit-identical.
+  void set_max_grad_norm(double max_norm) { max_grad_norm_ = max_norm; }
+
+  /// Optimizer-state sections of a training checkpoint (sgnn::ckpt):
+  /// optim.timestep and optim.lr, plus the moments — optim.m/optim.v for
+  /// replicated state, written by rank 0 for every rank, or one
+  /// optim.m.<r>/optim.v.<r> shard per rank. Restoring them resumes the
+  /// update sequence bit-identically.
+  void save(ckpt::SnapshotBuilder& builder, int rank) const;
+  void load(const ckpt::SnapshotView& view, int rank);
+
+  /// The gradient bucketer behind the overlapped path; null when nothing is
+  /// bucketed (plain Adam, or bucket_bytes 0).
+  GradBucketer* bucketer() { return bucketer_.get(); }
+  /// Post/wait stamps of the last step's bucket collectives for
+  /// InterconnectModel::overlap_cost; empty without a bucketer.
+  std::vector<InterconnectModel::OverlapEvent> take_overlap_events();
+
+  /// Fault-injection hook, invoked inside step() after every bucket is
+  /// posted and before the drain — the window the crash-during-overlap
+  /// checkpoint test throws a SimulatedCrash in. Never fires without a
+  /// bucketer.
+  void set_pre_drain_hook(std::function<void()> hook) {
+    pre_drain_hook_ = std::move(hook);
+  }
+
+  /// One Adam update on a flat array slice.
   static void update_flat(real* param, const real* grad, real* m, real* v,
                           std::size_t count, std::int64_t timestep,
                           const Options& options);
 
-  /// Optimizer-state access for training checkpoints (sgnn::ckpt): the
-  /// bias-correction step count and the two moment vectors, shaped like the
-  /// parameters. Restoring all three (plus the learning rate) resumes the
-  /// update sequence bit-identically.
-  std::int64_t timestep() const { return timestep_; }
-  void set_timestep(std::int64_t timestep) {
-    SGNN_CHECK(timestep >= 0, "Adam timestep must be non-negative");
-    timestep_ = timestep;
-  }
-  std::vector<Tensor>& moment1() { return m_; }
-  std::vector<Tensor>& moment2() { return v_; }
+ protected:
+  /// `parameters` must be grad-requiring leaves. A sync over `comm` with
+  /// `bucket_bytes` > 0 gets a GradBucketer running collective `kind`.
+  GradSync(std::vector<Tensor> parameters, const Options& options,
+           Communicator* comm = nullptr,
+           CollectiveKind kind = CollectiveKind::kAllReduce,
+           std::size_t bucket_bytes = 0);
+
+  /// The update behind step(), after the timestep advanced.
+  virtual double update(int rank, bool measure_norm) = 0;
+  /// True when each rank holds only its own moment shard.
+  virtual bool sharded() const { return false; }
+
+  /// Allocates the two moments as tensors of the given shapes.
+  void allocate_moments(const std::vector<Shape>& shapes);
+  /// Posts every bucket not yet posted (arming the bucketer first when the
+  /// caller never did), then fires the pre-drain hook.
+  void post_buckets(int rank);
+  /// Averages the rank-summed gradient `grad` over comm_'s ranks, then
+  /// clips it. The norm is taken only when clipping or
+  /// `measure_norm` asks for it; a sharded sync's `grad` is this rank's
+  /// shard, whose partial sum of squares is all-reduced in fixed rank order
+  /// so every rank gets the identical norm. Returns that pre-clip norm of
+  /// the averaged gradient, or 0.
+  double average_and_clip(std::vector<real>& grad, int rank,
+                          bool measure_norm) const;
+
+  std::vector<Tensor> parameters_;
+  Options options_;
+  Communicator* comm_;  ///< null for plain Adam
+  double max_grad_norm_ = 0.0;
+  std::int64_t timestep_ = 0;
+  std::vector<Tensor> m_;  ///< first moment, kOptimizerState
+  std::vector<Tensor> v_;  ///< second moment, kOptimizerState
+  std::unique_ptr<GradBucketer> bucketer_;
 
  private:
-  Options options_;
-  std::int64_t timestep_ = 0;
-  std::vector<Tensor> m_;
-  std::vector<Tensor> v_;
+  std::function<void()> pre_drain_hook_;
+};
+
+/// Plain Adam with per-parameter moments shaped like the parameters. Used
+/// by the single-process Trainer and by graph-parallel ranks, whose
+/// gradients are already replicated exactly.
+class Adam : public GradSync {
+ public:
+  Adam(std::vector<Tensor> parameters, const Options& options);
+
+ private:
+  /// Parameters whose gradient is undefined are skipped (zero gradient,
+  /// moments untouched).
+  double update(int rank, bool measure_norm) override;
 };
 
 }  // namespace sgnn

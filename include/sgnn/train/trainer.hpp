@@ -43,7 +43,9 @@ struct TrainOptions {
 };
 
 /// Single-process trainer: the building block the scaling sweeps call, and
-/// the reference the distributed trainers are tested against.
+/// the reference the distributed trainers are tested against. Its steps run
+/// the same step body as every DistributedTrainer rank, with plain Adam as
+/// the GradSync.
 class Trainer {
  public:
   Trainer(EGNNModel& model, const TrainOptions& options);
@@ -82,9 +84,6 @@ class Trainer {
   void set_telemetry(obs::TelemetrySink* sink) { telemetry_ = sink; }
 
  private:
-  /// Assembles the full training-state snapshot payload (model, Adam
-  /// moments + timestep + LR, loader position, step/epoch counters).
-  std::string build_snapshot(const DataLoader& loader);
   /// Writes a snapshot when the every_steps cadence is due.
   void maybe_checkpoint(const DataLoader& loader);
   /// Restores from options.checkpoint.resume_from when set; returns true

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "sgnn/comm/communicator.hpp"
@@ -11,18 +9,11 @@
 
 namespace sgnn {
 
-/// Flattening helpers shared by the distributed optimizers.
-std::vector<real> flatten_parameters(const std::vector<Tensor>& parameters);
-/// Undefined gradients flatten to zeros (a parameter a branch never touched).
-std::vector<real> flatten_gradients(const std::vector<Tensor>& parameters);
-void unflatten_into_parameters(const std::vector<real>& flat,
-                               std::vector<Tensor>& parameters);
-
 /// Data-parallel Adam, one instance per rank. Gradients are all-reduced
 /// (averaged) so every replica applies the identical update; each rank
 /// keeps a FULL copy of both Adam moments — the baseline whose optimizer-
 /// state redundancy ZeRO removes.
-class DDPAdam {
+class DDPAdam : public GradSync {
  public:
   /// `bucket_bytes` caps the gradient buckets the overlapped all-reduce
   /// path posts during backward (default: DDP's 25 MB); 0 falls back to
@@ -31,118 +22,44 @@ class DDPAdam {
           const Adam::Options& options,
           std::size_t bucket_bytes = GradBucketer::kDefaultBucketBytes);
 
-  /// Collective: every rank must call once per step. When bucketing is on
-  /// and the trainer armed the bucketer before backward (begin_step + the
-  /// leaf-grad hook), gradients already in flight are drained here; called
-  /// without arming, it posts and drains everything itself (bucketed but
-  /// unoverlapped — still bit-identical).
-  void step(int rank);
-  void zero_grad();
-  void set_learning_rate(double lr) { options_.learning_rate = lr; }
-  double learning_rate() const { return options_.learning_rate; }
-
-  /// Joint L2 clip applied to the rank-AVERAGED gradient (0 disables).
-  /// Clipping after averaging keeps every replica's update bit-identical —
-  /// the invariant per-replica clipping would break.
-  void set_max_grad_norm(double max_norm) { max_grad_norm_ = max_norm; }
-
-  /// Optimizer-state access for training checkpoints (sgnn::ckpt).
-  std::int64_t timestep() const { return timestep_; }
-  void set_timestep(std::int64_t timestep) { timestep_ = timestep; }
-  Tensor& moment1() { return m_; }
-  Tensor& moment2() { return v_; }
-
-  /// The gradient bucketer behind the overlapped path; null when
-  /// bucket_bytes was 0. The trainer arms it (begin_step + leaf-grad hook)
-  /// around backward and reads its overlap events for telemetry.
-  GradBucketer* bucketer() { return bucketer_.get(); }
-
-  /// Test hook, invoked inside step() after every bucket is posted and
-  /// before the drain — the window the crash-during-overlap checkpoint
-  /// test injects a SimulatedCrash into.
-  void set_pre_drain_hook(std::function<void()> hook) {
-    pre_drain_hook_ = std::move(hook);
-  }
-
  private:
-  Communicator& comm_;
-  std::vector<Tensor> parameters_;
-  Adam::Options options_;
-  double max_grad_norm_ = 0.0;
-  std::int64_t timestep_ = 0;
-  Tensor m_;  ///< (N) full first moment, kOptimizerState
-  Tensor v_;  ///< (N) full second moment, kOptimizerState
-  std::unique_ptr<GradBucketer> bucketer_;
-  std::function<void()> pre_drain_hook_;
+  /// When backward ran armed (GradSync::backward), gradients already in
+  /// flight are drained here; called unarmed, it posts and drains
+  /// everything itself (bucketed but unoverlapped — still bit-identical).
+  double update(int rank, bool measure_norm) override;
 };
 
-/// ZeRO Adam (Rajbhandari et al., SC'20), one instance per rank: optimizer
-/// states are PARTITIONED — each rank stores moments only for its 1/R
-/// shard, updates that shard after a reduce-scatter of gradients, and the
-/// refreshed parameters are re-assembled with an all-gather. Optimizer-
-/// state memory per rank drops by ~R at the price of extra collectives,
-/// reproducing the Tab. II trade-off (27% peak memory, 133% step time).
-///
-/// Stage 2 additionally RELEASES the full per-parameter gradient buffers
-/// the moment the owned shard has been extracted (gradient partitioning):
-/// numerically identical updates, lower gradient residency during the
-/// weight-update phase.
-class ZeroAdam {
+/// ZeRO-1 Adam (Rajbhandari et al., SC'20), one instance per rank:
+/// optimizer states are PARTITIONED — each rank stores moments only for its
+/// 1/R shard, updates that shard after a reduce-scatter of gradients, and
+/// the refreshed parameters are re-assembled with an all-gather.
+/// Optimizer-state memory per rank drops by ~R at the price of extra
+/// collectives, reproducing the Tab. II trade-off (27% peak memory, 133%
+/// step time).
+class ZeroAdam : public GradSync {
  public:
-  /// ZeRO stage: 1 = optimizer-state partitioning (the paper's setting),
-  /// 2 = + gradient partitioning. `bucket_bytes` as in DDPAdam: bucketed
-  /// reduce-scatter posted during backward plus an overlapped all-gather
-  /// of the updated shard; 0 restores the sequential single-call path.
-  /// Buckets scatter along the GLOBAL shard boundaries (explicit counts),
-  /// so shard ownership — and checkpoint layout — never depends on the
-  /// bucket size.
+  /// `bucket_bytes` as in DDPAdam: bucketed reduce-scatter posted during
+  /// backward plus an overlapped all-gather of the updated shard; 0
+  /// restores the sequential single-call path. Buckets scatter along the
+  /// GLOBAL shard boundaries (explicit counts), so shard ownership — and
+  /// checkpoint layout — never depends on the bucket size.
   ZeroAdam(Communicator& comm, std::vector<Tensor> parameters,
-           const Adam::Options& options, int stage = 1,
+           const Adam::Options& options,
            std::size_t bucket_bytes = GradBucketer::kDefaultBucketBytes);
 
-  /// Collective: every rank must call once per step (see DDPAdam::step for
-  /// the armed vs unarmed bucketing behavior).
-  void step(int rank);
-  void zero_grad();
-  void set_learning_rate(double lr) { options_.learning_rate = lr; }
-  double learning_rate() const { return options_.learning_rate; }
-
-  /// Joint L2 clip applied to the rank-AVERAGED gradient (0 disables).
-  /// The global norm is assembled from per-shard partial sums via a scalar
-  /// all-reduce, so every rank scales by the identical factor and replicas
-  /// stay bit-identical. Costs one extra (tiny) collective per step.
-  void set_max_grad_norm(double max_norm) { max_grad_norm_ = max_norm; }
-
   std::size_t shard_elements() const {
-    return static_cast<std::size_t>(m_.numel());
-  }
-  int stage() const { return stage_; }
-
-  /// Optimizer-state access for training checkpoints (sgnn::ckpt); each
-  /// rank saves/restores only its own moment shard.
-  std::int64_t timestep() const { return timestep_; }
-  void set_timestep(std::int64_t timestep) { timestep_ = timestep; }
-  Tensor& moment1() { return m_; }
-  Tensor& moment2() { return v_; }
-
-  /// See DDPAdam::bucketer / set_pre_drain_hook.
-  GradBucketer* bucketer() { return bucketer_.get(); }
-  void set_pre_drain_hook(std::function<void()> hook) {
-    pre_drain_hook_ = std::move(hook);
+    return static_cast<std::size_t>(m_.front().numel());
   }
 
  private:
-  Communicator& comm_;
-  std::vector<Tensor> parameters_;
-  Adam::Options options_;
-  double max_grad_norm_ = 0.0;
-  int stage_ = 1;
-  std::int64_t timestep_ = 0;
+  /// The global norm (clip or measure_norm) is assembled from per-shard
+  /// partial sums via a scalar all-reduce, so every rank scales by the
+  /// identical factor and replicas stay bit-identical. That costs one extra
+  /// (tiny) collective in the steps that need the norm.
+  double update(int rank, bool measure_norm) override;
+  bool sharded() const override { return true; }
+
   std::size_t total_elements_ = 0;
-  Tensor m_;  ///< (N/R) sharded first moment
-  Tensor v_;  ///< (N/R) sharded second moment
-  std::unique_ptr<GradBucketer> bucketer_;
-  std::function<void()> pre_drain_hook_;
 };
 
 }  // namespace sgnn

@@ -1,5 +1,7 @@
 #include "sgnn/train/distributed.hpp"
 
+#include "train_step.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <exception>
@@ -9,17 +11,12 @@
 
 #include "sgnn/graph/batch.hpp"
 #include "sgnn/graph/partition.hpp"
-#include "sgnn/nn/model_io.hpp"
-#include "sgnn/obs/prof.hpp"
 #include "sgnn/obs/telemetry.hpp"
 #include "sgnn/obs/trace.hpp"
 #include "sgnn/tensor/kernels.hpp"
-#include "sgnn/tensor/ops.hpp"
 #include "sgnn/train/halo.hpp"
-#include "sgnn/train/schedule.hpp"
 #include "sgnn/train/zero.hpp"
 #include "sgnn/util/error.hpp"
-#include "sgnn/util/logging.hpp"
 #include "sgnn/util/rng.hpp"
 #include "sgnn/util/timer.hpp"
 
@@ -27,41 +24,26 @@ namespace sgnn {
 
 namespace {
 
-/// Restores a flat optimizer-state section into a moment tensor.
-void restore_tensor(const std::vector<real>& flat, Tensor& dst) {
-  SGNN_CHECK(static_cast<std::int64_t>(flat.size()) == dst.numel(),
-             "optimizer-state section holds " << flat.size()
-                                              << " values, tensor expects "
-                                              << dst.numel());
-  std::copy(flat.begin(), flat.end(), dst.data());
-}
-
-/// Flattens a plain Adam's per-parameter moment list into one contiguous
-/// checkpoint section, in parameter order.
-std::vector<real> flatten_moments(const std::vector<Tensor>& moments) {
-  std::vector<real> flat;
-  for (const Tensor& t : moments) {
-    flat.insert(flat.end(), t.data(), t.data() + t.numel());
+/// The one place the strategy becomes code: one rank's gradient sync.
+/// Graph-parallel ranks use PLAIN Adam: their gradients are already
+/// replicated exactly, and a DDP all-reduce-then-average of R identical
+/// gradients is NOT a bitwise no-op (g + g + g rounds), so averaging would
+/// break the parity contract.
+std::unique_ptr<GradSync> make_grad_sync(const DistTrainOptions& options,
+                                         Communicator& comm,
+                                         std::vector<Tensor> parameters) {
+  std::unique_ptr<GradSync> sync;
+  if (options.graph_parallel) {
+    sync = std::make_unique<Adam>(std::move(parameters), options.adam);
+  } else if (options.strategy == DistStrategy::kDDP) {
+    sync = std::make_unique<DDPAdam>(comm, std::move(parameters), options.adam,
+                                     options.bucket_bytes);
+  } else {
+    sync = std::make_unique<ZeroAdam>(comm, std::move(parameters),
+                                      options.adam, options.bucket_bytes);
   }
-  return flat;
-}
-
-/// Restores a flattened moment section back into per-parameter tensors.
-void restore_moments(const std::vector<real>& flat,
-                     std::vector<Tensor>& moments) {
-  std::size_t offset = 0;
-  for (Tensor& t : moments) {
-    const auto count = static_cast<std::size_t>(t.numel());
-    SGNN_CHECK(offset + count <= flat.size(),
-               "optimizer-state section is too short: needs more than "
-                   << flat.size() << " values");
-    std::copy_n(flat.data() + offset, count, t.data());
-    offset += count;
-  }
-  SGNN_CHECK(offset == flat.size(),
-             "optimizer-state section holds "
-                 << flat.size() << " values, the moment list expects "
-                 << offset);
+  sync->set_max_grad_norm(options.max_grad_norm);
+  return sync;
 }
 
 }  // namespace
@@ -133,31 +115,14 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   Communicator comm(R);
   MemoryTracker::instance().reset_peak();
 
-  // Per-rank optimizers (constructed up front so optimizer-state memory is
-  // part of the profile from step zero, as in a real framework). The
-  // graph-parallel mode uses PLAIN per-rank Adam: its gradients are already
-  // replicated exactly, and a DDP all-reduce-then-average of R identical
-  // gradients is NOT a bitwise no-op (g + g + g rounds), so averaging would
-  // break the parity contract.
-  std::vector<std::unique_ptr<DDPAdam>> ddp;
-  std::vector<std::unique_ptr<ZeroAdam>> zero;
-  std::vector<std::unique_ptr<Adam>> gpadam;
+  // Per-rank gradient syncs, constructed up front so optimizer-state
+  // memory is part of the profile from step zero, as in a real framework.
+  std::vector<std::unique_ptr<GradSync>> owned_syncs;
+  std::vector<GradSync*> syncs;
   for (int r = 0; r < R; ++r) {
-    auto params = replicas_[static_cast<std::size_t>(r)]->parameters();
-    if (gp) {
-      gpadam.push_back(
-          std::make_unique<Adam>(std::move(params), options_.adam));
-    } else if (options_.strategy == DistStrategy::kDDP) {
-      ddp.push_back(std::make_unique<DDPAdam>(comm, std::move(params),
-                                              options_.adam,
-                                              options_.bucket_bytes));
-      ddp.back()->set_max_grad_norm(options_.max_grad_norm);
-    } else {
-      zero.push_back(std::make_unique<ZeroAdam>(comm, std::move(params),
-                                                options_.adam, /*stage=*/1,
-                                                options_.bucket_bytes));
-      zero.back()->set_max_grad_norm(options_.max_grad_norm);
-    }
+    owned_syncs.push_back(make_grad_sync(
+        options_, comm, replicas_[static_cast<std::size_t>(r)]->parameters()));
+    syncs.push_back(owned_syncs.back().get());
   }
 
   // Steps per epoch: every rank must execute the same number of collective
@@ -176,6 +141,11 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   std::optional<ckpt::CheckpointManager> manager;
   if (copt.every_steps > 0) manager.emplace(copt.directory, copt.keep_last);
 
+  // Graph-parallel runs write a distinct kind: their optimizer layout
+  // (flattened plain-Adam moments) is not interchangeable with the
+  // DDP/ZeRO sections, so cross-mode resumes fail loudly.
+  const std::string kind = gp ? "dist.gpar" : "dist";
+
   // Resume (single-threaded, before the rank threads exist). The snapshot
   // stores the position of the NEXT step to run — (epoch, epoch_step) —
   // plus the sampler state from which that epoch's permutation can be
@@ -184,91 +154,47 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   std::int64_t start_step = 0;
   std::int64_t start_counted = 0;
   Rng initial_sampler(options_.sampler_seed);
-  if (!copt.resume_from.empty()) {
-    const auto loaded = ckpt::CheckpointManager::load_latest(copt.resume_from);
-    if (!loaded) {
-      SGNN_LOG_WARN << "no readable checkpoint under '" << copt.resume_from
-                    << "'; starting fresh";
-    } else {
-      const ckpt::SnapshotView view(loaded->payload);
-      // Graph-parallel runs write a distinct kind: their optimizer layout
-      // (flattened plain-Adam moments) is not interchangeable with the
-      // DDP/ZeRO sections, so cross-mode resumes fail here, loudly.
-      const std::string expected_kind = gp ? "dist.gpar" : "dist";
-      SGNN_CHECK(view.bytes("meta.kind") == expected_kind,
-                 "snapshot '" << loaded->path << "' is not a "
-                              << (gp ? "graph-parallel" : "data-parallel")
-                              << " distributed checkpoint");
-      SGNN_CHECK(view.i64("meta.ranks") == R,
-                 "checkpoint was written for " << view.i64("meta.ranks")
-                                              << " ranks, trainer has " << R);
-      SGNN_CHECK(view.i64("meta.strategy") ==
-                     static_cast<std::int64_t>(options_.strategy),
-                 "checkpoint strategy does not match trainer strategy");
-      load_model_payload(*replicas_.front(), view.bytes("model"));
-      for (int r = 1; r < R; ++r) {
-        replicas_[static_cast<std::size_t>(r)]->copy_parameters_from(
-            *replicas_.front());
-      }
-      const std::int64_t timestep = view.i64("optim.timestep");
-      const double lr = view.f64("optim.lr");
-      for (int r = 0; r < R; ++r) {
-        const auto rr = static_cast<std::size_t>(r);
-        if (gp) {
-          // Replicated plain-Adam state: every rank restores the same
-          // flattened moments, unpacked back into per-parameter tensors.
-          restore_moments(view.reals("optim.m"), gpadam[rr]->moment1());
-          restore_moments(view.reals("optim.v"), gpadam[rr]->moment2());
-          gpadam[rr]->set_timestep(timestep);
-          gpadam[rr]->set_learning_rate(lr);
-        } else if (options_.strategy == DistStrategy::kDDP) {
-          // Replicated Adam state: every rank restores the same moments.
-          restore_tensor(view.reals("optim.m"), ddp[rr]->moment1());
-          restore_tensor(view.reals("optim.v"), ddp[rr]->moment2());
-          ddp[rr]->set_timestep(timestep);
-          ddp[rr]->set_learning_rate(lr);
-        } else {
-          // Sharded Adam state: rank r restores only its own shard.
-          const std::string suffix = "." + std::to_string(r);
-          restore_tensor(view.reals("optim.m" + suffix), zero[rr]->moment1());
-          restore_tensor(view.reals("optim.v" + suffix), zero[rr]->moment2());
-          zero[rr]->set_timestep(timestep);
-          zero[rr]->set_learning_rate(lr);
-        }
-      }
-      initial_sampler.set_state(
-          ckpt::pod_from_bytes<Rng::State>(view.bytes("sampler.rng")));
-      start_epoch = view.i64("meta.epoch");
-      start_step = view.i64("meta.epoch_step");
-      start_counted = view.i64("meta.step");
-      SGNN_LOG_INFO << "resumed distributed run from " << loaded->path
-                    << " (step " << start_counted << ", epoch " << start_epoch
-                    << ", epoch step " << start_step << ")";
+  const auto view = find_resume_snapshot(copt.resume_from, kind);
+  if (view) {
+    SGNN_CHECK(view->i64("meta.ranks") == R,
+               "checkpoint was written for " << view->i64("meta.ranks")
+                                             << " ranks, trainer has " << R);
+    SGNN_CHECK(view->i64("meta.strategy") ==
+                   static_cast<std::int64_t>(options_.strategy),
+               "checkpoint strategy does not match trainer strategy");
+    load_training_state(*view, *replicas_.front(), syncs);
+    for (int r = 1; r < R; ++r) {
+      replicas_[static_cast<std::size_t>(r)]->copy_parameters_from(
+          *replicas_.front());
     }
+    initial_sampler.set_state(
+        ckpt::pod_from_bytes<Rng::State>(view->bytes("sampler.rng")));
+    start_epoch = view->i64("meta.epoch");
+    start_step = view->i64("meta.epoch_step");
+    start_counted = view->i64("meta.step");
   }
   const Rng::State sampler_start = initial_sampler.state();
 
   std::vector<double> rank_loss(static_cast<std::size_t>(R), 0.0);
   std::vector<double> rank_seconds(static_cast<std::size_t>(R), 0.0);
-  // Overlap accounting, written only by the rank-0 worker (the thread join
-  // below publishes it to this thread).
-  double exposed_seconds_total = 0;
-  double overlapped_seconds_total = 0;
-  std::int64_t buckets_total = 0;
-  std::uint64_t halo_bytes_total = 0;
-  std::int64_t halo_exchanges_total = 0;
-  double halo_exposed_total = 0;
-  double halo_overlapped_total = 0;
+  // The step count and the overlap/halo accounting are rank 0's, written
+  // only by the rank-0 worker (the thread join below publishes them).
+  DistTrainReport report;
 
   const auto worker = [&](int rank) {
     const auto ri = static_cast<std::size_t>(rank);
     // Tags spans and log lines from this thread with the rank, so the
     // exported trace renders one timeline per simulated GPU.
     const obs::ScopedTraceRank trace_rank(rank);
-    EGNNModel& model = *replicas_[ri];
-    EGNNModel::ForwardOptions forward_options;
-    forward_options.activation_checkpointing =
-        options_.activation_checkpointing;
+    GradSync& sync = *syncs[ri];
+    LossScaler no_loss_scaling{LossScaler::Options{}};
+    const TrainStep::Context context{.model = *replicas_[ri],
+                                     .sync = sync,
+                                     .rank = rank,
+                                     .loss_weights = options_.loss_weights,
+                                     .schedule = options_.schedule,
+                                     .loss_scaler = no_loss_scaling,
+                                     .telemetry = options_.telemetry};
     Rng sampler(options_.sampler_seed);
     sampler.set_state(sampler_start);  // identical on every rank
     const WallTimer timer;
@@ -276,25 +202,18 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
     std::int64_t counted_steps = start_counted;
     std::int64_t local_steps = 0;
 
-    GradBucketer* const bucketer =
-        gp ? nullptr
-           : (options_.strategy == DistStrategy::kDDP ? ddp[ri]->bucketer()
-                                                      : zero[ri]->bucketer());
-    if (!gp && copt.crash_in_overlap_step > 0) {
-      // Crash-during-overlap fault injection: fires inside the optimizer
-      // step, after every bucket is posted and before any drain. All ranks
-      // run the same step count, so every rank throws together and the
-      // progress engine can still complete the (symmetric) posted ops.
-      const auto crash_in_overlap = [&counted_steps, &copt] {
-        if (counted_steps + 1 == copt.crash_in_overlap_step) {
-          throw ckpt::SimulatedCrash(counted_steps);
-        }
-      };
-      if (options_.strategy == DistStrategy::kDDP) {
-        ddp[ri]->set_pre_drain_hook(crash_in_overlap);
-      } else {
-        zero[ri]->set_pre_drain_hook(crash_in_overlap);
+    // Crash-during-overlap fault injection, fired inside the step's comm
+    // window: after every gradient bucket is posted and before any drain,
+    // or (graph-parallel) after the boundary gathers are posted and before
+    // the first wait. All ranks run the same step count, so every rank
+    // throws together and the posted (symmetric) ops still complete.
+    const auto crash_in_overlap = [&counted_steps, &copt] {
+      if (counted_steps + 1 == copt.crash_in_overlap_step) {
+        throw ckpt::SimulatedCrash(counted_steps);
       }
+    };
+    if (copt.crash_in_overlap_step > 0) {
+      sync.set_pre_drain_hook(crash_in_overlap);
     }
 
     for (std::int64_t epoch = start_epoch; epoch < options_.epochs; ++epoch) {
@@ -313,13 +232,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
 
       const std::int64_t first_step = epoch == start_epoch ? start_step : 0;
       for (std::int64_t step = first_step; step < steps_per_epoch; ++step) {
-        const WallTimer step_timer;
-        // Kernel-profile snapshot, rank 0 only: prof::totals() aggregates
-        // across every rank thread, so the per-step delta is process-wide
-        // (all R ranks' kernels), mirroring the comm accounting below.
-        const obs::prof::Totals prof_before =
-            rank == 0 ? obs::prof::totals() : obs::prof::Totals{};
-        const obs::prof::ProfRegion step_region("train_step");
+        TrainStep train_step(context, counted_steps, epoch);
         std::vector<const MolecularGraph*> samples;
         {
           const obs::TraceSpan span("fetch_batch", "data");
@@ -335,134 +248,31 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
         }
         const GraphBatch batch = GraphBatch::from_graphs(samples);
 
-        if (gp) {
-          gpadam[ri]->zero_grad();
-        } else if (options_.strategy == DistStrategy::kDDP) {
-          ddp[ri]->zero_grad();
-        } else {
-          zero[ri]->zero_grad();
-        }
-
+        EGNNModel::ForwardOptions forward_options;
+        forward_options.activation_checkpointing =
+            options_.activation_checkpointing;
         // Graph-parallel: partition the shared batch and stand up this
         // step's halo exchanger. Its buffers belong to in-flight
         // collectives, so it must outlive backward — it lives to the end
         // of the step iteration.
         std::optional<gpar::GraphPartition> partition;
         std::optional<gpar::HaloExchanger> halo;
-        // The halo collectives post during FORWARD, so the graph-parallel
-        // traffic snapshot sits ahead of it; the replicated strategies
-        // snapshot after forward instead (see the comment below).
-        Communicator::Traffic traffic_before;
         if (gp) {
           partition.emplace(gpar::GraphPartition::build(batch, R));
           halo.emplace(comm, rank, *partition, batch);
           forward_options.graph_parallel = &*halo;
           if (copt.crash_in_overlap_step > 0) {
-            // Crash INSIDE the halo-exchange window: fires after the
-            // boundary gathers are posted and before the first wait. All
-            // ranks run the same step count, so every rank throws together
-            // and the exchanger destructors drain the symmetric posted ops.
-            halo->set_pre_wait_hook([&counted_steps, &copt] {
-              if (counted_steps + 1 == copt.crash_in_overlap_step) {
-                throw ckpt::SimulatedCrash(counted_steps);
-              }
-            });
-          }
-          if (rank == 0) traffic_before = comm.traffic();
-        }
-        double step_loss = 0;
-        Tensor total;
-        {
-          const obs::TraceSpan span("forward", "train");
-          const obs::prof::ProfRegion region("forward");
-          const ScopedTrainPhase phase(TrainPhase::kForward);
-          const auto out = model.forward(batch, forward_options);
-          const LossTerms terms =
-              multitask_loss(out, batch, options_.loss_weights);
-          step_loss = terms.total.item();
-          loss_sum += step_loss;
-          total = terms.total;
-        }
-        // Collective payload attributed to this step. The replicated
-        // strategies snapshot here — BEFORE backward — because the
-        // overlapped path posts (and the progress engine counts) bucket
-        // collectives mid-backward; the drain inside the optimizer step
-        // completes before the closing snapshot, so the delta captures
-        // every bucket exactly once. The counters are updated once per
-        // collective (by rank 0 or the engine), so the delta is exact on
-        // rank 0 and reported 0 elsewhere.
-        if (rank == 0 && !gp) traffic_before = comm.traffic();
-        {
-          const obs::TraceSpan span("backward", "train");
-          const obs::prof::ProfRegion region("backward");
-          const ScopedTrainPhase phase(TrainPhase::kBackward);
-          // Arm the bucketer and observe leaf-gradient completion: each
-          // bucket's collective is posted the moment its last gradient is
-          // produced, overlapping communication with the rest of backward.
-          std::optional<autograd::ScopedLeafGradHook> grad_hook;
-          if (bucketer != nullptr) {
-            bucketer->begin_step(rank);
-            grad_hook.emplace(
-                [bucketer](const void* leaf) { bucketer->on_leaf_grad(leaf); });
-          }
-          total.backward();
-        }
-        double grad_norm = 0;
-        {
-          const obs::TraceSpan span("optimizer", "train");
-          const obs::prof::ProfRegion region("optimizer");
-          const ScopedTrainPhase phase(TrainPhase::kOptimizer);
-          if (options_.telemetry != nullptr) {
-            grad_norm = grad_l2_norm(model.parameters());
-          }
-          if (options_.schedule) {
-            // Pure function of the global step, so replicas agree for free.
-            const double lr = options_.schedule->at_step(counted_steps);
-            if (gp) {
-              gpadam[ri]->set_learning_rate(lr);
-            } else if (options_.strategy == DistStrategy::kDDP) {
-              ddp[ri]->set_learning_rate(lr);
-            } else {
-              zero[ri]->set_learning_rate(lr);
-            }
-          }
-          if (gp) {
-            // No gradient collective at all: the halo exchanges already
-            // left every rank holding the exact replicated gradient, so a
-            // plain local Adam update keeps the replicas bit-identical.
-            gpadam[ri]->step();
-          } else if (options_.strategy == DistStrategy::kDDP) {
-            ddp[ri]->step(rank);
-          } else {
-            zero[ri]->step(rank);
+            halo->set_pre_wait_hook(crash_in_overlap);
           }
         }
-
-        obs::StepTelemetry telemetry;
-        telemetry.step = counted_steps;
-        telemetry.epoch = epoch;
-        telemetry.rank = rank;
-        telemetry.loss = step_loss;
-        telemetry.grad_norm = grad_norm;
-        // The EFFECTIVE learning rate this step used (schedule- and
-        // resume-aware), not the base configuration value.
-        telemetry.learning_rate =
-            gp ? gpadam[ri]->learning_rate()
-               : (options_.strategy == DistStrategy::kDDP
-                      ? ddp[ri]->learning_rate()
-                      : zero[ri]->learning_rate());
-        telemetry.batch_graphs = batch.num_graphs;
-        telemetry.batch_atoms = batch.num_nodes;
-        telemetry.batch_edges = batch.num_edges;
-        telemetry.step_seconds = step_timer.seconds();
-        if (telemetry.step_seconds > 0) {
-          telemetry.atoms_per_sec =
-              static_cast<double>(telemetry.batch_atoms) /
-              telemetry.step_seconds;
-          telemetry.graphs_per_sec =
-              static_cast<double>(telemetry.batch_graphs) /
-              telemetry.step_seconds;
-        }
+        // Collective payload attributed to this step: the counters are
+        // updated once per collective (by rank 0 or the progress engine),
+        // and no collective of this step can complete before rank 0 posts
+        // it, so the delta is exact on rank 0 and reported 0 elsewhere.
+        const Communicator::Traffic traffic_before =
+            rank == 0 ? comm.traffic() : Communicator::Traffic{};
+        obs::StepTelemetry telemetry = train_step.run(batch, forward_options);
+        loss_sum += telemetry.loss;
         if (rank == 0) {
           // One formula for per-step and aggregate accounting: the modeled
           // time of the step's traffic delta. seconds() is additive over
@@ -472,75 +282,47 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
               comm.traffic().since(traffic_before);
           telemetry.collective_bytes = delta.total_bytes();
           telemetry.comm_seconds_modeled = interconnect_.seconds(delta, R);
-          if (gp) {
-            // Every collective this step is halo traffic. Price its
-            // overlap from the exchanger's post/wait stamps: the boundary
-            // gathers count as whatever the distance/RBF compute window
-            // actually hid, the blocking exchanges (ghost gradients,
-            // readout replication, ring folds) as fully exposed.
-            const auto cost =
-                interconnect_.overlap_cost(halo->take_events(), R);
-            const double exposed = std::min(
-                telemetry.comm_seconds_modeled,
-                cost.exposed_seconds +
-                    std::max(0.0, telemetry.comm_seconds_modeled -
-                                      cost.total_seconds));
-            telemetry.comm_exposed_seconds = exposed;
-            telemetry.comm_overlapped_seconds =
-                telemetry.comm_seconds_modeled - exposed;
-            telemetry.comm_buckets = 0;
+          // Price the overlap honestly from the post/wait stamps of the
+          // step's non-blocking collectives: the sync's gradient buckets,
+          // or the halo exchanges of a graph-parallel step. Collectives
+          // without stamps (the ZeRO norm's scalar all-reduce, the blocking
+          // halo exchanges, the sequential path) count as fully exposed:
+          // exposed = overlap-priced exposure + (delta - event total).
+          std::vector<InterconnectModel::OverlapEvent> events =
+              sync.take_overlap_events();
+          telemetry.comm_buckets = static_cast<std::int64_t>(events.size());
+          if (halo) {
+            const auto halo_events = halo->take_events();
+            events.insert(events.end(), halo_events.begin(),
+                          halo_events.end());
+          }
+          const auto cost = interconnect_.overlap_cost(events, R);
+          const double exposed = std::min(
+              telemetry.comm_seconds_modeled,
+              cost.exposed_seconds +
+                  std::max(0.0, telemetry.comm_seconds_modeled -
+                                    cost.total_seconds));
+          telemetry.comm_exposed_seconds = exposed;
+          telemetry.comm_overlapped_seconds =
+              telemetry.comm_seconds_modeled - exposed;
+          if (halo) {
+            // Every collective of a graph-parallel step is halo traffic.
             telemetry.halo_bytes = halo->halo_bytes();
             telemetry.halo_exchanges = halo->exchanges();
             telemetry.halo_exposed_seconds = exposed;
             telemetry.halo_overlapped_seconds =
                 telemetry.comm_overlapped_seconds;
-            halo_bytes_total += telemetry.halo_bytes;
-            halo_exchanges_total += telemetry.halo_exchanges;
-            halo_exposed_total += telemetry.halo_exposed_seconds;
-            halo_overlapped_total += telemetry.halo_overlapped_seconds;
-          } else if (bucketer != nullptr) {
-            // Price the overlap honestly from the bucketer's post/wait
-            // stamps. Collectives outside the bucketer (the ZeRO clip's
-            // scalar all-reduce) are blocking and count as fully exposed:
-            // exposed = overlap-priced exposure + (delta - event total).
-            const auto cost =
-                interconnect_.overlap_cost(bucketer->take_events(), R);
-            const double exposed = std::min(
-                telemetry.comm_seconds_modeled,
-                cost.exposed_seconds +
-                    std::max(0.0, telemetry.comm_seconds_modeled -
-                                      cost.total_seconds));
-            telemetry.comm_exposed_seconds = exposed;
-            telemetry.comm_overlapped_seconds =
-                telemetry.comm_seconds_modeled - exposed;
-            telemetry.comm_buckets = cost.ops;
-          } else {
-            // Sequential blocking path: every modeled second is exposed.
-            telemetry.comm_exposed_seconds = telemetry.comm_seconds_modeled;
-            telemetry.comm_overlapped_seconds = 0;
-            telemetry.comm_buckets = 0;
+            report.halo_bytes += telemetry.halo_bytes;
+            report.halo_exchanges += telemetry.halo_exchanges;
+            report.halo_exposed_seconds += telemetry.halo_exposed_seconds;
+            report.halo_overlapped_seconds +=
+                telemetry.halo_overlapped_seconds;
           }
-          exposed_seconds_total += telemetry.comm_exposed_seconds;
-          overlapped_seconds_total += telemetry.comm_overlapped_seconds;
-          buckets_total += telemetry.comm_buckets;
+          report.comm_exposed_seconds += telemetry.comm_exposed_seconds;
+          report.comm_overlapped_seconds += telemetry.comm_overlapped_seconds;
+          report.comm_buckets += telemetry.comm_buckets;
         }
-        telemetry.live_bytes = MemoryTracker::instance().live().total();
-        telemetry.peak_bytes = MemoryTracker::instance().peak_total();
-        if (rank == 0) {
-          const obs::prof::Totals prof_after = obs::prof::totals();
-          telemetry.kernel_seconds =
-              prof_after.kernel_seconds - prof_before.kernel_seconds;
-          telemetry.kernel_flops = prof_after.flops - prof_before.flops;
-          telemetry.kernel_bytes = prof_after.bytes - prof_before.bytes;
-        }
-        telemetry.kernel_backend =
-            kernels::backend_name(kernels::active_backend());
-        telemetry.compute_dtype =
-            kernels::dtype_name(kernels::active_compute_dtype());
-        obs::record_step_metrics(telemetry);
-        if (options_.telemetry != nullptr) {
-          options_.telemetry->on_step(telemetry);
-        }
+        train_step.emit(telemetry);
         ++counted_steps;
         ++local_steps;
 
@@ -554,54 +336,17 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
           if (rank == 0) {
             const bool epoch_done = step + 1 == steps_per_epoch;
             ckpt::SnapshotBuilder builder;
-            builder.add_bytes("meta.kind", gp ? "dist.gpar" : "dist");
+            save_training_state(builder, kind, counted_steps,
+                                epoch_done ? epoch + 1 : epoch,
+                                *replicas_.front(), syncs);
             builder.add_i64("meta.ranks", R);
             builder.add_i64("meta.strategy",
                             static_cast<std::int64_t>(options_.strategy));
-            builder.add_i64("meta.step", counted_steps);
-            builder.add_i64("meta.epoch", epoch_done ? epoch + 1 : epoch);
             builder.add_i64("meta.epoch_step", epoch_done ? 0 : step + 1);
-            builder.add_bytes("model",
-                              model_payload_bytes(*replicas_.front()));
             // The state the NEXT step's epoch starts shuffling from.
             const Rng::State resume_rng =
                 epoch_done ? sampler.state() : epoch_start_state;
             builder.add_bytes("sampler.rng", ckpt::pod_bytes(resume_rng));
-            if (gp) {
-              // Replicated plain-Adam state: rank 0's flattened moments
-              // stand for every rank (the parity invariant keeps them
-              // bitwise equal).
-              builder.add_i64("optim.timestep", gpadam[ri]->timestep());
-              builder.add_f64("optim.lr", gpadam[ri]->learning_rate());
-              const std::vector<real> m =
-                  flatten_moments(gpadam[ri]->moment1());
-              const std::vector<real> v =
-                  flatten_moments(gpadam[ri]->moment2());
-              builder.add_reals("optim.m", m.data(), m.size());
-              builder.add_reals("optim.v", v.data(), v.size());
-            } else if (options_.strategy == DistStrategy::kDDP) {
-              builder.add_i64("optim.timestep", ddp[ri]->timestep());
-              builder.add_f64("optim.lr", ddp[ri]->learning_rate());
-              const Tensor& m = ddp[ri]->moment1();
-              const Tensor& v = ddp[ri]->moment2();
-              builder.add_reals("optim.m", m.data(),
-                                static_cast<std::size_t>(m.numel()));
-              builder.add_reals("optim.v", v.data(),
-                                static_cast<std::size_t>(v.numel()));
-            } else {
-              builder.add_i64("optim.timestep", zero[ri]->timestep());
-              builder.add_f64("optim.lr", zero[ri]->learning_rate());
-              for (int r = 0; r < R; ++r) {
-                const auto rr = static_cast<std::size_t>(r);
-                const std::string suffix = "." + std::to_string(r);
-                const Tensor& m = zero[rr]->moment1();
-                const Tensor& v = zero[rr]->moment2();
-                builder.add_reals("optim.m" + suffix, m.data(),
-                                  static_cast<std::size_t>(m.numel()));
-                builder.add_reals("optim.v" + suffix, v.data(),
-                                  static_cast<std::size_t>(v.numel()));
-              }
-            }
             manager->save(static_cast<std::uint64_t>(counted_steps),
                           builder.payload());
           }
@@ -617,6 +362,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
                         ? loss_sum / static_cast<double>(local_steps)
                         : 0.0;
     rank_seconds[ri] = timer.seconds();
+    if (rank == 0) report.steps = local_steps;
   };
 
   std::vector<std::exception_ptr> worker_errors(static_cast<std::size_t>(R));
@@ -646,8 +392,6 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   SGNN_CHECK(replica_divergence() == 0.0,
              "replicas diverged — gradient synchronization is broken");
 
-  DistTrainReport report;
-  report.steps = options_.epochs * steps_per_epoch;
   report.final_train_loss =
       std::accumulate(rank_loss.begin(), rank_loss.end(), 0.0) / R;
   report.compute_seconds =
@@ -670,13 +414,6 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   // values (the old code charged latency both inside the bandwidth terms
   // and again per call, double-counting it).
   report.comm_seconds = interconnect_.seconds(report.collective_traffic, R);
-  report.comm_exposed_seconds = exposed_seconds_total;
-  report.comm_overlapped_seconds = overlapped_seconds_total;
-  report.comm_buckets = buckets_total;
-  report.halo_bytes = halo_bytes_total;
-  report.halo_exchanges = halo_exchanges_total;
-  report.halo_exposed_seconds = halo_exposed_total;
-  report.halo_overlapped_seconds = halo_overlapped_total;
   return report;
 }
 

@@ -1,14 +1,9 @@
 #include "sgnn/train/trainer.hpp"
 
-#include "sgnn/nn/model_io.hpp"
-#include "sgnn/obs/prof.hpp"
-#include "sgnn/obs/telemetry.hpp"
+#include "train_step.hpp"
+
 #include "sgnn/obs/trace.hpp"
-#include "sgnn/tensor/kernels.hpp"
-#include "sgnn/tensor/ops.hpp"
-#include "sgnn/train/zero.hpp"
 #include "sgnn/util/error.hpp"
-#include "sgnn/util/logging.hpp"
 #include "sgnn/util/timer.hpp"
 
 namespace sgnn {
@@ -22,25 +17,7 @@ Trainer::Trainer(EGNNModel& model, const TrainOptions& options)
   SGNN_CHECK(options.checkpoint.every_steps <= 0 ||
                  !options.checkpoint.directory.empty(),
              "checkpoint.every_steps needs checkpoint.directory");
-}
-
-std::string Trainer::build_snapshot(const DataLoader& loader) {
-  ckpt::SnapshotBuilder builder;
-  builder.add_bytes("meta.kind", "trainer");
-  builder.add_i64("meta.step", global_step_);
-  builder.add_i64("meta.epoch", epoch_index_);
-  builder.add_bytes("model", model_payload_bytes(model_));
-  builder.add_i64("optim.timestep", optimizer_.timestep());
-  builder.add_f64("optim.lr", optimizer_.learning_rate());
-  const std::vector<real> m = flatten_parameters(optimizer_.moment1());
-  const std::vector<real> v = flatten_parameters(optimizer_.moment2());
-  builder.add_reals("optim.m", m.data(), m.size());
-  builder.add_reals("optim.v", v.data(), v.size());
-  const DataLoader::State loader_state = loader.state();
-  builder.add_bytes("loader.rng", ckpt::pod_bytes(loader_state.rng));
-  builder.add_u64s("loader.order", loader_state.order);
-  builder.add_u64("loader.cursor", loader_state.cursor);
-  return builder.payload();
+  optimizer_.set_max_grad_norm(options.max_grad_norm);
 }
 
 void Trainer::maybe_checkpoint(const DataLoader& loader) {
@@ -50,39 +27,31 @@ void Trainer::maybe_checkpoint(const DataLoader& loader) {
   if (!ckpt_manager_) {
     ckpt_manager_.emplace(copt.directory, copt.keep_last);
   }
+  ckpt::SnapshotBuilder builder;
+  save_training_state(builder, "trainer", global_step_, epoch_index_, model_,
+                      {&optimizer_});
+  const DataLoader::State loader_state = loader.state();
+  builder.add_bytes("loader.rng", ckpt::pod_bytes(loader_state.rng));
+  builder.add_u64s("loader.order", loader_state.order);
+  builder.add_u64("loader.cursor", loader_state.cursor);
   ckpt_manager_->save(static_cast<std::uint64_t>(global_step_),
-                      build_snapshot(loader));
+                      builder.payload());
 }
 
 bool Trainer::try_resume(DataLoader& loader) {
-  if (options_.checkpoint.resume_from.empty()) return false;
-  const auto loaded =
-      ckpt::CheckpointManager::load_latest(options_.checkpoint.resume_from);
-  if (!loaded) {
-    SGNN_LOG_WARN << "no readable checkpoint under '"
-                  << options_.checkpoint.resume_from << "'; starting fresh";
-    return false;
-  }
-  const ckpt::SnapshotView view(loaded->payload);
-  SGNN_CHECK(view.bytes("meta.kind") == "trainer",
-             "snapshot '" << loaded->path << "' is not a trainer checkpoint");
-  load_model_payload(model_, view.bytes("model"));
-  optimizer_.set_timestep(view.i64("optim.timestep"));
-  optimizer_.set_learning_rate(view.f64("optim.lr"));
-  std::vector<real> m = view.reals("optim.m");
-  std::vector<real> v = view.reals("optim.v");
-  unflatten_into_parameters(m, optimizer_.moment1());
-  unflatten_into_parameters(v, optimizer_.moment2());
+  const auto view =
+      find_resume_snapshot(options_.checkpoint.resume_from, "trainer");
+  if (!view) return false;
+  load_training_state(*view, model_, {&optimizer_});
   DataLoader::State loader_state;
-  loader_state.rng = ckpt::pod_from_bytes<Rng::State>(view.bytes("loader.rng"));
-  loader_state.order = view.u64s("loader.order");
-  loader_state.cursor = view.u64("loader.cursor");
+  loader_state.rng =
+      ckpt::pod_from_bytes<Rng::State>(view->bytes("loader.rng"));
+  loader_state.order = view->u64s("loader.order");
+  loader_state.cursor = view->u64("loader.cursor");
   loader.restore_state(loader_state);
-  global_step_ = view.i64("meta.step");
-  epoch_index_ = view.i64("meta.epoch");
+  global_step_ = view->i64("meta.step");
+  epoch_index_ = view->i64("meta.epoch");
   skip_begin_epoch_ = true;
-  SGNN_LOG_INFO << "resumed trainer from " << loaded->path << " (step "
-                << global_step_ << ", epoch " << epoch_index_ << ")";
   return true;
 }
 
@@ -101,96 +70,24 @@ Trainer::EpochResult Trainer::train_epoch(DataLoader& loader) {
   EGNNModel::ForwardOptions forward_options;
   forward_options.activation_checkpointing =
       options_.activation_checkpointing;
+  const TrainStep::Context context{.model = model_,
+                                   .sync = optimizer_,
+                                   .rank = -1,
+                                   .loss_weights = options_.loss_weights,
+                                   .schedule = options_.schedule,
+                                   .loss_scaler = loss_scaler_,
+                                   .telemetry = telemetry_};
 
   const obs::TraceSpan epoch_span("train_epoch", "train");
 
   while (loader.has_next()) {
-    const WallTimer step_timer;
-    const obs::prof::Totals prof_before = obs::prof::totals();
-    const obs::prof::ProfRegion step_region("train_step");
+    TrainStep step(context, global_step_, epoch_index_);
     GraphBatch batch = loader.next();
     if (use_baseline_) baseline_.subtract_from(batch);
-    optimizer_.zero_grad();
-
-    double step_loss = 0;
-    Tensor total;
-    {
-      const obs::TraceSpan span("forward", "train");
-      const obs::prof::ProfRegion region("forward");
-      const ScopedTrainPhase phase(TrainPhase::kForward);
-      const auto out = model_.forward(batch, forward_options);
-      LossTerms terms = multitask_loss(out, batch, options_.loss_weights);
-      // The reported loss stays unscaled; only the backward graph sees the
-      // loss-scale factor.
-      step_loss = terms.total.item();
-      loss_sum += step_loss;
-      total = loss_scaler_.enabled()
-                  ? scale(terms.total,
-                          static_cast<real>(loss_scaler_.scale()))
-                  : terms.total;
-    }
-    {
-      const obs::TraceSpan span("backward", "train");
-      const obs::prof::ProfRegion region("backward");
-      const ScopedTrainPhase phase(TrainPhase::kBackward);
-      total.backward();
-    }
-    double grad_norm = 0;
-    {
-      const obs::TraceSpan span("optimizer", "train");
-      const obs::prof::ProfRegion region("optimizer");
-      const ScopedTrainPhase phase(TrainPhase::kOptimizer);
-      if (options_.schedule) {
-        optimizer_.set_learning_rate(options_.schedule->at_step(global_step_));
-      }
-      const bool overflowed =
-          loss_scaler_.enabled() &&
-          LossScaler::grads_overflowed(model_.parameters());
-      if (loss_scaler_.update(overflowed)) {
-        loss_scaler_.unscale(model_.parameters());
-        if (options_.max_grad_norm > 0) {
-          grad_norm =
-              clip_grad_norm(model_.parameters(), options_.max_grad_norm);
-        } else if (telemetry_ != nullptr) {
-          grad_norm = grad_l2_norm(model_.parameters());
-        }
-        optimizer_.step();
-      } else {
-        // Overflow: skip the parameter update, keep the step count moving
-        // (AMP semantics) so schedules and checkpoints stay aligned.
-        SGNN_LOG_DEBUG << "step " << global_step_
-                       << ": non-finite gradients, optimizer step skipped";
-      }
-      ++global_step_;
-    }
-
-    obs::StepTelemetry step;
-    step.step = global_step_ - 1;
-    step.epoch = epoch_index_;
-    step.loss = step_loss;
-    step.grad_norm = grad_norm;
-    step.learning_rate = optimizer_.learning_rate();
-    step.batch_graphs = batch.num_graphs;
-    step.batch_atoms = batch.num_nodes;
-    step.batch_edges = batch.num_edges;
-    step.step_seconds = step_timer.seconds();
-    if (step.step_seconds > 0) {
-      step.atoms_per_sec =
-          static_cast<double>(step.batch_atoms) / step.step_seconds;
-      step.graphs_per_sec =
-          static_cast<double>(step.batch_graphs) / step.step_seconds;
-    }
-    step.live_bytes = MemoryTracker::instance().live().total();
-    step.peak_bytes = MemoryTracker::instance().peak_total();
-    const obs::prof::Totals prof_after = obs::prof::totals();
-    step.kernel_seconds = prof_after.kernel_seconds - prof_before.kernel_seconds;
-    step.kernel_flops = prof_after.flops - prof_before.flops;
-    step.kernel_bytes = prof_after.bytes - prof_before.bytes;
-    step.kernel_backend = kernels::backend_name(kernels::active_backend());
-    step.compute_dtype = kernels::dtype_name(kernels::active_compute_dtype());
-    obs::record_step_metrics(step);
-    if (telemetry_ != nullptr) telemetry_->on_step(step);
-
+    const obs::StepTelemetry telemetry = step.run(batch, forward_options);
+    step.emit(telemetry);
+    loss_sum += telemetry.loss;
+    ++global_step_;
     ++batches;
     maybe_checkpoint(loader);
     ckpt::maybe_crash(options_.checkpoint, global_step_);

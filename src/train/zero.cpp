@@ -1,48 +1,11 @@
 #include "sgnn/train/zero.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sgnn/obs/trace.hpp"
 #include "sgnn/util/error.hpp"
 
 namespace sgnn {
-
-std::vector<real> flatten_parameters(const std::vector<Tensor>& parameters) {
-  std::vector<real> flat;
-  for (const auto& p : parameters) {
-    const real* d = p.data();
-    flat.insert(flat.end(), d, d + p.numel());
-  }
-  return flat;
-}
-
-std::vector<real> flatten_gradients(const std::vector<Tensor>& parameters) {
-  std::vector<real> flat;
-  for (const auto& p : parameters) {
-    const Tensor grad = p.grad();
-    if (grad.defined()) {
-      const real* d = grad.data();
-      flat.insert(flat.end(), d, d + grad.numel());
-    } else {
-      flat.insert(flat.end(), static_cast<std::size_t>(p.numel()), real{0});
-    }
-  }
-  return flat;
-}
-
-void unflatten_into_parameters(const std::vector<real>& flat,
-                               std::vector<Tensor>& parameters) {
-  std::size_t offset = 0;
-  for (auto& p : parameters) {
-    const auto n = static_cast<std::size_t>(p.numel());
-    SGNN_CHECK(offset + n <= flat.size(), "unflatten size mismatch");
-    std::copy_n(flat.data() + offset, n, p.data());
-    offset += n;
-  }
-  SGNN_CHECK(offset == flat.size(), "unflatten left " << flat.size() - offset
-                                                      << " dangling values");
-}
 
 namespace {
 
@@ -56,30 +19,19 @@ std::size_t total_elements(const std::vector<Tensor>& parameters) {
 
 DDPAdam::DDPAdam(Communicator& comm, std::vector<Tensor> parameters,
                  const Adam::Options& options, std::size_t bucket_bytes)
-    : comm_(comm), parameters_(std::move(parameters)), options_(options) {
-  SGNN_CHECK(!parameters_.empty(), "DDPAdam needs parameters");
-  const auto n = static_cast<std::int64_t>(total_elements(parameters_));
-  if (bucket_bytes > 0) {
-    bucketer_ = std::make_unique<GradBucketer>(
-        comm_, parameters_, CollectiveKind::kAllReduce, bucket_bytes);
-  }
-  const ScopedMemCategory scope(MemCategory::kOptimizerState);
-  m_ = Tensor::zeros(Shape{n});
-  v_ = Tensor::zeros(Shape{n});
+    : GradSync(std::move(parameters), options, &comm,
+               CollectiveKind::kAllReduce, bucket_bytes) {
+  allocate_moments(
+      {Shape{static_cast<std::int64_t>(total_elements(parameters_))}});
 }
 
-void DDPAdam::step(int rank) {
+double DDPAdam::update(int rank, bool measure_norm) {
   const obs::TraceSpan span("ddp_adam_step", "optimizer");
-  ++timestep_;
   std::vector<real> grad;
   if (bucketer_) {
-    // Overlapped path: buckets were posted from the leaf-grad hook during
-    // backward (or all at once here, if the trainer never armed the
-    // bucketer); the drain assembles the same summed flat vector the
+    // Overlapped path: the drain assembles the same summed flat vector the
     // blocking all_reduce_sum produces — byte for byte.
-    if (!bucketer_->active()) bucketer_->begin_step(rank);
-    bucketer_->post_remaining();
-    if (pre_drain_hook_) pre_drain_hook_();
+    post_buckets(rank);
     bucketer_->drain_all_reduce(grad);
     bucketer_->end_step();
   } else {
@@ -88,51 +40,24 @@ void DDPAdam::step(int rank) {
   const ScopedBytes grad_staging(grad.size() * sizeof(real),
                                  MemCategory::kWorkspace);
   if (!bucketer_) {
-    comm_.all_reduce_sum(rank, grad);
+    comm_->all_reduce_sum(rank, grad);
   }
-  const auto scale = real{1} / static_cast<real>(comm_.num_ranks());
-  for (auto& g : grad) g *= scale;
-  if (max_grad_norm_ > 0) {
-    // Clip the AVERAGED gradient. Every rank holds the identical vector and
-    // sums it in the same (sequential) order, so the clip factor — and thus
-    // the update — is bit-identical across replicas.
-    double sum_sq = 0;
-    for (const auto g : grad) {
-      sum_sq += static_cast<double>(g) * static_cast<double>(g);
-    }
-    const double norm = std::sqrt(sum_sq);
-    if (norm > max_grad_norm_) {
-      const auto clip = static_cast<real>(max_grad_norm_ / norm);
-      for (auto& g : grad) g *= clip;
-    }
-  }
+  const double norm = average_and_clip(grad, rank, measure_norm);
 
   std::vector<real> param = flatten_parameters(parameters_);
   const ScopedBytes param_staging(param.size() * sizeof(real),
                                   MemCategory::kWorkspace);
-  Adam::update_flat(param.data(), grad.data(), m_.data(), v_.data(),
-                    param.size(), timestep_, options_);
+  update_flat(param.data(), grad.data(), m_.front().data(), v_.front().data(),
+              param.size(), timestep_, options_);
   unflatten_into_parameters(param, parameters_);
-}
-
-void DDPAdam::zero_grad() {
-  for (auto& p : parameters_) p.zero_grad();
+  return norm;
 }
 
 ZeroAdam::ZeroAdam(Communicator& comm, std::vector<Tensor> parameters,
-                   const Adam::Options& options, int stage,
-                   std::size_t bucket_bytes)
-    : comm_(comm),
-      parameters_(std::move(parameters)),
-      options_(options),
-      stage_(stage) {
-  SGNN_CHECK(!parameters_.empty(), "ZeroAdam needs parameters");
-  SGNN_CHECK(stage == 1 || stage == 2, "ZeRO stage must be 1 or 2");
-  total_elements_ = total_elements(parameters_);
-  if (bucket_bytes > 0) {
-    bucketer_ = std::make_unique<GradBucketer>(
-        comm_, parameters_, CollectiveKind::kReduceScatter, bucket_bytes);
-  }
+                   const Adam::Options& options, std::size_t bucket_bytes)
+    : GradSync(std::move(parameters), options, &comm,
+               CollectiveKind::kReduceScatter, bucket_bytes),
+      total_elements_(total_elements(parameters_)) {
   // The shard this rank owns is fixed by its position in the communicator;
   // every rank constructs its own ZeroAdam, so each allocates 1/R of the
   // optimizer state — the ZeRO stage-1 saving, visible to the memory
@@ -143,68 +68,41 @@ ZeroAdam::ZeroAdam(Communicator& comm, std::vector<Tensor> parameters,
         Communicator::shard_range(total_elements_, r, comm.num_ranks());
     max_shard = std::max(max_shard, end - begin);
   }
-  const ScopedMemCategory scope(MemCategory::kOptimizerState);
-  m_ = Tensor::zeros(Shape{static_cast<std::int64_t>(max_shard)});
-  v_ = Tensor::zeros(Shape{static_cast<std::int64_t>(max_shard)});
+  allocate_moments({Shape{static_cast<std::int64_t>(max_shard)}});
 }
 
-void ZeroAdam::step(int rank) {
+double ZeroAdam::update(int rank, bool measure_norm) {
   const obs::TraceSpan span("zero_adam_step", "optimizer");
-  ++timestep_;
 
   // Gradient shard for this rank (summed across ranks), then averaged.
   std::vector<real> grad_shard;
   if (bucketer_) {
     // Overlapped path: bucketed reduce-scatter along the GLOBAL shard
-    // boundaries, posted during backward; the drain assembles exactly the
-    // shard the blocking reduce_scatter_sum yields.
-    if (!bucketer_->active()) bucketer_->begin_step(rank);
-    bucketer_->post_remaining();
-    if (pre_drain_hook_) pre_drain_hook_();
+    // boundaries; the drain assembles exactly the shard the blocking
+    // reduce_scatter_sum yields.
+    post_buckets(rank);
     bucketer_->drain_reduce_scatter(grad_shard);
   } else {
     const std::vector<real> grad = flatten_gradients(parameters_);
     const ScopedBytes grad_staging(grad.size() * sizeof(real),
                                    MemCategory::kWorkspace);
     SGNN_CHECK(grad.size() == total_elements_, "gradient size changed");
-    grad_shard = comm_.reduce_scatter_sum(rank, grad);
+    grad_shard = comm_->reduce_scatter_sum(rank, grad);
   }
-  if (stage_ == 2) {
-    // Gradient partitioning: the full per-parameter gradient buffers are
-    // no longer needed once the owned shard exists.
-    for (auto& p : parameters_) p.zero_grad();
-  }
-  const auto scale = real{1} / static_cast<real>(comm_.num_ranks());
-  for (auto& g : grad_shard) g *= scale;
-  if (max_grad_norm_ > 0) {
-    // Global norm of the averaged gradient from per-shard partial sums: the
-    // scalar all-reduce adds the partials in fixed rank order, so every
-    // rank computes the identical clip factor (replicas stay bit-identical,
-    // and the result matches DDP's full-vector clip up to fp association).
-    double partial = 0;
-    for (const auto g : grad_shard) {
-      partial += static_cast<double>(g) * static_cast<double>(g);
-    }
-    std::vector<real> sum_sq = {static_cast<real>(partial)};
-    comm_.all_reduce_sum(rank, sum_sq);
-    const double norm = std::sqrt(static_cast<double>(sum_sq[0]));
-    if (norm > max_grad_norm_) {
-      const auto clip = static_cast<real>(max_grad_norm_ / norm);
-      for (auto& g : grad_shard) g *= clip;
-    }
-  }
+  const double norm =
+      average_and_clip(grad_shard, rank, measure_norm);
 
   // Update only the owned parameter shard with the owned optimizer state.
   std::vector<real> param = flatten_parameters(parameters_);
   const ScopedBytes param_staging(param.size() * sizeof(real),
                                   MemCategory::kWorkspace);
   const auto [begin, end] =
-      Communicator::shard_range(total_elements_, rank, comm_.num_ranks());
+      Communicator::shard_range(total_elements_, rank, comm_->num_ranks());
   SGNN_CHECK(end - begin == grad_shard.size(), "shard size mismatch");
   std::vector<real> param_shard(param.begin() + static_cast<std::ptrdiff_t>(begin),
                                 param.begin() + static_cast<std::ptrdiff_t>(end));
-  Adam::update_flat(param_shard.data(), grad_shard.data(), m_.data(),
-                    v_.data(), param_shard.size(), timestep_, options_);
+  update_flat(param_shard.data(), grad_shard.data(), m_.front().data(),
+              v_.front().data(), param_shard.size(), timestep_, options_);
 
   // Reassemble the full updated parameter vector on every rank.
   if (bucketer_) {
@@ -212,14 +110,11 @@ void ZeroAdam::step(int rank) {
     // overlaps the gathers still in flight. Ends the bucketed step.
     bucketer_->all_gather_params(param_shard);
   } else {
-    const std::vector<real> gathered = comm_.all_gather(rank, param_shard);
+    const std::vector<real> gathered = comm_->all_gather(rank, param_shard);
     SGNN_CHECK(gathered.size() == total_elements_, "all_gather size mismatch");
     unflatten_into_parameters(gathered, parameters_);
   }
-}
-
-void ZeroAdam::zero_grad() {
-  for (auto& p : parameters_) p.zero_grad();
+  return norm;
 }
 
 }  // namespace sgnn

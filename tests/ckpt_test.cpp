@@ -6,11 +6,14 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sgnn/data/dataset.hpp"
 #include "sgnn/nn/model_io.hpp"
 #include "sgnn/obs/metrics.hpp"
+#include "sgnn/obs/telemetry.hpp"
 #include "sgnn/train/distributed.hpp"
 #include "sgnn/train/trainer.hpp"
 #include "sgnn/train/zero.hpp"
@@ -465,6 +468,35 @@ TEST(DistributedResumeTest, MismatchedTopologyIsRejected) {
   EXPECT_THROW(wrong_ranks.train(store4), Error);
 }
 
+TEST(DistributedResumeTest, ReportCountsOnlyTheStepsThisCallRan) {
+  DDStore store(2);
+  store.insert(tiny_dataset().graphs());
+  const std::int64_t total_steps = 2 * (store.size() / (2 * 4));
+  ASSERT_GT(total_steps, 2);  // the resume below must still run steps
+  TempDir dir("sgnn_dist_report_steps_test");
+  dist_run(DistStrategy::kDDP, store, dir.path(), 1, 2, "", true);
+
+  ModelConfig config;
+  config.hidden_dim = 10;
+  config.num_layers = 2;
+  DistTrainOptions options;
+  options.num_ranks = 2;
+  options.epochs = 2;
+  options.per_rank_batch_size = 4;
+  options.checkpoint.resume_from = dir.path();
+  obs::RecordingTelemetrySink sink;
+  options.telemetry = &sink;
+  DistributedTrainer trainer(config, options);
+  const DistTrainReport report = trainer.train(store);
+
+  std::int64_t rank0_steps = 0;
+  for (const obs::StepTelemetry& step : sink.steps()) {
+    if (step.rank == 0) ++rank0_steps;
+  }
+  EXPECT_EQ(rank0_steps, total_steps - 2);
+  EXPECT_EQ(report.steps, rank0_steps);
+}
+
 // -- graph-parallel resume ----------------------------------------------------
 
 std::vector<real> gpar_run(const DDStore& store, const std::string& ckpt_dir,
@@ -581,6 +613,77 @@ TEST(DistributedResumeTest, TrainerSnapshotIsRejectedByDistributedTrainer) {
   options.checkpoint.resume_from = dir.path();
   DistributedTrainer trainer(config, options);
   EXPECT_THROW(trainer.train(store), Error);
+}
+
+// -- snapshot layout ----------------------------------------------------------
+
+ckpt::SnapshotView newest_snapshot(const std::string& dir) {
+  const auto loaded = ckpt::CheckpointManager::load_latest(dir);
+  if (!loaded) throw std::runtime_error("no snapshot under " + dir);
+  return ckpt::SnapshotView(loaded->payload);
+}
+
+void expect_sections(const ckpt::SnapshotView& view,
+                     const std::vector<std::string>& present,
+                     const std::vector<std::string>& absent,
+                     const std::string& what) {
+  for (const std::string& name : present) {
+    EXPECT_TRUE(view.has(name)) << what << " lacks " << name;
+  }
+  for (const std::string& name : absent) {
+    EXPECT_FALSE(view.has(name)) << what << " has " << name;
+  }
+}
+
+TEST(SnapshotLayoutTest, SectionNamesAndKindsArePinned) {
+  // Resume reads sections by name, so a renamed section breaks every
+  // checkpoint already on disk while fresh round trips still pass. Pin the
+  // names and meta.kind each trainer writes.
+  const std::vector<std::string> common = {
+      "meta.kind", "meta.step",      "meta.epoch",
+      "model",     "optim.timestep", "optim.lr"};
+  const std::vector<std::string> loader = {"loader.rng", "loader.order",
+                                           "loader.cursor"};
+  const std::vector<std::string> dist_meta = {"meta.ranks", "meta.strategy",
+                                              "meta.epoch_step", "sampler.rng"};
+  const std::vector<std::string> replicated = {"optim.m", "optim.v"};
+  const std::vector<std::string> sharded = {"optim.m.0", "optim.v.0",
+                                            "optim.m.1", "optim.v.1"};
+  const auto concat = [](std::vector<std::string> a,
+                         const std::vector<std::string>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+
+  TempDir trainer_dir("sgnn_layout_trainer_test");
+  trainer_run(trainer_dir.path(), 2, 4, "", true);
+  const ckpt::SnapshotView trainer = newest_snapshot(trainer_dir.path());
+  EXPECT_EQ(trainer.bytes("meta.kind"), "trainer");
+  expect_sections(trainer, concat(concat(common, replicated), loader),
+                  concat(dist_meta, sharded), "trainer");
+
+  DDStore store(2);
+  store.insert(tiny_dataset().graphs());
+  TempDir ddp_dir("sgnn_layout_ddp_test");
+  dist_run(DistStrategy::kDDP, store, ddp_dir.path(), 2, 3, "", true);
+  const ckpt::SnapshotView ddp = newest_snapshot(ddp_dir.path());
+  EXPECT_EQ(ddp.bytes("meta.kind"), "dist");
+  expect_sections(ddp, concat(concat(common, replicated), dist_meta),
+                  concat(loader, sharded), "ddp");
+
+  TempDir zero_dir("sgnn_layout_zero_test");
+  dist_run(DistStrategy::kZeRO1, store, zero_dir.path(), 2, 3, "", true);
+  const ckpt::SnapshotView zero = newest_snapshot(zero_dir.path());
+  EXPECT_EQ(zero.bytes("meta.kind"), "dist");
+  expect_sections(zero, concat(concat(common, sharded), dist_meta),
+                  concat(concat(loader, replicated), {"optim.m.2"}), "zero1");
+
+  TempDir gpar_dir("sgnn_layout_gpar_test");
+  gpar_run(store, gpar_dir.path(), 2, "", true, /*crash_in_overlap=*/3);
+  const ckpt::SnapshotView gpar = newest_snapshot(gpar_dir.path());
+  EXPECT_EQ(gpar.bytes("meta.kind"), "dist.gpar");
+  expect_sections(gpar, concat(concat(common, replicated), dist_meta),
+                  concat(loader, sharded), "graph-parallel");
 }
 
 }  // namespace

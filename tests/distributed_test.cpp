@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <set>
 #include <thread>
@@ -178,63 +179,6 @@ TEST_P(StrategyEquivalence, DistributedUpdatesMatchSingleProcessAdam) {
 INSTANTIATE_TEST_SUITE_P(Ranks, StrategyEquivalence,
                          ::testing::Values(1, 2, 4));
 
-TEST(ZeroAdamTest, Stage2MatchesStage1Updates) {
-  // Gradient partitioning is a memory optimization only: stage 2 must be
-  // numerically identical to stage 1.
-  const int R = 2;
-  Rng rng(99);
-  const Tensor init = Tensor::randn(Shape{9}, rng);
-
-  const auto run = [&](int stage) {
-    Communicator comm(R);
-    std::vector<std::vector<Tensor>> params(R);
-    std::vector<std::unique_ptr<ZeroAdam>> opt(R);
-    for (int r = 0; r < R; ++r) {
-      params[static_cast<std::size_t>(r)] = {
-          init.clone().set_requires_grad(true)};
-      opt[static_cast<std::size_t>(r)] = std::make_unique<ZeroAdam>(
-          comm, params[static_cast<std::size_t>(r)], Adam::Options{}, stage);
-    }
-    run_ranks(R, [&](int rank) {
-      const auto ri = static_cast<std::size_t>(rank);
-      for (int step = 0; step < 3; ++step) {
-        Tensor& p = params[ri][0];
-        p.zero_grad();
-        sum(p * static_cast<real>(rank + 1)).backward();
-        opt[ri]->step(rank);
-      }
-    });
-    return params[0][0].to_vector();
-  };
-
-  EXPECT_EQ(run(1), run(2));
-}
-
-TEST(ZeroAdamTest, Stage2ReleasesGradientBuffers) {
-  const int R = 2;
-  Communicator comm(R);
-  Rng rng(7);
-  std::vector<std::vector<Tensor>> params(R);
-  std::vector<std::unique_ptr<ZeroAdam>> opt(R);
-  for (int r = 0; r < R; ++r) {
-    params[static_cast<std::size_t>(r)] = {
-        Tensor::randn(Shape{64}, rng).set_requires_grad(true)};
-    opt[static_cast<std::size_t>(r)] = std::make_unique<ZeroAdam>(
-        comm, params[static_cast<std::size_t>(r)], Adam::Options{},
-        /*stage=*/2);
-  }
-  run_ranks(R, [&](int rank) {
-    const auto ri = static_cast<std::size_t>(rank);
-    Tensor& p = params[ri][0];
-    sum(square(p)).backward();
-    opt[ri]->step(rank);
-  });
-  // Stage 2 dropped every gradient during the step.
-  for (int r = 0; r < R; ++r) {
-    EXPECT_FALSE(params[static_cast<std::size_t>(r)][0].grad().defined());
-  }
-}
-
 TEST(ZeroAdamTest, OptimizerStateIsShardedAcrossRanks) {
   const int R = 4;
   Communicator comm(R);
@@ -324,6 +268,46 @@ TEST(DistributedTrainerTest, DDPAndZeroLearnTheSameModel) {
   ASSERT_EQ(ddp.size(), zero.size());
   for (std::size_t i = 0; i < ddp.size(); ++i) {
     EXPECT_NEAR(ddp[i], zero[i], 1e-10) << "element " << i;
+  }
+}
+
+TEST(DistributedTrainerTest, GradNormTelemetryIsTheAveragedGradientNorm) {
+  // Every replica applies the same rank-averaged gradient, so every rank
+  // must report that gradient's norm — identical across ranks, and the
+  // same for DDP and ZeRO-1 (up to the ZeRO partial-sum association).
+  const auto norms_by_step = [](DistStrategy strategy) {
+    ModelConfig config;
+    config.hidden_dim = 12;
+    config.num_layers = 2;
+    DistTrainOptions options;
+    options.num_ranks = 2;
+    options.epochs = 1;
+    options.per_rank_batch_size = 4;
+    options.strategy = strategy;
+    obs::RecordingTelemetrySink sink;
+    options.telemetry = &sink;
+    DistributedTrainer trainer(config, options);
+    const auto store = make_store(2);
+    trainer.train(*store);
+    std::map<std::int64_t, std::vector<double>> norms;
+    for (const obs::StepTelemetry& step : sink.steps()) {
+      norms[step.step].push_back(step.grad_norm);
+    }
+    return norms;
+  };
+  const auto ddp = norms_by_step(DistStrategy::kDDP);
+  const auto zero = norms_by_step(DistStrategy::kZeRO1);
+  ASSERT_FALSE(ddp.empty());
+  ASSERT_EQ(ddp.size(), zero.size());
+  for (const auto& [step, ddp_norms] : ddp) {
+    const std::vector<double>& zero_norms = zero.at(step);
+    ASSERT_EQ(ddp_norms.size(), 2u);
+    ASSERT_EQ(zero_norms.size(), 2u);
+    EXPECT_GT(ddp_norms[0], 0.0) << "step " << step;
+    EXPECT_EQ(ddp_norms[0], ddp_norms[1]) << "ddp step " << step;
+    EXPECT_EQ(zero_norms[0], zero_norms[1]) << "zero1 step " << step;
+    EXPECT_NEAR(zero_norms[0], ddp_norms[0], 1e-12 * ddp_norms[0])
+        << "step " << step;
   }
 }
 

@@ -82,8 +82,8 @@ std::vector<real> optimizer_run(bool use_zero, int R,
     params[ri] = {init_a.clone().set_requires_grad(true),
                   init_b.clone().set_requires_grad(true)};
     if (use_zero) {
-      zero[ri] = std::make_unique<ZeroAdam>(comm, params[ri], options,
-                                            /*stage=*/1, bucket_bytes);
+      zero[ri] =
+          std::make_unique<ZeroAdam>(comm, params[ri], options, bucket_bytes);
     } else {
       ddp[ri] =
           std::make_unique<DDPAdam>(comm, params[ri], options, bucket_bytes);

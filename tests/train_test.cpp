@@ -7,6 +7,7 @@
 #include "sgnn/data/dataset.hpp"
 #include "sgnn/tensor/ops.hpp"
 #include "sgnn/train/optim.hpp"
+#include "sgnn/train/zero.hpp"
 
 namespace sgnn {
 namespace {
@@ -24,42 +25,6 @@ const AggregatedDataset& tiny_dataset() {
     return AggregatedDataset::generate(options, shared_potential());
   }();
   return dataset;
-}
-
-TEST(OptimTest, SgdDescendsQuadratic) {
-  // Minimize f(w) = ||w - t||^2.
-  Rng rng(1);
-  Tensor w = Tensor::randn(Shape{4}, rng).set_requires_grad(true);
-  const Tensor target = Tensor::from_vector({1, -2, 3, 0}, Shape{4});
-  SGD sgd({w}, /*learning_rate=*/0.1);
-  for (int i = 0; i < 200; ++i) {
-    sgd.zero_grad();
-    sum(square(w - target)).backward();
-    sgd.step();
-  }
-  const auto values = w.to_vector();
-  const auto expected = target.to_vector();
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_NEAR(values[i], expected[i], 1e-6);
-  }
-}
-
-TEST(OptimTest, SgdMomentumConvergesFasterOnIllConditionedQuadratic) {
-  const auto loss_after = [](double momentum) {
-    Tensor w = Tensor::from_vector({5.0, 5.0}, Shape{2});
-    w.set_requires_grad(true);
-    // f = 10 x^2 + 0.1 y^2 via elementwise scale.
-    const Tensor scales = Tensor::from_vector({10.0, 0.1}, Shape{2});
-    SGD sgd({w}, 0.01, momentum);
-    for (int i = 0; i < 100; ++i) {
-      sgd.zero_grad();
-      sum(scales * square(w)).backward();
-      sgd.step();
-    }
-    const auto v = w.to_vector();
-    return 10.0 * v[0] * v[0] + 0.1 * v[1] * v[1];
-  };
-  EXPECT_LT(loss_after(0.9), loss_after(0.0));
 }
 
 TEST(OptimTest, AdamMatchesReferenceImplementation) {
@@ -105,7 +70,10 @@ TEST(OptimTest, UndefinedGradientsAreSkipped) {
 TEST(OptimTest, RejectsNonLeafParameters) {
   Tensor w = Tensor::scalar(1.0).set_requires_grad(true);
   Tensor derived = w * 2.0;
-  EXPECT_THROW(SGD({derived}, 0.1), Error);
+  Communicator comm(1);
+  EXPECT_THROW(Adam({derived}, {}), Error);
+  EXPECT_THROW(DDPAdam(comm, {derived}, {}), Error);
+  EXPECT_THROW(ZeroAdam(comm, {derived}, {}), Error);
 }
 
 TEST(TrainerTest, LossDecreasesOverTraining) {
