@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   config.num_layers = 3;
 
   // --- Pretrain and checkpoint the foundation model -----------------------
-  const std::string checkpoint = "finetune_foundation.sgmd";
+  const std::string checkpoint = "finetune_foundation.sgck";
   const EnergyBaseline baseline = EnergyBaseline::fit(pretrain_view);
   {
     EGNNModel foundation(config);

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   std::cout << "\n" << by_source.to_ascii("Test metrics per data source");
 
   // --- Checkpoint the trained model and verify the round trip -------------
-  const std::string model_path = "train_potential_model.sgmd";
+  const std::string model_path = "train_potential_model.sgck";
   save_model(model, model_path);
   const auto restored = load_model(model_path);
   const EvalMetrics original_metrics = trainer.evaluate(test, 16);
@@ -119,5 +119,11 @@ int main(int argc, char** argv) {
 
   std::remove(model_path.c_str());
   std::remove(path.c_str());
+  // The round trip is exact: the reloaded model must reproduce the test
+  // loss bit for bit.
+  if (restored_metrics.loss != original_metrics.loss) {
+    std::cerr << "MISMATCH: reloaded test loss differs from the original\n";
+    return 1;
+  }
   return 0;
 }

@@ -11,10 +11,8 @@
 
 namespace sgnn {
 
-namespace ckpt {
 class SnapshotBuilder;
 class SnapshotView;
-}  // namespace ckpt
 
 class GradBucketer;
 
@@ -78,8 +76,8 @@ class GradSync {
   /// replicated state, written by rank 0 for every rank, or one
   /// optim.m.<r>/optim.v.<r> shard per rank. Restoring them resumes the
   /// update sequence bit-identically.
-  void save(ckpt::SnapshotBuilder& builder, int rank) const;
-  void load(const ckpt::SnapshotView& view, int rank);
+  void save(SnapshotBuilder& builder, int rank) const;
+  void load(const SnapshotView& view, int rank);
 
   /// The gradient bucketer behind the overlapped path; null when nothing is
   /// bucketed (plain Adam, or bucket_bytes 0).

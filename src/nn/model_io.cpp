@@ -1,213 +1,72 @@
 #include "sgnn/nn/model_io.hpp"
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
-#include <type_traits>
 #include <vector>
 
-#include "sgnn/store/serialize.hpp"
+#include "sgnn/store/snapshot.hpp"
 #include "sgnn/util/error.hpp"
 
 namespace sgnn {
 
 namespace {
 
-constexpr char kMagic[4] = {'S', 'G', 'M', 'D'};
-constexpr std::uint32_t kVersion = 3;
-
-// memcpy through a char buffer instead of reinterpret_cast on &value: the
-// byte layout (and thus the on-disk format) is identical, but no pointer of
-// the wrong type is ever formed.
-template <typename T>
-void write_raw(std::ostream& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.write(bytes, sizeof(T));
-}
-
-template <typename T>
-T read_raw(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  in.read(bytes, sizeof(T));
-  SGNN_CHECK(in.good(), "truncated model file");
-  T value;
-  std::memcpy(&value, bytes, sizeof(T));
-  return value;
-}
-
-void write_config(std::ostream& out, const ModelConfig& config) {
-  write_raw(out, config.hidden_dim);
-  write_raw(out, config.num_layers);
-  write_raw(out, config.num_species);
-  write_raw(out, config.num_rbf);
-  write_raw(out, config.cutoff);
-  write_raw(out, static_cast<std::uint8_t>(config.residual ? 1 : 0));
-  write_raw(out, config.coord_scale);
-  write_raw(out, static_cast<std::int32_t>(config.kernel));
-  write_raw(out, static_cast<std::int32_t>(config.force_head));
-  write_raw(out, static_cast<std::uint8_t>(config.predict_dipole ? 1 : 0));
-  write_raw(out, config.seed);
-}
-
-ModelConfig read_config(std::istream& in) {
+ModelConfig read_config(const SnapshotView& view) {
   ModelConfig config;
-  config.hidden_dim = read_raw<std::int64_t>(in);
-  config.num_layers = read_raw<std::int64_t>(in);
-  config.num_species = read_raw<std::int64_t>(in);
-  config.num_rbf = read_raw<std::int64_t>(in);
-  config.cutoff = read_raw<double>(in);
-  config.residual = read_raw<std::uint8_t>(in) != 0;
-  config.coord_scale = read_raw<double>(in);
-  const auto kernel = read_raw<std::int32_t>(in);
+  config.hidden_dim = view.i64("model.config.hidden_dim");
+  config.num_layers = view.i64("model.config.num_layers");
+  config.num_species = view.i64("model.config.num_species");
+  config.num_rbf = view.i64("model.config.num_rbf");
+  config.cutoff = view.f64("model.config.cutoff");
+  config.residual = view.u64("model.config.residual") != 0;
+  config.coord_scale = view.f64("model.config.coord_scale");
+  const auto kernel = view.i64("model.config.kernel");
   SGNN_CHECK(kernel >= 0 && kernel <= 2, "invalid kernel in model file");
   config.kernel = static_cast<MessagePassingKernel>(kernel);
-  const auto head = read_raw<std::int32_t>(in);
+  const auto head = view.i64("model.config.force_head");
   SGNN_CHECK(head >= 0 && head <= 1, "invalid force head in model file");
   config.force_head = static_cast<ForceHead>(head);
-  config.predict_dipole = read_raw<std::uint8_t>(in) != 0;
-  config.seed = read_raw<std::uint64_t>(in);
+  config.predict_dipole = view.u64("model.config.predict_dipole") != 0;
+  config.seed = view.u64("model.config.seed");
   SGNN_CHECK(config.hidden_dim > 0 && config.num_layers > 0 &&
                  config.num_species > 0 && config.num_rbf > 0,
              "model file carries an invalid config");
   return config;
 }
 
-/// Serializes config + parameters into a buffer (so the CRC covers all of
-/// it) and returns the payload.
-std::string serialize_payload(const EGNNModel& model) {
-  std::ostringstream out;
-  write_config(out, model.config());
-  const auto params = model.parameters();
-  write_raw(out, static_cast<std::uint64_t>(params.size()));
-  for (const auto& p : params) {
-    write_raw(out, static_cast<std::uint64_t>(p.rank()));
-    for (std::size_t axis = 0; axis < p.rank(); ++axis) {
-      write_raw(out, p.dim(axis));
-    }
-    const real* data = p.data();
-    // sgnn-lint: allow(aliasing): byte view of a trivially-copyable tensor
-    // buffer for bulk stream IO; a per-element memcpy loop would be slower
-    // and char-pointer access is always defined.
-    out.write(reinterpret_cast<const char*>(data),
-              static_cast<std::streamsize>(
-                  static_cast<std::size_t>(p.numel()) * sizeof(real)));
-  }
-  return out.str();
-}
-
-void restore_parameters(std::istream& in, EGNNModel& model) {
-  auto params = model.parameters();
-  const auto count = read_raw<std::uint64_t>(in);
-  SGNN_CHECK(count == params.size(),
-             "model file has " << count << " parameter tensors, model needs "
-                               << params.size());
-  // Two-phase restore: stage every tensor's data first, so a truncation or
-  // shape mismatch discovered at parameter k cannot leave the model torn
-  // (parameters 0..k-1 new, the rest old). Live weights are only touched
-  // after the whole payload has validated.
-  std::vector<std::vector<real>> staged;
-  staged.reserve(params.size());
-  for (const auto& p : params) {
-    const auto rank = read_raw<std::uint64_t>(in);
-    SGNN_CHECK(rank == p.rank(), "parameter rank mismatch");
-    for (std::size_t axis = 0; axis < rank; ++axis) {
-      const auto dim = read_raw<std::int64_t>(in);
-      SGNN_CHECK(dim == p.dim(axis), "parameter shape mismatch on axis "
-                                         << axis << ": file has " << dim
-                                         << ", model has " << p.dim(axis));
-    }
-    std::vector<real> data(static_cast<std::size_t>(p.numel()));
-    // sgnn-lint: allow(aliasing): byte view of a trivially-copyable buffer
-    // for bulk stream IO, mirroring serialize_payload's writer.
-    in.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(real)));
-    SGNN_CHECK(in.good(), "truncated parameter data");
-    staged.push_back(std::move(data));
-  }
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    std::memcpy(params[i].data(), staged[i].data(),
-                staged[i].size() * sizeof(real));
-  }
-}
-
-// Header: magic + u32 version + u64 payload_size. Trailer: u32 crc + magic.
-constexpr std::uint64_t kHeaderBytes = 4 + 4 + 8;
-constexpr std::uint64_t kTrailerBytes = 4 + 4;
-
-std::string read_verified_payload(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  SGNN_CHECK(in.is_open(), "cannot open model file '" << path << "'");
-  in.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  SGNN_CHECK(file_size >= kHeaderBytes + kTrailerBytes,
-             "'" << path << "' too small to be a model file");
-  char magic[4];
-  in.read(magic, 4);
-  SGNN_CHECK(in.good() && std::equal(magic, magic + 4, kMagic),
-             "'" << path << "' is not a model file");
-  const auto version = read_raw<std::uint32_t>(in);
-  SGNN_CHECK(version == kVersion, "'" << path
-                                      << "' has unsupported model version "
-                                      << version);
-  const auto payload_size = read_raw<std::uint64_t>(in);
-  // Bound the allocation by what the file can actually hold: a flipped byte
-  // in the size field must yield a clean Error, not a multi-GB allocation.
-  SGNN_CHECK(payload_size <= file_size - kHeaderBytes - kTrailerBytes,
-             "'" << path << "' declares " << payload_size
-                 << " payload bytes but holds only "
-                 << file_size - kHeaderBytes - kTrailerBytes);
-  std::string payload(payload_size, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  SGNN_CHECK(in.good(), "'" << path << "' truncated payload");
-  const auto stored_crc = read_raw<std::uint32_t>(in);
-  char tail[4];
-  in.read(tail, 4);
-  SGNN_CHECK(in.good() && std::equal(tail, tail + 4, kMagic),
-             "'" << path << "' missing trailer");
-  SGNN_CHECK(crc32(payload.data(), payload.size()) == stored_crc,
-             "'" << path << "' CRC mismatch (corrupt model file)");
-  return payload;
-}
-
 }  // namespace
 
-void save_model(const EGNNModel& model, const std::string& path) {
-  const std::string payload = serialize_payload(model);
-  std::ofstream out(path, std::ios::binary);
-  SGNN_CHECK(out.is_open(), "cannot open '" << path << "' for writing");
-  out.write(kMagic, 4);
-  write_raw(out, kVersion);
-  write_raw(out, static_cast<std::uint64_t>(payload.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  write_raw(out, crc32(payload.data(), payload.size()));
-  out.write(kMagic, 4);
-  SGNN_CHECK(out.good(), "write failure while saving model");
+void save_model_sections(SnapshotBuilder& builder, const EGNNModel& model) {
+  const ModelConfig& config = model.config();
+  builder.add_i64("model.config.hidden_dim", config.hidden_dim);
+  builder.add_i64("model.config.num_layers", config.num_layers);
+  builder.add_i64("model.config.num_species", config.num_species);
+  builder.add_i64("model.config.num_rbf", config.num_rbf);
+  builder.add_f64("model.config.cutoff", config.cutoff);
+  builder.add_u64("model.config.residual", config.residual ? 1 : 0);
+  builder.add_f64("model.config.coord_scale", config.coord_scale);
+  builder.add_i64("model.config.kernel",
+                  static_cast<std::int64_t>(config.kernel));
+  builder.add_i64("model.config.force_head",
+                  static_cast<std::int64_t>(config.force_head));
+  builder.add_u64("model.config.predict_dipole", config.predict_dipole ? 1 : 0);
+  builder.add_u64("model.config.seed", config.seed);
+  const auto params = model.parameters();
+  builder.add_u64("model.param_count", params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const Tensor& p = params[i];
+    std::vector<std::uint64_t> dims(p.rank());
+    for (std::size_t axis = 0; axis < p.rank(); ++axis) {
+      dims[axis] = static_cast<std::uint64_t>(p.dim(axis));
+    }
+    const std::string index = std::to_string(i);
+    builder.add_u64s("model.shape." + index, dims);
+    builder.add_reals("model.param." + index, p.data(),
+                      static_cast<std::size_t>(p.numel()));
+  }
 }
 
-std::unique_ptr<EGNNModel> load_model(const std::string& path) {
-  const std::string payload = read_verified_payload(path);
-  std::istringstream in(payload);
-  const ModelConfig config = read_config(in);
-  auto model = std::make_unique<EGNNModel>(config);
-  restore_parameters(in, *model);
-  return model;
-}
-
-void load_parameters_into(EGNNModel& model, const std::string& path) {
-  load_model_payload(model, read_verified_payload(path));
-}
-
-std::string model_payload_bytes(const EGNNModel& model) {
-  return serialize_payload(model);
-}
-
-void load_model_payload(EGNNModel& model, const std::string& payload) {
-  std::istringstream in(payload);
-  const ModelConfig config = read_config(in);
+void load_model_sections(const SnapshotView& view, EGNNModel& model) {
+  const ModelConfig config = read_config(view);
   SGNN_CHECK(config.hidden_dim == model.config().hidden_dim &&
                  config.num_layers == model.config().num_layers &&
                  config.num_species == model.config().num_species &&
@@ -216,13 +75,68 @@ void load_model_payload(EGNNModel& model, const std::string& payload) {
                  config.force_head == model.config().force_head &&
                  config.predict_dipole == model.config().predict_dipole,
              "model payload architecture does not match the target model");
-  restore_parameters(in, model);
+  auto params = model.parameters();
+  const auto count = view.u64("model.param_count");
+  SGNN_CHECK(count == params.size(),
+             "model file has " << count << " parameter tensors, model needs "
+                               << params.size());
+  // Two-phase restore: validate every tensor's shape and data size first,
+  // so a mismatch discovered at parameter k cannot leave the model torn
+  // (parameters 0..k-1 new, the rest old). The view is the staging area;
+  // live weights are only touched after all of it has validated.
+  std::vector<const std::string*> staged;
+  staged.reserve(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const Tensor& p = params[i];
+    const std::string index = std::to_string(i);
+    const auto dims = view.u64s("model.shape." + index);
+    SGNN_CHECK(dims.size() == p.rank(), "parameter rank mismatch");
+    for (std::size_t axis = 0; axis < dims.size(); ++axis) {
+      SGNN_CHECK(static_cast<std::int64_t>(dims[axis]) == p.dim(axis),
+                 "parameter shape mismatch on axis "
+                     << axis << ": file has " << dims[axis] << ", model has "
+                     << p.dim(axis));
+    }
+    const std::string& data = view.bytes("model.param." + index);
+    const std::size_t expected =
+        static_cast<std::size_t>(p.numel()) * sizeof(real);
+    SGNN_CHECK(data.size() == expected, "parameter " << i << " holds "
+                                                     << data.size()
+                                                     << " bytes, model needs "
+                                                     << expected);
+    staged.push_back(&data);
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::memcpy(params[i].data(), staged[i]->data(), staged[i]->size());
+  }
 }
 
-ModelConfig peek_model_config(const std::string& path) {
-  const std::string payload = read_verified_payload(path);
-  std::istringstream in(payload);
-  return read_config(in);
+void save_model(const EGNNModel& model, const std::string& path) {
+  SnapshotBuilder builder;
+  builder.add_bytes("meta.kind", "model");
+  save_model_sections(builder, model);
+  write_snapshot_file(path, builder.payload());
+}
+
+std::unique_ptr<EGNNModel> load_model(const std::string& path) {
+  const SnapshotView view(read_snapshot_file(path));
+  auto model = std::make_unique<EGNNModel>(read_config(view));
+  load_model_sections(view, *model);
+  return model;
+}
+
+void load_parameters_into(EGNNModel& model, const std::string& path) {
+  load_model_payload(model, read_snapshot_file(path));
+}
+
+std::string model_payload_bytes(const EGNNModel& model) {
+  SnapshotBuilder builder;
+  save_model_sections(builder, model);
+  return builder.payload();
+}
+
+void load_model_payload(EGNNModel& model, const std::string& payload) {
+  load_model_sections(SnapshotView(payload), model);
 }
 
 }  // namespace sgnn

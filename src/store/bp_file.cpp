@@ -1,40 +1,20 @@
 #include "sgnn/store/bp_file.hpp"
 
-#include <cstring>
 #include <sstream>
-#include <type_traits>
 
 #include "sgnn/store/serialize.hpp"
-#include "sgnn/util/error.hpp"
 
 namespace sgnn {
 
 namespace {
 
 constexpr char kMagic[4] = {'S', 'G', 'B', 'P'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
-// memcpy through a char buffer instead of reinterpret_cast on &value: the
-// byte layout (and thus the on-disk format) is identical, but no pointer of
-// the wrong type is ever formed.
-template <typename T>
-void write_raw(std::ostream& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.write(bytes, sizeof(T));
-}
-
-template <typename T>
-T read_raw(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  in.read(bytes, sizeof(T));
-  SGNN_CHECK(in.good(), "truncated bp file");
-  T value;
-  std::memcpy(&value, bytes, sizeof(T));
-  return value;
-}
+// Index entry: u64 offset + u64 size + u32 record crc.
+constexpr std::uint64_t kEntryBytes = 8 + 8 + 4;
+// Trailer: u32 index crc + u64 footer_size + magic.
+constexpr std::uint64_t kTrailerBytes = 4 + 8 + 4;
 
 }  // namespace
 
@@ -60,13 +40,14 @@ std::size_t BpWriter::append(const MolecularGraph& graph) {
   const auto offset = static_cast<std::uint64_t>(out_.tellp());
   out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   SGNN_CHECK(out_.good(), "write failure on bp record");
-  offsets_.emplace_back(offset, payload.size());
-  return offsets_.size() - 1;
+  index_.push_back(
+      {offset, payload.size(), crc32(payload.data(), payload.size())});
+  return index_.size() - 1;
 }
 
 std::uint64_t BpWriter::payload_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& [offset, size] : offsets_) total += size;
+  for (const auto& entry : index_) total += entry.size;
   return total;
 }
 
@@ -75,10 +56,11 @@ void BpWriter::finalize() {
   finalized_ = true;
 
   std::ostringstream footer;
-  write_raw(footer, static_cast<std::uint64_t>(offsets_.size()));
-  for (const auto& [offset, size] : offsets_) {
-    write_raw(footer, offset);
-    write_raw(footer, size);
+  write_raw(footer, static_cast<std::uint64_t>(index_.size()));
+  for (const auto& entry : index_) {
+    write_raw(footer, entry.offset);
+    write_raw(footer, entry.size);
+    write_raw(footer, entry.crc);
   }
   const std::string index_bytes = footer.str();
   const std::uint32_t crc = crc32(index_bytes.data(), index_bytes.size());
@@ -107,8 +89,7 @@ BpReader::BpReader(const std::string& path)
   // Trailer: ... crc(u32) footer_size(u64) magic(4).
   in_.seekg(0, std::ios::end);
   const auto file_size = static_cast<std::uint64_t>(in_.tellg());
-  constexpr std::uint64_t kTrailer = 4 + 8 + 4;
-  SGNN_CHECK(file_size >= 8 + kTrailer,
+  SGNN_CHECK(file_size >= 8 + kTrailerBytes,
              "'" << path << "' too small to hold a bp footer");
   in_.seekg(static_cast<std::streamoff>(file_size - 12));
   const auto footer_size = read_raw<std::uint64_t>(in_);
@@ -117,12 +98,13 @@ BpReader::BpReader(const std::string& path)
   SGNN_CHECK(in_.good() && std::equal(tail_magic, tail_magic + 4, kMagic),
              "'" << path
                  << "' missing bp footer (file truncated or not finalized)");
-  SGNN_CHECK(footer_size + kTrailer + 8 <= file_size,
+  SGNN_CHECK(footer_size + kTrailerBytes + 8 <= file_size,
              "'" << path << "' footer size " << footer_size
                  << " inconsistent with file size " << file_size);
 
-  // Read and verify the index.
-  in_.seekg(static_cast<std::streamoff>(file_size - kTrailer - footer_size));
+  // Read and verify the index; records must lie between the header and it.
+  const std::uint64_t index_start = file_size - kTrailerBytes - footer_size;
+  in_.seekg(static_cast<std::streamoff>(index_start));
   std::string index_bytes(footer_size, '\0');
   in_.read(index_bytes.data(), static_cast<std::streamsize>(footer_size));
   const auto stored_crc = read_raw<std::uint32_t>(in_);
@@ -131,15 +113,18 @@ BpReader::BpReader(const std::string& path)
 
   std::istringstream index_stream(index_bytes);
   const auto count = read_raw<std::uint64_t>(index_stream);
-  SGNN_CHECK(footer_size == 8 + count * 16,
+  SGNN_CHECK(footer_size == 8 + count * kEntryBytes,
              "'" << path << "' footer length disagrees with record count");
   index_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    const auto offset = read_raw<std::uint64_t>(index_stream);
-    const auto size = read_raw<std::uint64_t>(index_stream);
-    SGNN_CHECK(offset >= 8 && offset + size <= file_size,
+    BpRecordEntry entry;
+    entry.offset = read_raw<std::uint64_t>(index_stream);
+    entry.size = read_raw<std::uint64_t>(index_stream);
+    entry.crc = read_raw<std::uint32_t>(index_stream);
+    SGNN_CHECK(entry.offset >= 8 && entry.offset <= index_start &&
+                   entry.size <= index_start - entry.offset,
                "'" << path << "' record " << i << " out of bounds");
-    index_.emplace_back(offset, size);
+    index_.push_back(entry);
   }
 }
 
@@ -147,14 +132,26 @@ MolecularGraph BpReader::read(std::size_t record) const {
   SGNN_CHECK(record < index_.size(), "record " << record << " out of range ("
                                                << index_.size()
                                                << " records)");
+  const BpRecordEntry& entry = index_[record];
+  std::string bytes(entry.size, '\0');
   in_.clear();
-  in_.seekg(static_cast<std::streamoff>(index_[record].first));
-  return read_graph_record(in_);
+  in_.seekg(static_cast<std::streamoff>(entry.offset));
+  in_.read(bytes.data(), static_cast<std::streamsize>(entry.size));
+  SGNN_CHECK(in_.good(), "'" << path_ << "' record " << record << " truncated");
+  SGNN_CHECK(crc32(bytes.data(), bytes.size()) == entry.crc,
+             "'" << path_ << "' record " << record
+                 << " CRC mismatch (corrupt record)");
+  std::istringstream stream(bytes);
+  MolecularGraph graph = read_graph_record(stream);
+  SGNN_CHECK(static_cast<std::uint64_t>(stream.tellg()) == entry.size,
+             "'" << path_ << "' record " << record
+                 << " parses to fewer bytes than its indexed " << entry.size);
+  return graph;
 }
 
 std::uint64_t BpReader::record_bytes(std::size_t record) const {
   SGNN_CHECK(record < index_.size(), "record " << record << " out of range");
-  return index_[record].second;
+  return index_[record].size;
 }
 
 }  // namespace sgnn

@@ -1,36 +1,10 @@
 #include "sgnn/store/serialize.hpp"
 
 #include <array>
-#include <cstring>
-#include <type_traits>
-
-#include "sgnn/util/error.hpp"
 
 namespace sgnn {
 
 namespace {
-
-// memcpy through a char buffer instead of reinterpret_cast on &value: the
-// byte layout (and thus the on-disk format) is identical, but no pointer of
-// the wrong type is ever formed.
-template <typename T>
-void write_raw(std::ostream& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.write(bytes, sizeof(T));
-}
-
-template <typename T>
-T read_raw(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  in.read(bytes, sizeof(T));
-  SGNN_CHECK(in.good(), "truncated graph record");
-  T value;
-  std::memcpy(&value, bytes, sizeof(T));
-  return value;
-}
 
 void write_vec3(std::ostream& out, const Vec3& v) {
   write_raw(out, v.x);

@@ -168,7 +168,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
           *replicas_.front());
     }
     initial_sampler.set_state(
-        ckpt::pod_from_bytes<Rng::State>(view->bytes("sampler.rng")));
+        pod_from_bytes<Rng::State>(view->bytes("sampler.rng")));
     start_epoch = view->i64("meta.epoch");
     start_step = view->i64("meta.epoch_step");
     start_counted = view->i64("meta.step");
@@ -335,7 +335,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
           comm.barrier();
           if (rank == 0) {
             const bool epoch_done = step + 1 == steps_per_epoch;
-            ckpt::SnapshotBuilder builder;
+            SnapshotBuilder builder;
             save_training_state(builder, kind, counted_steps,
                                 epoch_done ? epoch + 1 : epoch,
                                 *replicas_.front(), syncs);
@@ -346,7 +346,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
             // The state the NEXT step's epoch starts shuffling from.
             const Rng::State resume_rng =
                 epoch_done ? sampler.state() : epoch_start_state;
-            builder.add_bytes("sampler.rng", ckpt::pod_bytes(resume_rng));
+            builder.add_bytes("sampler.rng", pod_bytes(resume_rng));
             manager->save(static_cast<std::uint64_t>(counted_steps),
                           builder.payload());
           }

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <string>
 
-#include "sgnn/ckpt/checkpoint.hpp"
+#include "sgnn/store/snapshot.hpp"
 #include "sgnn/train/bucketer.hpp"
 #include "sgnn/train/schedule.hpp"
 #include "sgnn/util/error.hpp"
@@ -86,7 +86,7 @@ double GradSync::step(int rank, bool measure_norm) {
   return update(rank, measure_norm);
 }
 
-void GradSync::save(ckpt::SnapshotBuilder& builder, int rank) const {
+void GradSync::save(SnapshotBuilder& builder, int rank) const {
   if (rank == 0) {
     builder.add_i64("optim.timestep", timestep_);
     builder.add_f64("optim.lr", options_.learning_rate);
@@ -99,7 +99,7 @@ void GradSync::save(ckpt::SnapshotBuilder& builder, int rank) const {
   builder.add_reals("optim.v" + suffix, v.data(), v.size());
 }
 
-void GradSync::load(const ckpt::SnapshotView& view, int rank) {
+void GradSync::load(const SnapshotView& view, int rank) {
   const std::int64_t timestep = view.i64("optim.timestep");
   SGNN_CHECK(timestep >= 0, "optimizer timestep must be non-negative");
   timestep_ = timestep;

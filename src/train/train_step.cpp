@@ -110,21 +110,21 @@ void TrainStep::emit(const obs::StepTelemetry& telemetry) const {
   if (context_.telemetry != nullptr) context_.telemetry->on_step(telemetry);
 }
 
-void save_training_state(ckpt::SnapshotBuilder& builder,
-                         const std::string& kind, std::int64_t step,
-                         std::int64_t epoch, const EGNNModel& model,
+void save_training_state(SnapshotBuilder& builder, const std::string& kind,
+                         std::int64_t step, std::int64_t epoch,
+                         const EGNNModel& model,
                          const std::vector<GradSync*>& syncs) {
   builder.add_bytes("meta.kind", kind);
   builder.add_i64("meta.step", step);
   builder.add_i64("meta.epoch", epoch);
-  builder.add_bytes("model", model_payload_bytes(model));
+  save_model_sections(builder, model);
   for (std::size_t r = 0; r < syncs.size(); ++r) {
     syncs[r]->save(builder, static_cast<int>(r));
   }
 }
 
-std::optional<ckpt::SnapshotView> find_resume_snapshot(
-    const std::string& location, const std::string& kind) {
+std::optional<SnapshotView> find_resume_snapshot(const std::string& location,
+                                                 const std::string& kind) {
   if (location.empty()) return std::nullopt;
   const auto loaded = ckpt::CheckpointManager::load_latest(location);
   if (!loaded) {
@@ -132,7 +132,7 @@ std::optional<ckpt::SnapshotView> find_resume_snapshot(
                   << "'; starting fresh";
     return std::nullopt;
   }
-  ckpt::SnapshotView view(loaded->payload);
+  SnapshotView view(loaded->payload);
   const std::string& found = view.bytes("meta.kind");
   SGNN_CHECK(found == kind, "snapshot '" << loaded->path << "' is a '"
                                          << found << "' checkpoint, expected '"
@@ -143,9 +143,9 @@ std::optional<ckpt::SnapshotView> find_resume_snapshot(
   return view;
 }
 
-void load_training_state(const ckpt::SnapshotView& view, EGNNModel& model,
+void load_training_state(const SnapshotView& view, EGNNModel& model,
                          const std::vector<GradSync*>& syncs) {
-  load_model_payload(model, view.bytes("model"));
+  load_model_sections(view, model);
   for (std::size_t r = 0; r < syncs.size(); ++r) {
     syncs[r]->load(view, static_cast<int>(r));
   }

@@ -72,24 +72,24 @@ class TrainStep {
 };
 
 /// The snapshot writer both trainers use: meta.kind, meta.step (completed
-/// steps), meta.epoch, the model payload, and the optimizer sections of
+/// steps), meta.epoch, the model.* sections, and the optimizer sections of
 /// every rank's GradSync (syncs[r] is rank r's). The caller adds its
 /// batch-source position and any meta fields of its own.
-void save_training_state(ckpt::SnapshotBuilder& builder,
-                         const std::string& kind, std::int64_t step,
-                         std::int64_t epoch, const EGNNModel& model,
+void save_training_state(SnapshotBuilder& builder, const std::string& kind,
+                         std::int64_t step, std::int64_t epoch,
+                         const EGNNModel& model,
                          const std::vector<GradSync*>& syncs);
 
 /// The newest readable snapshot under `location` for a resume: nullopt
 /// when `location` is empty (a fresh run), or with a warning when nothing
 /// under it is readable; Error when its meta.kind is not
 /// `kind` (a snapshot of another trainer or mode is never half-applied).
-std::optional<ckpt::SnapshotView> find_resume_snapshot(
-    const std::string& location, const std::string& kind);
+std::optional<SnapshotView> find_resume_snapshot(const std::string& location,
+                                                 const std::string& kind);
 
 /// Restores what save_training_state wrote into `model` and each rank's
 /// GradSync; the caller reads the meta counters and its own sections.
-void load_training_state(const ckpt::SnapshotView& view, EGNNModel& model,
+void load_training_state(const SnapshotView& view, EGNNModel& model,
                          const std::vector<GradSync*>& syncs);
 
 }  // namespace sgnn

@@ -27,11 +27,11 @@ void Trainer::maybe_checkpoint(const DataLoader& loader) {
   if (!ckpt_manager_) {
     ckpt_manager_.emplace(copt.directory, copt.keep_last);
   }
-  ckpt::SnapshotBuilder builder;
+  SnapshotBuilder builder;
   save_training_state(builder, "trainer", global_step_, epoch_index_, model_,
                       {&optimizer_});
   const DataLoader::State loader_state = loader.state();
-  builder.add_bytes("loader.rng", ckpt::pod_bytes(loader_state.rng));
+  builder.add_bytes("loader.rng", pod_bytes(loader_state.rng));
   builder.add_u64s("loader.order", loader_state.order);
   builder.add_u64("loader.cursor", loader_state.cursor);
   ckpt_manager_->save(static_cast<std::uint64_t>(global_step_),
@@ -44,8 +44,7 @@ bool Trainer::try_resume(DataLoader& loader) {
   if (!view) return false;
   load_training_state(*view, model_, {&optimizer_});
   DataLoader::State loader_state;
-  loader_state.rng =
-      ckpt::pod_from_bytes<Rng::State>(view->bytes("loader.rng"));
+  loader_state.rng = pod_from_bytes<Rng::State>(view->bytes("loader.rng"));
   loader_state.order = view->u64s("loader.order");
   loader_state.cursor = view->u64("loader.cursor");
   loader.restore_state(loader_state);

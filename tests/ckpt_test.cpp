@@ -11,9 +11,11 @@
 #include <vector>
 
 #include "sgnn/data/dataset.hpp"
+#include "sgnn/graph/batch.hpp"
 #include "sgnn/nn/model_io.hpp"
 #include "sgnn/obs/metrics.hpp"
 #include "sgnn/obs/telemetry.hpp"
+#include "sgnn/serve/server.hpp"
 #include "sgnn/train/distributed.hpp"
 #include "sgnn/train/trainer.hpp"
 #include "sgnn/train/zero.hpp"
@@ -64,7 +66,7 @@ const AggregatedDataset& tiny_dataset() {
 // -- container --------------------------------------------------------------
 
 TEST(SnapshotContainerTest, PayloadRoundTripPreservesEverySectionType) {
-  ckpt::SnapshotBuilder builder;
+  SnapshotBuilder builder;
   builder.add_bytes("raw", std::string("\x00\x01payload", 9));
   builder.add_u64("unsigned", 0xDEADBEEFCAFEBABEULL);
   builder.add_i64("signed", -42);
@@ -73,7 +75,7 @@ TEST(SnapshotContainerTest, PayloadRoundTripPreservesEverySectionType) {
   builder.add_reals("reals", values.data(), values.size());
   builder.add_u64s("indices", {7, 8, 9});
 
-  const ckpt::SnapshotView view(builder.payload());
+  const SnapshotView view(builder.payload());
   EXPECT_EQ(view.bytes("raw"), std::string("\x00\x01payload", 9));
   EXPECT_EQ(view.u64("unsigned"), 0xDEADBEEFCAFEBABEULL);
   EXPECT_EQ(view.i64("signed"), -42);
@@ -85,24 +87,24 @@ TEST(SnapshotContainerTest, PayloadRoundTripPreservesEverySectionType) {
 }
 
 TEST(SnapshotContainerTest, PayloadBytesAreInsertionOrderIndependent) {
-  ckpt::SnapshotBuilder forward;
+  SnapshotBuilder forward;
   forward.add_u64("a", 1);
   forward.add_u64("b", 2);
-  ckpt::SnapshotBuilder reversed;
+  SnapshotBuilder reversed;
   reversed.add_u64("b", 2);
   reversed.add_u64("a", 1);
   EXPECT_EQ(forward.payload(), reversed.payload());
 }
 
 TEST(SnapshotContainerTest, MissingSectionAndTypeMismatchThrow) {
-  ckpt::SnapshotBuilder builder;
+  SnapshotBuilder builder;
   builder.add_u64("counter", 3);
   builder.add_bytes("blob", "xyz");
-  const ckpt::SnapshotView view(builder.payload());
+  const SnapshotView view(builder.payload());
   EXPECT_THROW(view.u64("absent"), Error);
   EXPECT_THROW(view.u64("blob"), Error);    // 3 bytes, not 8
   EXPECT_THROW(view.reals("blob"), Error);  // not a multiple of sizeof(real)
-  EXPECT_THROW(ckpt::SnapshotBuilder(builder).add_u64("counter", 4), Error);
+  EXPECT_THROW(SnapshotBuilder(builder).add_u64("counter", 4), Error);
 }
 
 TEST(SnapshotContainerTest, FileRoundTripLeavesNoTemporary) {
@@ -110,26 +112,26 @@ TEST(SnapshotContainerTest, FileRoundTripLeavesNoTemporary) {
   std::filesystem::create_directories(dir.path());
   const std::string path =
       (std::filesystem::path(dir.path()) / "snap.sgck").string();
-  ckpt::SnapshotBuilder builder;
+  SnapshotBuilder builder;
   builder.add_i64("step", 12);
   const std::string payload = builder.payload();
 
-  ckpt::write_snapshot_file(path, payload);
-  EXPECT_EQ(ckpt::read_snapshot_file(path), payload);
+  write_snapshot_file(path, payload);
+  EXPECT_EQ(read_snapshot_file(path), payload);
   // The atomic-rename protocol must not leave the staging file behind.
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 
   // Overwriting an existing snapshot is equally atomic.
-  ckpt::SnapshotBuilder next;
+  SnapshotBuilder next;
   next.add_i64("step", 13);
-  ckpt::write_snapshot_file(path, next.payload());
-  EXPECT_EQ(ckpt::read_snapshot_file(path), next.payload());
+  write_snapshot_file(path, next.payload());
+  EXPECT_EQ(read_snapshot_file(path), next.payload());
 }
 
 // -- manager ----------------------------------------------------------------
 
 std::string step_payload(std::int64_t step) {
-  ckpt::SnapshotBuilder builder;
+  SnapshotBuilder builder;
   builder.add_i64("meta.step", step);
   return builder.payload();
 }
@@ -171,7 +173,7 @@ TEST(CheckpointManagerTest, LoadLatestFallsBackAcrossTruncatedSnapshot) {
   const auto loaded = ckpt::CheckpointManager::load_latest(dir.path());
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->step, 1u);
-  EXPECT_EQ(ckpt::SnapshotView(loaded->payload).i64("meta.step"), 1);
+  EXPECT_EQ(SnapshotView(loaded->payload).i64("meta.step"), 1);
   EXPECT_EQ(skipped.value(), skipped_before + 1);
 }
 
@@ -617,13 +619,13 @@ TEST(DistributedResumeTest, TrainerSnapshotIsRejectedByDistributedTrainer) {
 
 // -- snapshot layout ----------------------------------------------------------
 
-ckpt::SnapshotView newest_snapshot(const std::string& dir) {
+SnapshotView newest_snapshot(const std::string& dir) {
   const auto loaded = ckpt::CheckpointManager::load_latest(dir);
   if (!loaded) throw std::runtime_error("no snapshot under " + dir);
-  return ckpt::SnapshotView(loaded->payload);
+  return SnapshotView(loaded->payload);
 }
 
-void expect_sections(const ckpt::SnapshotView& view,
+void expect_sections(const SnapshotView& view,
                      const std::vector<std::string>& present,
                      const std::vector<std::string>& absent,
                      const std::string& what) {
@@ -640,8 +642,10 @@ TEST(SnapshotLayoutTest, SectionNamesAndKindsArePinned) {
   // checkpoint already on disk while fresh round trips still pass. Pin the
   // names and meta.kind each trainer writes.
   const std::vector<std::string> common = {
-      "meta.kind", "meta.step",      "meta.epoch",
-      "model",     "optim.timestep", "optim.lr"};
+      "meta.kind",         "meta.step",     "meta.epoch",
+      "model.config.hidden_dim", "model.param_count",
+      "model.shape.0",     "model.param.0", "optim.timestep",
+      "optim.lr"};
   const std::vector<std::string> loader = {"loader.rng", "loader.order",
                                            "loader.cursor"};
   const std::vector<std::string> dist_meta = {"meta.ranks", "meta.strategy",
@@ -657,33 +661,79 @@ TEST(SnapshotLayoutTest, SectionNamesAndKindsArePinned) {
 
   TempDir trainer_dir("sgnn_layout_trainer_test");
   trainer_run(trainer_dir.path(), 2, 4, "", true);
-  const ckpt::SnapshotView trainer = newest_snapshot(trainer_dir.path());
+  const SnapshotView trainer = newest_snapshot(trainer_dir.path());
   EXPECT_EQ(trainer.bytes("meta.kind"), "trainer");
   expect_sections(trainer, concat(concat(common, replicated), loader),
-                  concat(dist_meta, sharded), "trainer");
+                  concat(concat(dist_meta, sharded), {"model"}), "trainer");
 
   DDStore store(2);
   store.insert(tiny_dataset().graphs());
   TempDir ddp_dir("sgnn_layout_ddp_test");
   dist_run(DistStrategy::kDDP, store, ddp_dir.path(), 2, 3, "", true);
-  const ckpt::SnapshotView ddp = newest_snapshot(ddp_dir.path());
+  const SnapshotView ddp = newest_snapshot(ddp_dir.path());
   EXPECT_EQ(ddp.bytes("meta.kind"), "dist");
   expect_sections(ddp, concat(concat(common, replicated), dist_meta),
-                  concat(loader, sharded), "ddp");
+                  concat(concat(loader, sharded), {"model"}), "ddp");
 
   TempDir zero_dir("sgnn_layout_zero_test");
   dist_run(DistStrategy::kZeRO1, store, zero_dir.path(), 2, 3, "", true);
-  const ckpt::SnapshotView zero = newest_snapshot(zero_dir.path());
+  const SnapshotView zero = newest_snapshot(zero_dir.path());
   EXPECT_EQ(zero.bytes("meta.kind"), "dist");
   expect_sections(zero, concat(concat(common, sharded), dist_meta),
-                  concat(concat(loader, replicated), {"optim.m.2"}), "zero1");
+                  concat(concat(loader, replicated), {"optim.m.2", "model"}),
+                  "zero1");
 
   TempDir gpar_dir("sgnn_layout_gpar_test");
   gpar_run(store, gpar_dir.path(), 2, "", true, /*crash_in_overlap=*/3);
-  const ckpt::SnapshotView gpar = newest_snapshot(gpar_dir.path());
+  const SnapshotView gpar = newest_snapshot(gpar_dir.path());
   EXPECT_EQ(gpar.bytes("meta.kind"), "dist.gpar");
   expect_sections(gpar, concat(concat(common, replicated), dist_meta),
-                  concat(loader, sharded), "graph-parallel");
+                  concat(concat(loader, sharded), {"model"}),
+                  "graph-parallel");
+}
+
+TEST(CheckpointIsModelFileTest, NewestSnapshotLoadsAndServesAsAModel) {
+  // A checkpoint holds the same model.* sections as a model file, so
+  // load_model and serve::Server read it with no checkpoint-specific API.
+  TempDir dir("sgnn_ckpt_as_model_test");
+  const auto graphs =
+      tiny_dataset().view({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
+  ModelConfig config;
+  config.hidden_dim = 10;
+  config.num_layers = 2;
+  EGNNModel model(config);
+  TrainOptions options;
+  options.batch_size = 4;
+  options.checkpoint.every_steps = 1;
+  options.checkpoint.directory = dir.path();
+  Trainer trainer(model, options);
+  DataLoader loader(graphs, options.batch_size, 11);
+  trainer.train_epoch(loader);  // 12 graphs / batch 4 = 3 steps
+  const auto newest = ckpt::CheckpointManager::load_latest(dir.path());
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_EQ(newest->step, 3u);
+
+  const GraphBatch batch = GraphBatch::from_graphs(graphs);
+  const auto restored = load_model(newest->path);
+  EXPECT_EQ(restored->forward(batch).energy.to_vector(),
+            model.forward(batch).energy.to_vector());
+
+  const AtomicStructure& structure = graphs.front()->structure;
+  const MolecularGraph graph =
+      MolecularGraph::from_structure(structure, config.cutoff);
+  const GraphBatch single =
+      GraphBatch::from_graphs(std::vector<const MolecularGraph*>{&graph});
+  double direct = 0.0;
+  {
+    const autograd::NoGradGuard guard;
+    direct = model.forward(single).energy.at(0, 0);
+  }
+  serve::ServerOptions serve_options;
+  serve_options.num_workers = 1;
+  serve::Server server(config, read_snapshot_file(newest->path),
+                       serve_options);
+  EXPECT_EQ(server.submit({structure, /*compute_forces=*/false}).get().energy,
+            direct);
 }
 
 }  // namespace

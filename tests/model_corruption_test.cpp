@@ -1,8 +1,9 @@
-// Corruption matrix over the two binary containers (SGMD model files and
-// SGCK training snapshots): every mutation — truncation at any length,
-// oversized payload_size, flipped CRC, wrong magic/version, random bit
-// flips — must surface as a thrown sgnn::Error, never a crash, hang, or
-// huge allocation.
+// Corruption matrix over the one snapshot container (SGCK), exercised both
+// as a model file (save_model/load_model) and as a bare snapshot: every
+// mutation — truncation at any length, oversized payload_size, flipped CRC,
+// wrong magic/version, random bit flips — must surface as a thrown
+// sgnn::Error from read_snapshot_file or SnapshotView, never a crash, hang,
+// or huge allocation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +20,7 @@
 namespace sgnn {
 namespace {
 
-// Shared container framing (SGMD and SGCK use the same layout).
+// Snapshot container framing (model files and checkpoints alike).
 constexpr std::size_t kHeaderBytes = 16;   // magic + u32 version + u64 size
 constexpr std::size_t kPayloadSizeOffset = 8;
 constexpr std::size_t kTrailerBytes = 8;   // u32 crc + magic
@@ -46,7 +47,7 @@ void spew(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Pristine bytes of a tiny saved model, computed once.
+/// Pristine bytes of a tiny saved model file, computed once.
 const std::string& model_bytes() {
   static const std::string bytes = [] {
     ModelConfig config;
@@ -63,14 +64,14 @@ const std::string& model_bytes() {
 /// Pristine bytes of a small snapshot container, computed once.
 const std::string& snapshot_bytes() {
   static const std::string bytes = [] {
-    ckpt::SnapshotBuilder builder;
+    SnapshotBuilder builder;
     builder.add_bytes("meta.kind", "trainer");
     builder.add_i64("meta.step", 42);
     const std::vector<real> moments = {0.25, -1.5, 3.0};
     builder.add_reals("optim.m", moments.data(), moments.size());
     builder.add_u64s("loader.order", {5, 1, 3});
     TempFile file("sgnn_corruption_snap.sgck");
-    ckpt::write_snapshot_file(file.path(), builder.payload());
+    write_snapshot_file(file.path(), builder.payload());
     return slurp(file.path());
   }();
   return bytes;
@@ -80,13 +81,12 @@ void expect_model_load_throws(const std::string& bytes) {
   TempFile file("sgnn_corruption_case.sgmd");
   spew(file.path(), bytes);
   EXPECT_THROW(load_model(file.path()), Error);
-  EXPECT_THROW(peek_model_config(file.path()), Error);
 }
 
 void expect_snapshot_load_throws(const std::string& bytes) {
   TempFile file("sgnn_corruption_case.sgck");
   spew(file.path(), bytes);
-  EXPECT_THROW(ckpt::read_snapshot_file(file.path()), Error);
+  EXPECT_THROW(read_snapshot_file(file.path()), Error);
 }
 
 // -- truncation -------------------------------------------------------------
@@ -194,31 +194,31 @@ std::string u64_bytes(std::uint64_t value) {
 
 TEST(CorruptionMatrixTest, MalformedSnapshotPayloadThrows) {
   // These corrupt the *payload* (pre-CRC), exercising SnapshotView's own
-  // bounds checks — the layer that protects embedded payloads (e.g. the
-  // model section inside a snapshot) that skip the file container.
+  // bounds checks — the layer that protects payloads that skip the file
+  // container (model_payload_bytes handed to serve::Server).
   // Section count far beyond what the payload could hold.
-  EXPECT_THROW(ckpt::SnapshotView(u64_bytes(std::uint64_t{1} << 58)), Error);
+  EXPECT_THROW(SnapshotView(u64_bytes(std::uint64_t{1} << 58)), Error);
   // name_size overrunning the payload.
   std::string bad_name = u64_bytes(1);
   bad_name.append(u64_bytes(std::uint64_t{1} << 40));
-  EXPECT_THROW(ckpt::SnapshotView{bad_name}, Error);
+  EXPECT_THROW(SnapshotView{bad_name}, Error);
   // data_size overrunning the payload.
   std::string bad_data = u64_bytes(1);
   bad_data.append(u64_bytes(1));
   bad_data.append("a");
   bad_data.append(u64_bytes(std::uint64_t{1} << 40));
-  EXPECT_THROW(ckpt::SnapshotView{bad_data}, Error);
+  EXPECT_THROW(SnapshotView{bad_data}, Error);
   // Trailing garbage after the declared sections.
-  ckpt::SnapshotBuilder builder;
+  SnapshotBuilder builder;
   builder.add_u64("x", 7);
   std::string padded = builder.payload();
   padded.append("junk");
-  EXPECT_THROW(ckpt::SnapshotView{padded}, Error);
+  EXPECT_THROW(SnapshotView{padded}, Error);
   // Truncated payload handed straight to the view.
   const std::string payload = builder.payload();
   for (std::size_t n = 0; n < payload.size(); ++n) {
     SCOPED_TRACE("payload truncated to " + std::to_string(n));
-    EXPECT_THROW(ckpt::SnapshotView(payload.substr(0, n)), Error);
+    EXPECT_THROW(SnapshotView(payload.substr(0, n)), Error);
   }
 }
 

@@ -57,18 +57,6 @@ TEST(ModelIoTest, SaveLoadRoundTripPreservesPredictions) {
   EXPECT_EQ(restored->num_parameters(), original.num_parameters());
 }
 
-TEST(ModelIoTest, PeekConfigReadsHeaderOnly) {
-  const TempFile file("sgnn_model_peek.sgmd");
-  ModelConfig config = small_config();
-  config.cutoff = 4.25;
-  const EGNNModel model(config);
-  save_model(model, file.path());
-  const ModelConfig peeked = peek_model_config(file.path());
-  EXPECT_EQ(peeked.hidden_dim, 12);
-  EXPECT_EQ(peeked.num_layers, 2);
-  EXPECT_DOUBLE_EQ(peeked.cutoff, 4.25);
-}
-
 TEST(ModelIoTest, LoadParametersIntoExistingModel) {
   const TempFile file("sgnn_model_into.sgmd");
   const GraphBatch batch = test_batch();
