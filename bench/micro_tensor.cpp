@@ -71,6 +71,46 @@ void BM_MatmulFp32(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulFp32)->Arg(128)->Arg(256);
 
+// The three GEMM forms a Linear runs, on one lane, through the kernel
+// drivers: form 0 is the forward A·B, form 1 the input gradient A·Bᵀ
+// (dX = dV·Wᵀ), form 2 the weight gradient Aᵀ·B (dW = Xᵀ·dV), for X (m,k),
+// W (k,n), dV (m,n). Shapes: train_wide's φ_e layers (E≈2600 edges,
+// h=128) and a narrow h=16 layer. Each form does 2·m·k·n flops.
+void BM_MatmulForms(benchmark::State& state) {
+  const auto form = state.range(0);
+  const auto m = state.range(1);
+  const auto k = state.range(2);
+  const auto n = state.range(3);
+  const int lanes = ThreadPool::instance().size();
+  ThreadPool::instance().resize(1);
+  Rng rng(1);
+  const Tensor x = Tensor::randn(Shape{m, k}, rng);
+  const Tensor w = Tensor::randn(Shape{k, n}, rng);
+  const Tensor dv = Tensor::randn(Shape{m, n}, rng);
+  Tensor out = Tensor::zeros(Shape{form == 2 ? k : m, form == 1 ? k : n});
+  for (auto _ : state) {
+    if (form == 0) {
+      kernels::matmul(x.data(), w.data(), out.data(), m, k, n);
+    } else if (form == 1) {
+      kernels::matmul_a_bt(dv.data(), w.data(), out.data(), m, n, k);
+    } else {
+      kernels::matmul_at_b(x.data(), dv.data(), out.data(), m, k, n);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GF/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(m * k * n) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
+  ThreadPool::instance().resize(lanes);
+}
+BENCHMARK(BM_MatmulForms)
+    ->ArgNames({"form", "m", "k", "n"})
+    ->ArgsProduct({{0, 1, 2}, {2600}, {264}, {128}})
+    ->ArgsProduct({{0, 1, 2}, {2600}, {128}, {128}})
+    ->ArgsProduct({{0, 1, 2}, {5000}, {40}, {16}});
+
 // Thread-pool scaling on the kernel that dominates wide-model training.
 // Compare the threads:1 row against threads:8 at 2048 — the acceptance bar
 // for the pool is >= 3x on an 8-core host. (Run standalone; resizing the

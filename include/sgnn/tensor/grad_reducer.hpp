@@ -10,8 +10,9 @@ class Tensor;
 /// Continuation-style reducer for gradients of REPLICATED leaf parameters
 /// whose activations are row-sharded across ranks (graph-parallel training,
 /// sgnn::gpar). Every parameter-gradient kernel in this repo is a fold over
-/// activation rows in ascending order (matmul_at_b is p-outermost, reduce_to,
-/// linear_act's bias sum and scatter_rows_into accumulate in input order),
+/// activation rows in ascending order (matmul_at_b folds each element over
+/// the rows and can continue a fold; reduce_to, linear_act's bias sum and
+/// scatter_rows_into accumulate in input order),
 /// and under the partitioner the global row order is exactly the rank-order
 /// concatenation of the local shards. A reducer therefore reproduces the single-rank
 /// gradient BIT-identically by continuing the fold rank to rank instead of

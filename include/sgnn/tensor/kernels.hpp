@@ -19,11 +19,11 @@
 // Determinism contract: within one backend, every kernel is bit-identical
 // across thread counts (band decomposition is done by the caller with the
 // deterministic parallel_for chunking, and each band accumulates in a fixed
-// order). Across backends, matmul / matmul_at_b / elementwise / axis-sums
-// are bit-identical by construction (the SIMD code performs the same
-// per-element operations, with separate mul+add instead of FMA); only the
-// dot-product kernels (matmul_a_bt, full sum) change reduction order and
-// carry a documented tolerance.
+// order). Across backends, all three matmul forms, elementwise and axis-sums
+// are bit-identical by construction: each matmul output element adds its
+// products in ascending order with separate mul and add (never FMA), and
+// the SIMD code performs the same per-element operations. Only the full
+// sum changes reduction order and carries a documented tolerance.
 
 #include <cstdint>
 #include <functional>
@@ -64,35 +64,41 @@ enum class UnaryOp {
   kSoftplus,
 };
 
+/// One GEMM as the backends see it: C(m,n) = A(m,k)·B(k,n) with A and B
+/// read through element strides, A(i,p) = a[i·a_rs + p·a_cs] and
+/// B(p,j) = b[p·b_rs + j·b_cs], so A·B, Aᵀ·B and A·Bᵀ are one call. C is
+/// dense row-major. Each C element starts from zero (from C itself when
+/// `accumulate` is set) and adds its k products in ascending p, one
+/// separately rounded mul and add each.
+template <typename T>
+struct Gemm {
+  const T* a;
+  std::int64_t a_rs, a_cs;
+  const T* b;
+  std::int64_t b_rs, b_cs;
+  T* c;
+  std::int64_t m, k, n;
+  bool accumulate;
+};
+
 /// One backend's kernel entry points. Band kernels take element pointers to
 /// whole operands plus a [row_begin, row_end) band so the caller can shard
 /// with parallel_for while the table owns the inner loops. Elementwise
 /// kernels take pre-offset pointers and a count. The `_f32` flavours of the
 /// elementwise/reduction kernels read and write `real` storage but round
-/// every operand through float; the `_f32` matmul bands run on float scratch
+/// every operand through float; the `_f32` GEMM runs on float scratch
 /// buffers prepared by the drivers below.
 struct KernelTable {
-  // C(m,n) = A(m,k) @ B(k,n), rows [row_begin, row_end) of C.
-  void (*matmul_rows_f64)(const real* a, const real* b, real* c,
-                          std::int64_t k, std::int64_t n,
-                          std::int64_t row_begin, std::int64_t row_end);
-  void (*matmul_rows_f32)(const float* a, const float* b, float* c,
-                          std::int64_t k, std::int64_t n,
-                          std::int64_t row_begin, std::int64_t row_end);
-  // C(k,n) = Aᵀ @ B with A given as (m,k), B as (m,n); band is rows of C.
-  void (*matmul_at_b_band_f64)(const real* a, const real* b, real* c,
-                               std::int64_t m, std::int64_t k, std::int64_t n,
-                               std::int64_t row_begin, std::int64_t row_end);
-  void (*matmul_at_b_band_f32)(const float* a, const float* b, float* c,
-                               std::int64_t m, std::int64_t k, std::int64_t n,
-                               std::int64_t row_begin, std::int64_t row_end);
-  // C(m,k) = A(m,n) @ Bᵀ with B given as (k,n); band is rows of C.
-  void (*matmul_a_bt_rows_f64)(const real* a, const real* b, real* c,
-                               std::int64_t n, std::int64_t k,
-                               std::int64_t row_begin, std::int64_t row_end);
-  void (*matmul_a_bt_rows_f32)(const float* a, const float* b, float* c,
-                               std::int64_t n, std::int64_t k,
-                               std::int64_t row_begin, std::int64_t row_end);
+  // Rows [row_begin, row_end) of g.c. `packed_b` is g's B, one panel of
+  // at most 256 reduction steps, packed by the driver into gemm_nr-wide
+  // tiles (layout in kernels_internal.hpp) and shared read-only by every
+  // band; a backend with gemm_nr == 0 reads B in place and gets null.
+  void (*gemm_rows_f64)(const Gemm<real>& g, const real* packed_b,
+                        std::int64_t row_begin, std::int64_t row_end);
+  void (*gemm_rows_f32)(const Gemm<float>& g, const float* packed_b,
+                        std::int64_t row_begin, std::int64_t row_end);
+  std::int64_t gemm_nr_f64;
+  std::int64_t gemm_nr_f32;
 
   void (*binary_f64)(BinaryOp op, const real* a, const real* b, real* out,
                      std::int64_t n);
@@ -133,6 +139,11 @@ struct KernelTable {
   // dst[i] += src[i]; the ordered inner step of axis reductions.
   void (*accumulate_f64)(const real* src, real* dst, std::int64_t n);
   void (*accumulate_f32)(const real* src, real* dst, std::int64_t n);
+
+  // Compute-ceiling probe: `reps` rounds of independent mul+add chains on
+  // this backend's widest lanes, never leaving registers. Returns the flops
+  // done (a mul and an add count one each per lane).
+  double (*mul_add_probe)(std::int64_t reps);
 };
 
 /// The scalar reference table (always available).
@@ -209,9 +220,10 @@ void matmul(const real* a, const real* b, real* c, std::int64_t m,
             std::int64_t k, std::int64_t n,
             const RowBandEpilogue& epilogue = {});
 
-/// c(k,n) = aᵀ @ b with a given as (m,k), b as (m,n).
+/// c(k,n) = aᵀ @ b with a given as (m,k), b as (m,n). With `accumulate`
+/// the sum continues from c's values instead of zero, in the same order.
 void matmul_at_b(const real* a, const real* b, real* c, std::int64_t m,
-                 std::int64_t k, std::int64_t n);
+                 std::int64_t k, std::int64_t n, bool accumulate = false);
 
 /// c(m,k) = a(m,n) @ bᵀ with b given as (k,n).
 void matmul_a_bt(const real* a, const real* b, real* c, std::int64_t m,
@@ -235,5 +247,10 @@ double reduce_sum(const real* x, std::int64_t n);
 
 /// dst[i] += src[i] over a caller-owned band (axis-reduction inner step).
 void accumulate(const real* src, real* dst, std::int64_t n);
+
+/// The mul_add_probe of the widest backend this CPU runs (SIMD when
+/// simd_available(), whatever backend is active): the compute roof the
+/// profiler calibrates against. Safe to call from several threads at once.
+double mul_add_probe(std::int64_t reps);
 
 }  // namespace sgnn::kernels

@@ -267,34 +267,28 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// The calibration kernels mirror micro_tensor's hot loops: an ikj matmul
-/// (the compute-bound roof) and a streaming triad (the bandwidth roof),
-/// both sharded over the intra-op pool so the peaks match what a kernel can
-/// actually reach in this process.
+/// The compute roof: every pool lane runs the register-only mul+add probe
+/// (kernels::mul_add_probe) at once, so the peak is the hardware's at this
+/// lane count and does not move with our own kernels.
 double calibrate_gflops() {
-  constexpr std::int64_t n = 160;
-  std::vector<double> a(static_cast<std::size_t>(n * n), 1.5);
-  std::vector<double> b(static_cast<std::size_t>(n * n), 0.25);
-  std::vector<double> c(static_cast<std::size_t>(n * n), 0.0);
-  const double* pa = a.data();
-  const double* pb = b.data();
-  double* pc = c.data();
+  // Many short probes per round, claimed dynamically, so a lane that wakes
+  // late does not leave the others idle at the end of the round.
+  const std::int64_t chunks = 16 * ThreadPool::instance().size();
+  constexpr std::int64_t kReps = 1 << 12;
+  std::vector<double> flops(static_cast<std::size_t>(chunks), 0.0);
   const std::int64_t begin_ns = detail::now_ns();
-  std::int64_t reps = 0;
-  // Run whole multiplications until ~25 ms of samples accumulated. Routed
-  // through the active kernel backend so the roofline peak reflects what
-  // the dispatched matmul can actually reach.
   while (detail::now_ns() - begin_ns < 25'000'000) {
-    kernels::matmul(pa, pb, pc, n, n, n);
-    ++reps;
+    parallel_for(0, chunks, 1, [&flops](std::int64_t chunk, std::int64_t) {
+      flops[static_cast<std::size_t>(chunk)] += kernels::mul_add_probe(kReps);
+    });
   }
   const double seconds = ns_to_s(detail::now_ns() - begin_ns);
-  const double flops =
-      2.0 * static_cast<double>(n) * static_cast<double>(n) *
-      static_cast<double>(n) * static_cast<double>(reps);
-  return seconds > 0 ? flops / seconds * 1e-9 : 0;
+  double total = 0;
+  for (const double f : flops) total += f;
+  return seconds > 0 ? total / seconds * 1e-9 : 0;
 }
 
+/// The bandwidth roof: a streaming triad sharded over the intra-op pool.
 double calibrate_gbps() {
   // 8M doubles per array: well past cache, so the triad streams from memory.
   constexpr std::int64_t n = std::int64_t{1} << 23;

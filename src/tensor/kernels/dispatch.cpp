@@ -2,8 +2,10 @@
 // compiled with the project's baseline flags; the only ISA-specific code it
 // touches is behind the function pointers in the backend tables.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -101,14 +103,6 @@ void cast_to_float(const real* src, float* dst, std::int64_t n) {
   });
 }
 
-void widen_from_float(const float* src, real* dst, std::int64_t n) {
-  parallel_for(0, n, kGrain, [=](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t i = begin; i < end; ++i) {
-      dst[i] = static_cast<real>(src[i]);
-    }
-  });
-}
-
 }  // namespace
 
 bool simd_available() { return simd_table_vectorized() && cpu_has_simd(); }
@@ -168,18 +162,145 @@ ScopedComputeDtype::~ScopedComputeDtype() {
 // historical op loops, so band boundaries — and therefore results — are
 // independent of the pool size within one backend.
 
-/// Minimum rows per matmul chunk. parallel_grain() clamps to 1 once a row
-/// costs more than kParallelMinWork, but the matmul kernels block two A
-/// rows per B pass (and the SIMD backend packs B panels per call) — both
-/// are defeated by 1-row chunks. Chunking stays a pure function of the
-/// shape, and every C row is computed independently, so the floor cannot
-/// change results.
-constexpr std::int64_t kMatmulRowGrain = 16;
+namespace {
 
-inline std::int64_t matmul_grain(std::int64_t work_per_row) {
+/// Rows per GEMM chunk: parallel_grain() rounded up to a multiple of 16.
+/// 1-row chunks would defeat the register tile, and a multiple of kGemmMr
+/// leaves a partial strip only at the end of the last band. Chunking stays
+/// a pure function of the shape, and every C row is computed independently,
+/// so the rounding cannot change results.
+constexpr std::int64_t kMatmulRowGrain = 16;
+static_assert(kMatmulRowGrain % kGemmMr == 0);
+
+std::int64_t matmul_grain(std::int64_t work_per_row) {
   const std::int64_t grain = parallel_grain(work_per_row);
-  return grain < kMatmulRowGrain ? kMatmulRowGrain : grain;
+  return (grain + kMatmulRowGrain - 1) / kMatmulRowGrain * kMatmulRowGrain;
 }
+
+/// Reduction steps per panel: k split evenly into the fewest panels of at
+/// most kGemmKc, so no panel is a short leftover.
+std::int64_t gemm_panel_depth(std::int64_t k) {
+  const std::int64_t panels = (k + kGemmKc - 1) / kGemmKc;
+  return panels == 0 ? 0 : (k + panels - 1) / panels;
+}
+
+/// Packs B's rows [p0, p0 + pc) into `out` as one panel of the
+/// kernels_internal.hpp layout for nr-wide tiles, one tile per chunk.
+template <typename T>
+void pack_gemm_panel(const Gemm<T>& g, std::int64_t nr, std::int64_t p0,
+                     std::int64_t pc, T* out) {
+  const std::int64_t tiles = (g.n - g.n % nr) / nr;
+  parallel_for(0, tiles, parallel_grain(pc * nr),
+               [&g, nr, p0, pc, out](std::int64_t first, std::int64_t last) {
+                 for (std::int64_t t = first; t < last; ++t) {
+                   T* dst = out + t * nr * pc;
+                   for (std::int64_t p = p0; p < p0 + pc; ++p) {
+                     const T* src = g.b + p * g.b_rs + t * nr * g.b_cs;
+                     for (std::int64_t l = 0; l < nr; ++l) {
+                       *dst++ = src[l * g.b_cs];
+                     }
+                   }
+                 }
+               });
+}
+
+/// Runs g on one table's band kernel over panels of at most kGemmKc
+/// reduction steps that split k evenly, B packed for the backend's
+/// nr-wide tiles when it tiles (nr > 0). Every panel after the first
+/// continues the sums the previous one stored in C, so each element still
+/// adds its products in ascending p. `band_done` runs on each finished band.
+/// Packed B is transient scratch, all of B when k <= m and one panel
+/// otherwise, and is written in full before it is read.
+template <typename T>
+void run_gemm(void (*rows)(const Gemm<T>&, const T*, std::int64_t,
+                           std::int64_t),
+              std::int64_t nr, const Gemm<T>& g,
+              const RowBandEpilogue& band_done) {
+  const std::int64_t n_full = nr > 0 ? g.n - g.n % nr : 0;
+  const std::int64_t grain = matmul_grain(g.k * g.n);
+  const std::int64_t depth = gemm_panel_depth(g.k);
+  const auto run_panel = [&](const T* packed, std::int64_t p0,
+                             std::int64_t row_begin, std::int64_t row_end) {
+    Gemm<T> panel = g;
+    panel.a += p0 * g.a_cs;
+    panel.b += p0 * g.b_rs;
+    panel.k = std::min(depth, g.k - p0);
+    panel.accumulate = g.accumulate || p0 > 0;
+    rows(panel, packed, row_begin, row_end);
+  };
+  if (g.k <= g.m) {
+    // C is the larger operand: B is packed whole, once, and each band
+    // sweeps every panel while cached.
+    std::unique_ptr<T[]> packed;
+    if (n_full > 0) {
+      packed = std::make_unique_for_overwrite<T[]>(
+          static_cast<std::size_t>(g.k * n_full));
+      for (std::int64_t p0 = 0; p0 < g.k; p0 += depth) {
+        pack_gemm_panel(g, nr, p0, std::min(depth, g.k - p0),
+                        packed.get() + p0 * n_full);
+      }
+    }
+    parallel_for(0, g.m, grain,
+                 [&](std::int64_t row_begin, std::int64_t row_end) {
+                   std::int64_t p0 = 0;
+                   do {
+                     run_panel(packed.get() + p0 * n_full, p0, row_begin,
+                               row_end);
+                     p0 += depth;
+                   } while (p0 < g.k);
+                   if (band_done) band_done(row_begin, row_end);
+                 });
+    return;
+  }
+  // Deep and thin (weight gradients): B is as tall as the activations, so
+  // one panel at a time is packed into one panel-sized buffer, and stays
+  // cached while one pass runs every band over it.
+  std::unique_ptr<T[]> panel;
+  if (n_full > 0) {
+    panel = std::make_unique_for_overwrite<T[]>(
+        static_cast<std::size_t>(depth * n_full));
+  }
+  for (std::int64_t p0 = 0; p0 < g.k; p0 += depth) {
+    if (n_full > 0) {
+      pack_gemm_panel(g, nr, p0, std::min(depth, g.k - p0), panel.get());
+    }
+    const bool last = p0 + depth >= g.k;
+    parallel_for(0, g.m, grain,
+                 [&, p0, last](std::int64_t row_begin, std::int64_t row_end) {
+                   run_panel(panel.get(), p0, row_begin, row_end);
+                   if (last && band_done) band_done(row_begin, row_end);
+                 });
+  }
+}
+
+/// Runs g in the active compute dtype. fp32 compute: one-time casts
+/// (O(mk + kn + mn)) bound the conversion cost; the O(mkn) inner product
+/// runs on float buffers with float accumulation, and each band is widened
+/// into g.c before `band_done`. Scratch is untracked transient memory.
+void gemm(const Gemm<real>& g, const RowBandEpilogue& band_done = {}) {
+  const KernelTable& t = active_table();
+  if (active_compute_dtype() == ComputeDtype::kFloat64) {
+    run_gemm(t.gemm_rows_f64, t.gemm_nr_f64, g, band_done);
+    return;
+  }
+  std::vector<float> fa(static_cast<std::size_t>(g.m * g.k));
+  std::vector<float> fb(static_cast<std::size_t>(g.k * g.n));
+  std::vector<float> fc(static_cast<std::size_t>(g.m * g.n));
+  cast_to_float(g.a, fa.data(), g.m * g.k);
+  cast_to_float(g.b, fb.data(), g.k * g.n);
+  if (g.accumulate) cast_to_float(g.c, fc.data(), g.m * g.n);
+  const Gemm<float> fg{fa.data(), g.a_rs, g.a_cs, fb.data(), g.b_rs, g.b_cs,
+                       fc.data(), g.m,    g.k,    g.n,       g.accumulate};
+  run_gemm(t.gemm_rows_f32, t.gemm_nr_f32, fg,
+           [&](std::int64_t row_begin, std::int64_t row_end) {
+             for (std::int64_t i = row_begin * g.n; i < row_end * g.n; ++i) {
+               g.c[i] = static_cast<real>(fc[static_cast<std::size_t>(i)]);
+             }
+             if (band_done) band_done(row_begin, row_end);
+           });
+}
+
+}  // namespace
 
 // sgnn-lint: allow(kernel-prof): backend-dispatch alias of the public op;
 // the ops-layer matmul (ops_linalg.cpp) owns the KernelScope, and opening a
@@ -189,90 +310,22 @@ void matmul(const real* a, const real* b, real* c, std::int64_t m,
   SGNN_CHECK(m >= 0 && k >= 0 && n >= 0,
              "kernels::matmul requires non-negative extents, got m=" << m
                  << " k=" << k << " n=" << n);
-  const KernelTable& t = active_table();
-  if (active_compute_dtype() == ComputeDtype::kFloat64) {
-    parallel_for(0, m, matmul_grain(k * n),
-                 [=, &t, &epilogue](std::int64_t row_begin,
-                                    std::int64_t row_end) {
-                   t.matmul_rows_f64(a, b, c, k, n, row_begin, row_end);
-                   if (epilogue) epilogue(row_begin, row_end);
-                 });
-    return;
-  }
-  // fp32 compute: one-time casts (O(mk + kn + mn)) bound the conversion
-  // cost; the O(mkn) inner product runs on float panels with float
-  // accumulation, and each band is widened into c before its epilogue.
-  // Scratch is untracked transient memory.
-  std::vector<float> fa(static_cast<std::size_t>(m * k));
-  std::vector<float> fb(static_cast<std::size_t>(k * n));
-  std::vector<float> fc(static_cast<std::size_t>(m * n));
-  cast_to_float(a, fa.data(), m * k);
-  cast_to_float(b, fb.data(), k * n);
-  const float* fap = fa.data();
-  const float* fbp = fb.data();
-  float* fcp = fc.data();
-  parallel_for(0, m, matmul_grain(k * n),
-               [=, &t, &epilogue](std::int64_t row_begin,
-                                  std::int64_t row_end) {
-                 t.matmul_rows_f32(fap, fbp, fcp, k, n, row_begin, row_end);
-                 for (std::int64_t i = row_begin * n; i < row_end * n; ++i) {
-                   c[i] = static_cast<real>(fcp[i]);
-                 }
-                 if (epilogue) epilogue(row_begin, row_end);
-               });
+  gemm({a, k, 1, b, n, 1, c, m, k, n, false}, epilogue);
 }
 
 void matmul_at_b(const real* a, const real* b, real* c, std::int64_t m,
-                 std::int64_t k, std::int64_t n) {
-  const KernelTable& t = active_table();
-  if (active_compute_dtype() == ComputeDtype::kFloat64) {
-    parallel_for(0, k, matmul_grain(m * n),
-                 [=, &t](std::int64_t row_begin, std::int64_t row_end) {
-                   t.matmul_at_b_band_f64(a, b, c, m, k, n, row_begin,
-                                          row_end);
-                 });
-    return;
-  }
-  std::vector<float> fa(static_cast<std::size_t>(m * k));
-  std::vector<float> fb(static_cast<std::size_t>(m * n));
-  std::vector<float> fc(static_cast<std::size_t>(k * n));
-  cast_to_float(a, fa.data(), m * k);
-  cast_to_float(b, fb.data(), m * n);
-  const float* fap = fa.data();
-  const float* fbp = fb.data();
-  float* fcp = fc.data();
-  parallel_for(0, k, matmul_grain(m * n),
-               [=, &t](std::int64_t row_begin, std::int64_t row_end) {
-                 t.matmul_at_b_band_f32(fap, fbp, fcp, m, k, n, row_begin,
-                                        row_end);
-               });
-  widen_from_float(fcp, c, k * n);
+                 std::int64_t k, std::int64_t n, bool accumulate) {
+  gemm({a, 1, k, b, n, 1, c, k, m, n, accumulate});
 }
 
 void matmul_a_bt(const real* a, const real* b, real* c, std::int64_t m,
                  std::int64_t n, std::int64_t k) {
-  const KernelTable& t = active_table();
-  if (active_compute_dtype() == ComputeDtype::kFloat64) {
-    parallel_for(0, m, parallel_grain(n * k),
-                 [=, &t](std::int64_t row_begin, std::int64_t row_end) {
-                   t.matmul_a_bt_rows_f64(a, b, c, n, k, row_begin, row_end);
-                 });
-    return;
-  }
-  std::vector<float> fa(static_cast<std::size_t>(m * n));
-  std::vector<float> fb(static_cast<std::size_t>(k * n));
-  std::vector<float> fc(static_cast<std::size_t>(m * k));
-  cast_to_float(a, fa.data(), m * n);
-  cast_to_float(b, fb.data(), k * n);
-  const float* fap = fa.data();
-  const float* fbp = fb.data();
-  float* fcp = fc.data();
-  parallel_for(0, m, parallel_grain(n * k),
-               [=, &t](std::int64_t row_begin, std::int64_t row_end) {
-                 t.matmul_a_bt_rows_f32(fap, fbp, fcp, n, k, row_begin,
-                                        row_end);
-               });
-  widen_from_float(fcp, c, m * k);
+  gemm({a, n, 1, b, 1, n, c, m, n, k, false});
+}
+
+double mul_add_probe(std::int64_t reps) {
+  const KernelTable& t = simd_available() ? simd_table() : scalar_table();
+  return t.mul_add_probe(reps);
 }
 
 void binary(BinaryOp op, const real* a, const real* b, real* out,

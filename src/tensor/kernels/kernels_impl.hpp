@@ -16,6 +16,7 @@
 // fp64). Reductions always carry a double accumulator; under C=float only
 // the inputs are rounded (documented in docs/kernels.md).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -25,62 +26,100 @@ namespace sgnn::kernels {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Matmul bands. No zero-skip on `av` anywhere: 0 × Inf and 0 × NaN must
-// propagate per IEEE 754 (the PR 7 headline bugfix — a skip would report a
-// finite product where a non-skipping backend correctly surfaces NaN).
+// GEMM. No zero-skip on `av` anywhere: 0 × Inf and 0 × NaN must propagate
+// per IEEE 754 (a skip would report a finite product where a non-skipping
+// backend correctly surfaces NaN).
 
-/// C(m,n) = A(m,k) @ B(k,n), rows [row_begin, row_end). ikj order keeps the
-/// inner loop contiguous in both B and C; each C element accumulates over p
-/// in ascending order.
+/// The reference GEMM, and the scalar table's band kernel: rows
+/// [row_begin, row_end) of g.c in the per-element order the Gemm contract
+/// fixes, reading B in place (this backend never packs it). With
+/// contiguous B rows, p runs outermost so each B row streams once per band;
+/// otherwise (A·Bᵀ) each element is one dot product.
 template <typename T>
-void matmul_rows_ref(const T* a, const T* b, T* c, std::int64_t k,
-                     std::int64_t n, std::int64_t row_begin,
-                     std::int64_t row_end) {
+void gemm_ref(const Gemm<T>& g, const T* /*packed_b*/,
+              std::int64_t row_begin, std::int64_t row_end) {
+  if (g.b_cs == 1) {
+    if (!g.accumulate) {
+      std::fill(g.c + row_begin * g.n, g.c + row_end * g.n, T{0});
+    }
+    for (std::int64_t p = 0; p < g.k; ++p) {
+      const T* brow = g.b + p * g.b_rs;
+      for (std::int64_t i = row_begin; i < row_end; ++i) {
+        const T av = g.a[i * g.a_rs + p * g.a_cs];
+        T* crow = g.c + i * g.n;
+        for (std::int64_t j = 0; j < g.n; ++j) crow[j] += av * brow[j];
+      }
+    }
+    return;
+  }
   for (std::int64_t i = row_begin; i < row_end; ++i) {
-    T* crow = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) crow[j] = 0;
-    for (std::int64_t p = 0; p < k; ++p) {
-      const T av = a[i * k + p];
-      const T* brow = b + p * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    for (std::int64_t j = 0; j < g.n; ++j) {
+      T acc = g.accumulate ? g.c[i * g.n + j] : T{0};
+      for (std::int64_t p = 0; p < g.k; ++p) {
+        acc += g.a[i * g.a_rs + p * g.a_cs] * g.b[p * g.b_rs + j * g.b_cs];
+      }
+      g.c[i * g.n + j] = acc;
     }
   }
 }
 
-/// C(k,n) = Aᵀ @ B with A (m,k), B (m,n); rows [row_begin, row_end) of C.
-/// p stays outermost so B rows stream contiguously once per band; per
-/// element the accumulation order over p matches matmul_rows_ref.
-template <typename T>
-void matmul_at_b_band_ref(const T* a, const T* b, T* c, std::int64_t m,
-                          std::int64_t k, std::int64_t n,
-                          std::int64_t row_begin, std::int64_t row_end) {
-  for (std::int64_t i = row_begin * n; i < row_end * n; ++i) c[i] = 0;
-  for (std::int64_t p = 0; p < m; ++p) {
-    const T* arow = a + p * k;
-    const T* brow = b + p * n;
-    for (std::int64_t i = row_begin; i < row_end; ++i) {
-      const T av = arow[i];
-      T* crow = c + i * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
+/// Lane vocabulary of one plain double, so code written against the SIMD
+/// traits also runs in the scalar backend.
+struct TraitsScalar {
+  using S = double;
+  using Vec = double;
+  static constexpr std::int64_t W = 1;
+  static void store(S* p, Vec v) { *p = v; }
+  static Vec set1(S s) { return s; }
+  static Vec vadd(Vec a, Vec b) { return a + b; }
+  static Vec vmul(Vec a, Vec b) { return a * b; }
+};
 
-/// C(m,k) = A(m,n) @ Bᵀ with B (k,n); rows [row_begin, row_end) of C.
-template <typename T>
-void matmul_a_bt_rows_ref(const T* a, const T* b, T* c, std::int64_t n,
-                          std::int64_t k, std::int64_t row_begin,
-                          std::int64_t row_end) {
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    const T* arow = a + i * n;
-    T* crow = c + i * k;
-    for (std::int64_t j = 0; j < k; ++j) {
-      const T* brow = b + j * n;
-      T acc = 0;
-      for (std::int64_t p = 0; p < n; ++p) acc += arow[p] * brow[p];
-      crow[j] = acc;
+/// The compute-ceiling probe: 8 multiply chains and 4 add chains, all
+/// independent, `reps` rounds entirely in registers. Each round does two
+/// muls per mul chain and four adds per add chain: a GEMM's one mul per add,
+/// with enough chains to hide each unit's latency (4 cycles for mul, 2 to 4
+/// for add) so the pipes, not the chains, set the rate. ×1.25 then ×0.8
+/// and +t then −t keep every value normal and bounded.
+template <typename TR>
+double mul_add_probe_impl(std::int64_t reps) {
+  constexpr int kMulChains = 8;
+  constexpr int kAddChains = 4;
+  using S = typename TR::S;
+  using Vec = typename TR::Vec;
+  const Vec up = TR::set1(S{1.25});
+  const Vec down = TR::set1(S{0.8});
+  const Vec t = TR::set1(S{0.001});
+  const Vec minus_t = TR::set1(S{-0.001});
+  // Start values the compiler cannot know, so it cannot fold the chains.
+  const S seed = static_cast<S>(reps % 3);
+  Vec m[kMulChains];
+  Vec a[kAddChains];
+  for (int c = 0; c < kMulChains; ++c) {
+    m[c] = TR::set1(seed + static_cast<S>(c + 1));
+    if (c < kAddChains) a[c] = TR::set1(seed + static_cast<S>(c));
+  }
+  for (std::int64_t r = 0; r < reps; ++r) {
+#pragma GCC unroll 8
+    for (int c = 0; c < kMulChains; ++c) {
+      m[c] = TR::vmul(TR::vmul(m[c], up), down);
+    }
+#pragma GCC unroll 4
+    for (int c = 0; c < kAddChains; ++c) {
+      a[c] = TR::vadd(TR::vadd(a[c], t), minus_t);
+      a[c] = TR::vadd(TR::vadd(a[c], t), minus_t);
     }
   }
+  Vec sum = a[0];
+  for (int c = 0; c < kMulChains; ++c) {
+    sum = TR::vadd(sum, TR::vadd(m[c], a[c % kAddChains]));
+  }
+  S lanes[TR::W];
+  TR::store(lanes, sum);
+  // A volatile store the optimizer must keep, and with it every chain.
+  volatile S sink = lanes[0];
+  static_cast<void>(sink);
+  return 4.0 * kMulChains * TR::W * static_cast<double>(reps);
 }
 
 // ---------------------------------------------------------------------------

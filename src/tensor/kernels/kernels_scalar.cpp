@@ -9,12 +9,10 @@ namespace sgnn::kernels {
 
 const KernelTable& scalar_table() {
   static const KernelTable table = {
-      /*matmul_rows_f64=*/matmul_rows_ref<real>,
-      /*matmul_rows_f32=*/matmul_rows_ref<float>,
-      /*matmul_at_b_band_f64=*/matmul_at_b_band_ref<real>,
-      /*matmul_at_b_band_f32=*/matmul_at_b_band_ref<float>,
-      /*matmul_a_bt_rows_f64=*/matmul_a_bt_rows_ref<real>,
-      /*matmul_a_bt_rows_f32=*/matmul_a_bt_rows_ref<float>,
+      /*gemm_rows_f64=*/gemm_ref<real>,
+      /*gemm_rows_f32=*/gemm_ref<float>,
+      /*gemm_nr_f64=*/0,
+      /*gemm_nr_f32=*/0,
       /*binary_f64=*/binary_ref<double>,
       /*binary_f32=*/binary_ref<float>,
       /*binary_scalar_l_f64=*/binary_scalar_l_ref<double>,
@@ -33,6 +31,7 @@ const KernelTable& scalar_table() {
       /*sum_chunk_f32=*/sum_chunk_ref<float>,
       /*accumulate_f64=*/accumulate_ref<double>,
       /*accumulate_f32=*/accumulate_ref<float>,
+      /*mul_add_probe=*/mul_add_probe_impl<TraitsScalar>,
   };
   return table;
 }

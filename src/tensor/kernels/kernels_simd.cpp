@@ -4,16 +4,14 @@
 // simd_wrapper.hpp — no raw intrinsics here (sgnn_lint rule R6).
 //
 // Bit-identity with the scalar backend (see docs/kernels.md):
-//   * matmul_rows / matmul_at_b_band keep each output element's ascending-p
-//     accumulation with separate mul+add (no FMA) — bit-identical.
+//   * the GEMM band kernel (A·B, Aᵀ·B and A·Bᵀ alike) keeps each output
+//     element's ascending-p accumulation with separate mul+add (no FMA) —
+//     bit-identical;
 //   * elementwise kernels perform the same per-lane IEEE operation —
 //     bit-identical; transcendentals fall back to the shared reference
-//     kernels — bit-identical by construction.
-//   * matmul_a_bt_rows and sum_chunk split the reduction across lanes
-//     (deterministically, independent of thread count) — documented
-//     tolerance vs. scalar.
-
-#include <vector>
+//     kernels — bit-identical by construction;
+//   * sum_chunk splits the reduction across lanes (deterministically,
+//     independent of thread count) — documented tolerance vs. scalar.
 
 #include "kernels_impl.hpp"
 #include "kernels_internal.hpp"
@@ -55,200 +53,89 @@ struct TraitsW {
 };
 
 // ---------------------------------------------------------------------------
-// Matmul. GEBP structure: the reduction dimension is blocked into kKc-row
-// panels of B, and each panel's vector columns are packed once into a
-// j0-blocked contiguous scratch (tile t owns packed[t*kKc*jw ..]). The
-// 2-row × 2-vector register-tile sweep then reads packed memory
-// sequentially — without packing the p-sweep walks B with a row-sized
-// stride, which the page-local hardware prefetcher cannot follow once rows
-// pass ~1KB, and the kernel loses to the streaming scalar loop. Packing
-// does NOT change the arithmetic: every C element still accumulates over
-// ascending p (panels ascending, rows ascending within a panel) with
-// separate mul+add steps, and the register→memory round trip between
-// panels is exact — bit-identical to the reference kernel. Row and column
-// remainders run the scalar reference arithmetic.
+// GEMM. The driver packs B once per call (kernels_internal.hpp layout) and
+// hands the band kernel one panel at a time. A band walks its C rows in
+// strips of kGemmMr, and a kGemmMr-row × 2-vector register tile sweeps the
+// panel's tiles: every step broadcasts kGemmMr A values against two B
+// vectors read sequentially from packed memory. The arithmetic is the
+// reference's: each C element starts from zero (from C when accumulating,
+// which every panel after the first does) and adds ascending p with
+// separate mul+add, and the register→memory round trip between panels is
+// exact. Columns past the last whole tile take kGemmMr dot products at a
+// time in the same order; a partial strip takes the reference kernel.
 
+/// C rows [0, kGemmMr) × 2 vectors at c (row stride ldc) over a panel of
+/// depth pc: A(r, p) = a[r·a_rs + p·a_cs], `tile` the packed B rows.
 template <typename TR>
-void matmul_rows_vec(const typename TR::S* a, const typename TR::S* b,
-                     typename TR::S* c, std::int64_t k, std::int64_t n,
-                     std::int64_t row_begin, std::int64_t row_end) {
-  using S = typename TR::S;
+void gemm_tile(const typename TR::S* a, std::int64_t a_rs, std::int64_t a_cs,
+               const typename TR::S* tile, typename TR::S* c, std::int64_t ldc,
+               std::int64_t pc, bool from_zero) {
   using Vec = typename TR::Vec;
-  constexpr std::int64_t jw = 2 * TR::W;
-  constexpr std::int64_t kKc = 64;  // B panel rows; panel fits L2 easily
-  const std::int64_t n_vec = n - n % jw;
-  const std::int64_t tiles = n_vec / jw;
-  const std::int64_t pair_end = row_begin + (row_end - row_begin) / 2 * 2;
-  std::vector<S> packed(static_cast<std::size_t>(kKc * n_vec));
-  for (std::int64_t p0 = 0; p0 < k; p0 += kKc) {
-    const std::int64_t pc = p0 + kKc < k ? kKc : k - p0;
-    for (std::int64_t pp = 0; pp < pc; ++pp) {
-      const S* brow = b + (p0 + pp) * n;
-      for (std::int64_t t = 0; t < tiles; ++t) {
-        S* dst = packed.data() + t * kKc * jw + pp * jw;
-        for (std::int64_t l = 0; l < jw; ++l) dst[l] = brow[t * jw + l];
-      }
-    }
-    for (std::int64_t i = row_begin; i < pair_end; i += 2) {
-      const S* arow0 = a + i * k + p0;
-      const S* arow1 = arow0 + k;
-      S* crow0 = c + i * n;
-      S* crow1 = crow0 + n;
-      for (std::int64_t t = 0; t < tiles; ++t) {
-        const std::int64_t j0 = t * jw;
-        Vec acc00, acc01, acc10, acc11;
-        if (p0 == 0) {
-          acc00 = TR::zero();
-          acc01 = TR::zero();
-          acc10 = TR::zero();
-          acc11 = TR::zero();
-        } else {
-          acc00 = TR::load(crow0 + j0);
-          acc01 = TR::load(crow0 + j0 + TR::W);
-          acc10 = TR::load(crow1 + j0);
-          acc11 = TR::load(crow1 + j0 + TR::W);
-        }
-        const S* pb = packed.data() + t * kKc * jw;
-        for (std::int64_t pp = 0; pp < pc; ++pp) {
-          const Vec av0 = TR::set1(arow0[pp]);
-          const Vec av1 = TR::set1(arow1[pp]);
-          const Vec b0 = TR::load(pb + pp * jw);
-          const Vec b1 = TR::load(pb + pp * jw + TR::W);
-          acc00 = TR::vadd(acc00, TR::vmul(av0, b0));
-          acc01 = TR::vadd(acc01, TR::vmul(av0, b1));
-          acc10 = TR::vadd(acc10, TR::vmul(av1, b0));
-          acc11 = TR::vadd(acc11, TR::vmul(av1, b1));
-        }
-        TR::store(crow0 + j0, acc00);
-        TR::store(crow0 + j0 + TR::W, acc01);
-        TR::store(crow1 + j0, acc10);
-        TR::store(crow1 + j0 + TR::W, acc11);
-      }
-      for (std::int64_t j = n_vec; j < n; ++j) {
-        S s0 = p0 == 0 ? S{0} : crow0[j];
-        S s1 = p0 == 0 ? S{0} : crow1[j];
-        for (std::int64_t pp = 0; pp < pc; ++pp) {
-          s0 += arow0[pp] * b[(p0 + pp) * n + j];
-          s1 += arow1[pp] * b[(p0 + pp) * n + j];
-        }
-        crow0[j] = s0;
-        crow1[j] = s1;
-      }
+  constexpr std::int64_t nr = 2 * TR::W;
+  Vec acc[kGemmMr][2];
+#pragma GCC unroll 4
+  for (std::int64_t r = 0; r < kGemmMr; ++r) {
+    acc[r][0] = from_zero ? TR::zero() : TR::load(c + r * ldc);
+    acc[r][1] = from_zero ? TR::zero() : TR::load(c + r * ldc + TR::W);
+  }
+  for (std::int64_t p = 0; p < pc; ++p) {
+    const Vec b0 = TR::load(tile + p * nr);
+    const Vec b1 = TR::load(tile + p * nr + TR::W);
+#pragma GCC unroll 4
+    for (std::int64_t r = 0; r < kGemmMr; ++r) {
+      const Vec av = TR::set1(a[r * a_rs + p * a_cs]);
+      acc[r][0] = TR::vadd(acc[r][0], TR::vmul(av, b0));
+      acc[r][1] = TR::vadd(acc[r][1], TR::vmul(av, b1));
     }
   }
-  if (pair_end < row_end) matmul_rows_ref<S>(a, b, c, k, n, pair_end, row_end);
-}
-
-// A^T·B over a band of C rows: same packed-panel GEBP structure as
-// matmul_rows_vec (the reduction runs over m instead of k, and the
-// broadcast operands come from A columns) — bit-identical to the
-// reference kernel for the same reason.
-template <typename TR>
-void matmul_at_b_band_vec(const typename TR::S* a, const typename TR::S* b,
-                          typename TR::S* c, std::int64_t m, std::int64_t k,
-                          std::int64_t n, std::int64_t row_begin,
-                          std::int64_t row_end) {
-  using S = typename TR::S;
-  using Vec = typename TR::Vec;
-  constexpr std::int64_t jw = 2 * TR::W;
-  constexpr std::int64_t kKc = 64;  // same packed-panel shape as matmul_rows
-  const std::int64_t n_vec = n - n % jw;
-  const std::int64_t tiles = n_vec / jw;
-  const std::int64_t pair_end = row_begin + (row_end - row_begin) / 2 * 2;
-  std::vector<S> packed(static_cast<std::size_t>(kKc * n_vec));
-  for (std::int64_t p0 = 0; p0 < m; p0 += kKc) {
-    const std::int64_t pc = p0 + kKc < m ? kKc : m - p0;
-    for (std::int64_t pp = 0; pp < pc; ++pp) {
-      const S* brow = b + (p0 + pp) * n;
-      for (std::int64_t t = 0; t < tiles; ++t) {
-        S* dst = packed.data() + t * kKc * jw + pp * jw;
-        for (std::int64_t l = 0; l < jw; ++l) dst[l] = brow[t * jw + l];
-      }
-    }
-    for (std::int64_t i = row_begin; i < pair_end; i += 2) {
-      S* crow0 = c + i * n;
-      S* crow1 = crow0 + n;
-      for (std::int64_t t = 0; t < tiles; ++t) {
-        const std::int64_t j0 = t * jw;
-        Vec acc00, acc01, acc10, acc11;
-        if (p0 == 0) {
-          acc00 = TR::zero();
-          acc01 = TR::zero();
-          acc10 = TR::zero();
-          acc11 = TR::zero();
-        } else {
-          acc00 = TR::load(crow0 + j0);
-          acc01 = TR::load(crow0 + j0 + TR::W);
-          acc10 = TR::load(crow1 + j0);
-          acc11 = TR::load(crow1 + j0 + TR::W);
-        }
-        const S* pb = packed.data() + t * kKc * jw;
-        for (std::int64_t pp = 0; pp < pc; ++pp) {
-          const Vec av0 = TR::set1(a[(p0 + pp) * k + i]);
-          const Vec av1 = TR::set1(a[(p0 + pp) * k + i + 1]);
-          const Vec b0 = TR::load(pb + pp * jw);
-          const Vec b1 = TR::load(pb + pp * jw + TR::W);
-          acc00 = TR::vadd(acc00, TR::vmul(av0, b0));
-          acc01 = TR::vadd(acc01, TR::vmul(av0, b1));
-          acc10 = TR::vadd(acc10, TR::vmul(av1, b0));
-          acc11 = TR::vadd(acc11, TR::vmul(av1, b1));
-        }
-        TR::store(crow0 + j0, acc00);
-        TR::store(crow0 + j0 + TR::W, acc01);
-        TR::store(crow1 + j0, acc10);
-        TR::store(crow1 + j0 + TR::W, acc11);
-      }
-      for (std::int64_t j = n_vec; j < n; ++j) {
-        S s0 = p0 == 0 ? S{0} : crow0[j];
-        S s1 = p0 == 0 ? S{0} : crow1[j];
-        for (std::int64_t pp = 0; pp < pc; ++pp) {
-          s0 += a[(p0 + pp) * k + i] * b[(p0 + pp) * n + j];
-          s1 += a[(p0 + pp) * k + i + 1] * b[(p0 + pp) * n + j];
-        }
-        crow0[j] = s0;
-        crow1[j] = s1;
-      }
-    }
-  }
-  if (pair_end < row_end) {
-    matmul_at_b_band_ref<S>(a, b, c, m, k, n, pair_end, row_end);
+#pragma GCC unroll 4
+  for (std::int64_t r = 0; r < kGemmMr; ++r) {
+    TR::store(c + r * ldc, acc[r][0]);
+    TR::store(c + r * ldc + TR::W, acc[r][1]);
   }
 }
 
-/// Dot-product form: two lane accumulators combined lane-by-lane in a fixed
-/// order, then the scalar remainder — deterministic, but a different
-/// reduction order than the scalar kernel (documented tolerance).
-template <typename TR>
-void matmul_a_bt_rows_vec(const typename TR::S* a, const typename TR::S* b,
-                          typename TR::S* c, std::int64_t n, std::int64_t k,
-                          std::int64_t row_begin, std::int64_t row_end) {
-  using S = typename TR::S;
-  using Vec = typename TR::Vec;
-  constexpr std::int64_t pw = 2 * TR::W;
-  const std::int64_t n_vec = n - n % pw;
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    const S* arow = a + i * n;
-    S* crow = c + i * k;
-    for (std::int64_t j = 0; j < k; ++j) {
-      const S* brow = b + j * n;
-      Vec acc0 = TR::zero();
-      Vec acc1 = TR::zero();
-      for (std::int64_t p = 0; p < n_vec; p += pw) {
-        acc0 = TR::vadd(acc0, TR::vmul(TR::load(arow + p), TR::load(brow + p)));
-        acc1 = TR::vadd(acc1, TR::vmul(TR::load(arow + p + TR::W),
-                                     TR::load(brow + p + TR::W)));
-      }
-      S lanes0[TR::W];
-      S lanes1[TR::W];
-      TR::store(lanes0, acc0);
-      TR::store(lanes1, acc1);
-      S acc = 0;
-      for (std::int64_t l = 0; l < TR::W; ++l) acc += lanes0[l];
-      for (std::int64_t l = 0; l < TR::W; ++l) acc += lanes1[l];
-      for (std::int64_t p = n_vec; p < n; ++p) acc += arow[p] * brow[p];
-      crow[j] = acc;
+/// Columns [col_begin, col_end) of C rows [i, i + kGemmMr): one column at a
+/// time, kGemmMr independent reference-order dot products at once. The
+/// path for outputs narrower than a tile and for the column tail.
+template <typename S>
+void gemm_dots(const Gemm<S>& g, std::int64_t i, std::int64_t col_begin,
+               std::int64_t col_end) {
+  const S* a = g.a + i * g.a_rs;
+  S* c = g.c + i * g.n;
+  for (std::int64_t j = col_begin; j < col_end; ++j) {
+    S acc[kGemmMr];
+    for (std::int64_t r = 0; r < kGemmMr; ++r) {
+      acc[r] = g.accumulate ? c[r * g.n + j] : S{0};
     }
+    for (std::int64_t p = 0; p < g.k; ++p) {
+      const S bv = g.b[p * g.b_rs + j * g.b_cs];
+#pragma GCC unroll 4
+      for (std::int64_t r = 0; r < kGemmMr; ++r) {
+        acc[r] += a[r * g.a_rs + p * g.a_cs] * bv;
+      }
+    }
+    for (std::int64_t r = 0; r < kGemmMr; ++r) c[r * g.n + j] = acc[r];
   }
+}
+
+/// Rows [row_begin, row_end) of one panel of g, A read in place.
+template <typename TR>
+void gemm_rows_vec(const Gemm<typename TR::S>& g,
+                   const typename TR::S* packed_b, std::int64_t row_begin,
+                   std::int64_t row_end) {
+  constexpr std::int64_t nr = 2 * TR::W;
+  const std::int64_t n_full = g.n - g.n % nr;
+  const std::int64_t strip_end =
+      row_begin + (row_end - row_begin) / kGemmMr * kGemmMr;
+  for (std::int64_t i = row_begin; i < strip_end; i += kGemmMr) {
+    for (std::int64_t j0 = 0; j0 < n_full; j0 += nr) {
+      gemm_tile<TR>(g.a + i * g.a_rs, g.a_rs, g.a_cs, packed_b + j0 * g.k,
+                    g.c + i * g.n + j0, g.n, g.k, !g.accumulate);
+    }
+    gemm_dots(g, i, n_full, g.n);
+  }
+  gemm_ref(g, packed_b, strip_end, row_end);
 }
 
 // ---------------------------------------------------------------------------
@@ -683,12 +570,10 @@ bool simd_table_vectorized() { return true; }
 
 const KernelTable& simd_table() {
   static const KernelTable table = {
-      /*matmul_rows_f64=*/matmul_rows_vec<TraitsD>,
-      /*matmul_rows_f32=*/matmul_rows_vec<TraitsW>,
-      /*matmul_at_b_band_f64=*/matmul_at_b_band_vec<TraitsD>,
-      /*matmul_at_b_band_f32=*/matmul_at_b_band_vec<TraitsW>,
-      /*matmul_a_bt_rows_f64=*/matmul_a_bt_rows_vec<TraitsD>,
-      /*matmul_a_bt_rows_f32=*/matmul_a_bt_rows_vec<TraitsW>,
+      /*gemm_rows_f64=*/gemm_rows_vec<TraitsD>,
+      /*gemm_rows_f32=*/gemm_rows_vec<TraitsW>,
+      /*gemm_nr_f64=*/2 * TraitsD::W,
+      /*gemm_nr_f32=*/2 * TraitsW::W,
       /*binary_f64=*/binary_simd_f64,
       /*binary_f32=*/binary_simd_f32,
       /*binary_scalar_l_f64=*/binary_scalar_l_simd_f64,
@@ -707,6 +592,7 @@ const KernelTable& simd_table() {
       /*sum_chunk_f32=*/sum_chunk_simd_f32,
       /*accumulate_f64=*/accumulate_simd_f64,
       /*accumulate_f32=*/accumulate_simd_f32,
+      /*mul_add_probe=*/mul_add_probe_impl<TraitsD>,
   };
   return table;
 }
@@ -717,12 +603,10 @@ bool simd_table_vectorized() { return false; }
 
 const KernelTable& simd_table() {
   static const KernelTable table = {
-      /*matmul_rows_f64=*/matmul_rows_ref<real>,
-      /*matmul_rows_f32=*/matmul_rows_ref<float>,
-      /*matmul_at_b_band_f64=*/matmul_at_b_band_ref<real>,
-      /*matmul_at_b_band_f32=*/matmul_at_b_band_ref<float>,
-      /*matmul_a_bt_rows_f64=*/matmul_a_bt_rows_ref<real>,
-      /*matmul_a_bt_rows_f32=*/matmul_a_bt_rows_ref<float>,
+      /*gemm_rows_f64=*/gemm_ref<real>,
+      /*gemm_rows_f32=*/gemm_ref<float>,
+      /*gemm_nr_f64=*/0,
+      /*gemm_nr_f32=*/0,
       /*binary_f64=*/binary_ref<double>,
       /*binary_f32=*/binary_ref<float>,
       /*binary_scalar_l_f64=*/binary_scalar_l_ref<double>,
@@ -741,6 +625,7 @@ const KernelTable& simd_table() {
       /*sum_chunk_f32=*/sum_chunk_ref<float>,
       /*accumulate_f64=*/accumulate_ref<double>,
       /*accumulate_f32=*/accumulate_ref<float>,
+      /*mul_add_probe=*/mul_add_probe_impl<TraitsScalar>,
   };
   return table;
 }

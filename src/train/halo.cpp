@@ -4,6 +4,7 @@
 
 #include "sgnn/obs/metrics.hpp"
 #include "sgnn/obs/prof.hpp"
+#include "sgnn/tensor/kernels.hpp"
 #include "sgnn/tensor/memory_tracker.hpp"
 #include "sgnn/util/error.hpp"
 
@@ -407,10 +408,10 @@ Tensor HaloExchanger::matmul_weight_grad(const Tensor& a, const Tensor& grad) {
   const Tensor ad = a.detach();
   const Tensor gd = grad.detach();
   return ring_fold(k, n, [m, k, n, ad, gd](real* c) {
-    // Continues matmul_at_b's fold: p outermost ascending, one separately
-    // rounded mul+add per element — the same bracketing the scalar AND
-    // simd kernels use (the simd TU pins -ffp-contract=off; this TU has no
-    // FMA to contract into).
+    // Continues matmul_at_b's fold over this rank's rows: its accumulate
+    // form starts from the partial in c and adds ascending p with one
+    // separately rounded mul+add per element, the order the single-rank
+    // product uses on either backend.
     const obs::prof::KernelScope prof(
         "halo_ring", obs::prof::sat_mul(2, m, k, n),
         obs::prof::sat_mul(static_cast<std::int64_t>(sizeof(real)),
@@ -418,17 +419,8 @@ Tensor HaloExchanger::matmul_weight_grad(const Tensor& a, const Tensor& grad) {
                                               obs::prof::sat_mul(m, n),
                                               obs::prof::sat_mul(k, n))),
         ".bwd");
-    const real* pa = ad.data();
-    const real* pg = gd.data();
-    for (std::int64_t p = 0; p < m; ++p) {
-      const real* arow = pa + p * k;
-      const real* grow = pg + p * n;
-      for (std::int64_t i = 0; i < k; ++i) {
-        const real av = arow[i];
-        real* crow = c + i * n;
-        for (std::int64_t j = 0; j < n; ++j) crow[j] += av * grow[j];
-      }
-    }
+    kernels::matmul_at_b(ad.data(), gd.data(), c, m, k, n,
+                         /*accumulate=*/true);
   });
 }
 

@@ -1,7 +1,7 @@
 // sgnn::kernels backend layer: dispatch plumbing, the IEEE-754 matmul
-// regression (no zero-skip), scalar<->SIMD agreement at the documented
-// tolerances, the fp32 compute flavour, and the saturating KernelScope
-// cost arithmetic.
+// regression (no zero-skip), scalar<->SIMD agreement (every GEMM form bit
+// for bit against the reference order, the documented sum tolerance), the
+// fp32 compute flavour, and the saturating KernelScope cost arithmetic.
 
 #include "sgnn/tensor/kernels.hpp"
 
@@ -9,13 +9,16 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "sgnn/obs/prof.hpp"
 #include "sgnn/tensor/ops.hpp"
 #include "sgnn/tensor/tensor.hpp"
 #include "sgnn/util/rng.hpp"
+#include "sgnn/util/thread_pool.hpp"
 
 namespace sgnn {
 namespace {
@@ -36,6 +39,84 @@ std::vector<kernels::Backend> available_backends() {
     backends.push_back(kernels::Backend::kSimd);
   }
   return backends;
+}
+
+/// Bit patterns, so -0 vs +0 and NaN payloads count as differences.
+std::vector<std::uint64_t> bit_patterns(const std::vector<real>& v) {
+  std::vector<std::uint64_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(std::uint64_t));
+  return out;
+}
+
+/// The three GEMM forms, each computing C(rows, cols) over a reduction of
+/// length `red`: C = A·B, A·Bᵀ (B stored cols × red) and Aᵀ·B (A stored
+/// red × rows).
+enum class GemmForm { kAB, kABt, kAtB };
+constexpr GemmForm kGemmForms[] = {GemmForm::kAB, GemmForm::kABt,
+                                   GemmForm::kAtB};
+struct GemmShape {
+  std::int64_t rows, red, cols;
+};
+
+const char* gemm_form_name(GemmForm form) {
+  switch (form) {
+    case GemmForm::kAB: return "A·B";
+    case GemmForm::kABt: return "A·Bᵀ";
+    case GemmForm::kAtB: return "Aᵀ·B";
+  }
+  return "?";
+}
+
+/// Offsets of A(i, p) and B(p, j) in the storage each form's driver reads.
+std::size_t a_offset(GemmForm form, const GemmShape& s, std::int64_t i,
+                     std::int64_t p) {
+  return static_cast<std::size_t>(form == GemmForm::kAtB ? p * s.rows + i
+                                                         : i * s.red + p);
+}
+std::size_t b_offset(GemmForm form, const GemmShape& s, std::int64_t p,
+                     std::int64_t j) {
+  return static_cast<std::size_t>(form == GemmForm::kABt ? j * s.red + p
+                                                         : p * s.cols + j);
+}
+
+/// The Gemm contract written out: each element starts from zero (or c)
+/// and adds its products in ascending p, in T arithmetic on T-rounded
+/// operands, then widens. Both backends must match it bit for bit.
+template <typename T>
+std::vector<real> reference_gemm(GemmForm form, const GemmShape& s,
+                                 const std::vector<real>& a,
+                                 const std::vector<real>& b,
+                                 std::vector<real> c, bool accumulate) {
+  for (std::int64_t i = 0; i < s.rows; ++i) {
+    for (std::int64_t j = 0; j < s.cols; ++j) {
+      real& out = c[static_cast<std::size_t>(i * s.cols + j)];
+      T acc = accumulate ? static_cast<T>(out) : T{0};
+      for (std::int64_t p = 0; p < s.red; ++p) {
+        acc += static_cast<T>(a[a_offset(form, s, i, p)]) *
+               static_cast<T>(b[b_offset(form, s, p, j)]);
+      }
+      out = static_cast<real>(acc);
+    }
+  }
+  return c;
+}
+
+void run_gemm_form(GemmForm form, const GemmShape& s,
+                   const std::vector<real>& a, const std::vector<real>& b,
+                   std::vector<real>& c, bool accumulate = false) {
+  switch (form) {
+    case GemmForm::kAB:
+      kernels::matmul(a.data(), b.data(), c.data(), s.rows, s.red, s.cols);
+      return;
+    case GemmForm::kABt:
+      kernels::matmul_a_bt(a.data(), b.data(), c.data(), s.rows, s.red,
+                           s.cols);
+      return;
+    case GemmForm::kAtB:
+      kernels::matmul_at_b(a.data(), b.data(), c.data(), s.red, s.rows,
+                           s.cols, accumulate);
+      return;
+  }
 }
 
 // -- dispatch ---------------------------------------------------------------
@@ -79,10 +160,9 @@ TEST(KernelDispatch, ScopedComputeDtypeControlsElementSize) {
 TEST(KernelDispatch, TablesAreFullyPopulated) {
   for (const auto* table : {&kernels::scalar_table(),
                             &kernels::simd_table()}) {
-    EXPECT_NE(table->matmul_rows_f64, nullptr);
-    EXPECT_NE(table->matmul_rows_f32, nullptr);
-    EXPECT_NE(table->matmul_at_b_band_f64, nullptr);
-    EXPECT_NE(table->matmul_a_bt_rows_f64, nullptr);
+    EXPECT_NE(table->gemm_rows_f64, nullptr);
+    EXPECT_NE(table->gemm_rows_f32, nullptr);
+    EXPECT_NE(table->mul_add_probe, nullptr);
     EXPECT_NE(table->binary_f64, nullptr);
     EXPECT_NE(table->binary_bwd_f64, nullptr);
     EXPECT_NE(table->unary_f64, nullptr);
@@ -155,12 +235,66 @@ TEST(KernelIeee, TransposedVariantsPropagateNonFinites) {
   }
 }
 
+TEST(KernelIeee, NonFinitesPropagateInsideAFullRegisterTile) {
+  // 8 x 16 outputs over 20 products: whole register tiles on the SIMD
+  // backend, not the narrow reference path the 1x2 shapes above reach.
+  const GemmShape s{8, 20, 16};
+  for (const auto backend : available_backends()) {
+    kernels::ScopedBackend scope(backend);
+    for (const GemmForm form : kGemmForms) {
+      auto a = random_vector(s.rows * s.red, 41, 0.5, 2.0);
+      auto b = random_vector(s.red * s.cols, 42);
+      a[a_offset(form, s, 5, 7)] = kNaN;   // poisons all of row 5
+      a[a_offset(form, s, 2, 11)] = 0.0;   // 0 x Inf at C(2, 9) ...
+      b[b_offset(form, s, 11, 9)] = kInf;  // ... and +Inf elsewhere in col 9
+      std::vector<real> c(static_cast<std::size_t>(s.rows * s.cols));
+      run_gemm_form(form, s, a, b, c);
+      const auto at = [&](std::int64_t i, std::int64_t j) {
+        return c[static_cast<std::size_t>(i * s.cols + j)];
+      };
+      const std::string where =
+          std::string(kernels::backend_name(backend)) + " " +
+          gemm_form_name(form);
+      for (std::int64_t j = 0; j < s.cols; ++j) {
+        EXPECT_TRUE(std::isnan(at(5, j))) << where << " C(5," << j << ")";
+      }
+      EXPECT_TRUE(std::isnan(at(2, 9))) << where << " C(2,9)=" << at(2, 9);
+      for (const std::int64_t i : {0, 1, 3, 4, 6, 7}) {
+        EXPECT_TRUE(std::isinf(at(i, 9)) && at(i, 9) > 0)
+            << where << " C(" << i << ",9)=" << at(i, 9);
+      }
+      EXPECT_TRUE(std::isfinite(at(2, 8))) << where << " C(2,8)";
+    }
+  }
+}
+
+TEST(KernelGemm, AccumulateContinuesTheFoldBitForBit) {
+  // Aᵀ·B over 700 reduction rows in one call, and as 300 rows then the
+  // remaining 400 accumulated onto the partial: the same per-element sum,
+  // which is what the graph-parallel weight-gradient ring relies on.
+  const std::int64_t red = 700, head = 300, rows = 21, cols = 12;
+  const auto a = random_vector(red * rows, 51);
+  const auto b = random_vector(red * cols, 52);
+  for (const auto backend : available_backends()) {
+    kernels::ScopedBackend scope(backend);
+    std::vector<real> whole(static_cast<std::size_t>(rows * cols));
+    std::vector<real> folded(whole.size());
+    kernels::matmul_at_b(a.data(), b.data(), whole.data(), red, rows, cols);
+    kernels::matmul_at_b(a.data(), b.data(), folded.data(), head, rows, cols);
+    kernels::matmul_at_b(a.data() + head * rows, b.data() + head * cols,
+                         folded.data(), red - head, rows, cols,
+                         /*accumulate=*/true);
+    EXPECT_EQ(bit_patterns(whole), bit_patterns(folded))
+        << kernels::backend_name(backend);
+  }
+}
+
 // -- scalar <-> SIMD agreement ----------------------------------------------
 //
-// matmul, matmul_at_b, elementwise and accumulate are bit-identical across
-// backends (same per-element mul+add order, FMA disabled); matmul_a_bt and
-// the full sum split dot products across lanes and carry a 1e-12 relative
-// tolerance (see docs/kernels.md).
+// All three matmul forms, elementwise and accumulate are bit-identical
+// across backends (same per-element mul+add order, FMA disabled); only the
+// full sum splits across lanes and carries a 1e-12 relative tolerance (see
+// docs/kernels.md).
 
 class KernelAgreement : public ::testing::Test {
  protected:
@@ -207,7 +341,7 @@ TEST_F(KernelAgreement, MatmulAtBIsBitIdentical) {
   }
 }
 
-TEST_F(KernelAgreement, MatmulABtAgreesToDocumentedTolerance) {
+TEST_F(KernelAgreement, MatmulABtIsBitIdentical) {
   const std::int64_t m = 17, n = 23, k = 19;
   const auto a = random_vector(m * n, 505);
   const auto b = random_vector(k * n, 606);
@@ -221,10 +355,64 @@ TEST_F(KernelAgreement, MatmulABtAgreesToDocumentedTolerance) {
     kernels::matmul_a_bt(a.data(), b.data(), simd_c.data(), m, n, k);
   }
   for (std::size_t i = 0; i < scalar_c.size(); ++i) {
-    const double denom = std::max(std::abs(scalar_c[i]), 1.0);
-    ASSERT_LE(std::abs(scalar_c[i] - simd_c[i]) / denom, 1e-12)
-        << "element " << i << ": " << scalar_c[i] << " vs " << simd_c[i];
+    ASSERT_EQ(scalar_c[i], simd_c[i]) << "element " << i;
   }
+}
+
+// Both backends against the contract itself, on shapes that cross every
+// edge of the SIMD kernel (kernels_internal.hpp): row bands and a partial
+// 4-row strip, several panels of B, a column tail, an output narrower than
+// a tile, a thin deep product; in both dtypes, at 1 and 4 lanes, and in
+// the accumulate form.
+TEST_F(KernelAgreement, GemmFormsAreBitIdenticalAcrossTileBoundaries) {
+  const GemmShape shapes[] = {
+      {53, 600, 19},  // 4 row bands, a partial strip, 3 panels, a column tail
+      {37, 300, 1},   // one column: narrower than a tile
+      {64, 257, 32},  // whole bands and tiles, one step past a panel
+      {6, 3000, 24},  // thin and deep, like a weight gradient's Aᵀ·B
+  };
+  const int lanes = ThreadPool::instance().size();
+  std::uint64_t seed = 2000;
+  for (const GemmForm form : kGemmForms) {
+    for (const GemmShape& s : shapes) {
+      const auto a = random_vector(s.rows * s.red, ++seed);
+      const auto b = random_vector(s.red * s.cols, ++seed);
+      const auto c0 = random_vector(s.rows * s.cols, ++seed);
+      for (const auto dtype : {kernels::ComputeDtype::kFloat64,
+                               kernels::ComputeDtype::kFloat32}) {
+        kernels::ScopedComputeDtype dtype_scope(dtype);
+        for (const int pool : {1, 4}) {
+          ThreadPool::instance().resize(pool);
+          for (const bool accumulate : {false, true}) {
+            if (accumulate && form != GemmForm::kAtB) continue;
+            const auto expected =
+                dtype == kernels::ComputeDtype::kFloat64
+                    ? reference_gemm<double>(form, s, a, b, c0, accumulate)
+                    : reference_gemm<float>(form, s, a, b, c0, accumulate);
+            std::vector<real> scalar_c = c0;
+            std::vector<real> simd_c = c0;
+            {
+              kernels::ScopedBackend scope(kernels::Backend::kScalar);
+              run_gemm_form(form, s, a, b, scalar_c, accumulate);
+            }
+            {
+              kernels::ScopedBackend scope(kernels::Backend::kSimd);
+              run_gemm_form(form, s, a, b, simd_c, accumulate);
+            }
+            const std::string where =
+                std::string(gemm_form_name(form)) + " " +
+                std::to_string(s.rows) + "x" + std::to_string(s.red) + "x" +
+                std::to_string(s.cols) + " " + kernels::dtype_name(dtype) +
+                " lanes=" + std::to_string(pool) +
+                " accumulate=" + std::to_string(accumulate);
+            ASSERT_EQ(bit_patterns(scalar_c), bit_patterns(expected)) << where;
+            ASSERT_EQ(bit_patterns(simd_c), bit_patterns(expected)) << where;
+          }
+        }
+      }
+    }
+  }
+  ThreadPool::instance().resize(lanes);
 }
 
 TEST_F(KernelAgreement, ElementwiseForwardAndBackwardAreBitIdentical) {
