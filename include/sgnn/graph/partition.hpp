@@ -34,7 +34,7 @@ struct RankPartition {
   std::int64_t edge_end = 0;
 
   /// Local-id endpoints of the edge slice: dst in [0, num_owned()), src in
-  /// [0, num_owned() + num_halo()).
+  /// [0, num_owned() + halo.size()).
   std::vector<std::int64_t> local_src;
   std::vector<std::int64_t> local_dst;
 
@@ -57,9 +57,6 @@ struct RankPartition {
   std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> inbound;
 
   std::int64_t num_owned() const { return owned_end - owned_begin; }
-  std::int64_t num_halo() const {
-    return static_cast<std::int64_t>(halo.size());
-  }
   std::int64_t num_local_edges() const { return edge_end - edge_begin; }
 };
 

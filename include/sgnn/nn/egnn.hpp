@@ -36,8 +36,6 @@ enum class ForceHead : int {
   kNodeMLP = 1,
 };
 
-const char* force_head_name(ForceHead head);
-
 /// Architecture hyperparameters of the EGNN backbone + HydraGNN-style
 /// heads. The scaling experiments vary only `hidden_dim` (width) and
 /// `num_layers` (depth), exactly as Sec. III-B of the paper prescribes.
@@ -107,6 +105,14 @@ class EGNNLayer : public Module {
     /// sources src-side rows through the hook (which exchanges boundary
     /// rows with the other ranks) instead of a local gather.
     GraphParallelHook* halo = nullptr;
+
+    /// The one builder: `src`/`dst` must outlive the context. Counts
+    /// 1/max(deg, 1) from `dst`, exact for a rank's owned nodes too (all
+    /// their in-edges lie in its slice).
+    static EdgeContext build(const std::vector<std::int64_t>& src,
+                             const std::vector<std::int64_t>& dst,
+                             Tensor edge_shift, std::int64_t num_nodes,
+                             GraphParallelHook* halo = nullptr);
   };
 
   /// `state` packs [h | x | F] as (N, hidden + 6); returns the new state.
@@ -127,9 +133,12 @@ class EGNNLayer : public Module {
   std::unique_ptr<MLP> phi_w_;  ///< filter generator (SchNet)
 };
 
-/// Rank-local services a graph-parallel forward needs from the partition /
-/// communication layer (implemented by sgnn::gpar::HaloExchanger, which
-/// lives in the train module — this interface keeps nn free of comm).
+/// What EGNNModel::forward takes from the partition / communication layer
+/// to run on one rank's shard (implemented by sgnn::gpar::HaloExchanger,
+/// which lives in the train module — this interface keeps nn free of comm).
+/// The forward body is the same with or without a hook; the hook supplies
+/// the shard (owned inputs and local edge context), the src-side rows,
+/// the readout's replication and the parameter-gradient reducer.
 ///
 /// The contract every method shares: inputs are this rank's OWNED node rows
 /// (global order restricted to the owned range), and anything returned is
@@ -139,8 +148,7 @@ class GraphParallelHook {
  public:
   virtual ~GraphParallelHook() = default;
 
-  /// Owned-node count / inputs of this rank's shard.
-  virtual std::int64_t num_owned() const = 0;
+  /// Inputs of this rank's shard (edge_context().num_nodes rows).
   virtual const std::vector<int>& owned_species() const = 0;
   virtual const Tensor& owned_positions() const = 0;
   /// Local edge context (edge_src/edge_dst in local ids, halo == this).
@@ -181,11 +189,12 @@ class EGNNModel : public Module {
   struct ForwardOptions {
     /// Wrap each EGNN layer in an activation checkpoint (Sec. V-B).
     bool activation_checkpointing = false;
-    /// Non-null runs the graph-parallel forward: the backbone processes
-    /// only this rank's owned nodes (ghost rows arriving through the
-    /// hook's halo exchange), then the readout replicates the final node
-    /// features so energies/forces/loss come out FULL and bit-identical
-    /// to the unpartitioned forward on every rank.
+    /// Non-null runs the same forward on this rank's shard: the backbone
+    /// processes only the owned nodes (ghost rows via the hook's halo
+    /// exchange, parameter gradients folded by its reducer), and the
+    /// readout replicates the final node features so energies/forces/loss
+    /// come out FULL and bit-identical to the unpartitioned forward on
+    /// every rank. Null: the whole batch, replication is the identity.
     GraphParallelHook* graph_parallel = nullptr;
   };
 
@@ -202,9 +211,6 @@ class EGNNModel : public Module {
   double last_feature_spread() const { return last_feature_spread_; }
 
  private:
-  Output forward_graph_parallel(const GraphBatch& batch,
-                                const ForwardOptions& options) const;
-
   ModelConfig config_;
   std::unique_ptr<Embedding> embedding_;
   std::vector<std::unique_ptr<EGNNLayer>> layers_;

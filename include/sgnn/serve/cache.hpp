@@ -46,6 +46,7 @@ struct CachedResult {
   double energy = 0.0;
   bool has_forces = false;
   std::vector<Vec3> forces;  ///< canonical order; empty when !has_forces
+  std::uint64_t weights_version = 0;  ///< model weights that produced it
 };
 
 /// Thread-safe LRU cache from canonical structure to model output.
@@ -61,12 +62,16 @@ class StructureCache {
   explicit StructureCache(std::size_t capacity);
 
   /// Returns true and fills `out` on a hit. A hit requires equal canonical
-  /// bytes AND, when `need_forces`, a resident entry that has forces —
-  /// an energy-only entry cannot satisfy a force request.
-  bool lookup(const CanonicalKey& key, bool need_forces, CachedResult& out);
+  /// bytes, an entry produced by `weights_version` (another version's
+  /// answer is a miss, never served) AND, when `need_forces`, a resident
+  /// entry that has forces — an energy-only entry cannot satisfy a force
+  /// request.
+  bool lookup(const CanonicalKey& key, bool need_forces,
+              std::uint64_t weights_version, CachedResult& out);
 
   /// Inserts (or replaces) the entry for `key`, evicting the least
-  /// recently used entry when over capacity.
+  /// recently used entry when over capacity. A result from older weights
+  /// than the resident entry's is dropped.
   void insert(const CanonicalKey& key, CachedResult result);
 
   std::size_t size() const;

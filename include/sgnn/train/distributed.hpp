@@ -26,8 +26,6 @@ enum class DistStrategy {
   kZeRO1,  ///< reduce-scatter + sharded Adam + all-gather (DeepSpeed ZeRO-1)
 };
 
-const char* dist_strategy_name(DistStrategy strategy);
-
 /// Options for a simulated multi-GPU training run.
 struct DistTrainOptions {
   int num_ranks = 4;  ///< the paper's four A100s per node

@@ -45,7 +45,6 @@ class HaloExchanger final : public GraphParallelHook,
   HaloExchanger& operator=(const HaloExchanger&) = delete;
 
   // -- GraphParallelHook ----------------------------------------------------
-  std::int64_t num_owned() const override { return mine_.num_owned(); }
   const std::vector<int>& owned_species() const override { return species_; }
   const Tensor& owned_positions() const override { return positions_; }
   const EGNNLayer::EdgeContext& edge_context() const override {

@@ -32,8 +32,6 @@ class Logger {
   void set_level(LogLevel level) { level_ = level; }
   LogLevel level() const { return level_; }
 
-  void set_timestamps(bool enabled) { timestamps_ = enabled; }
-
   /// Per-thread rank prefix; -1 (the default) means no prefix.
   static void set_thread_rank(int rank) { thread_rank_slot() = rank; }
   static int thread_rank() { return thread_rank_slot(); }
@@ -51,7 +49,7 @@ class Logger {
   /// The full line write() emits, exposed for tests.
   std::string format(LogLevel level, const std::string& message) const {
     std::ostringstream os;
-    if (timestamps_) os << iso8601_now() << ' ';
+    os << iso8601_now() << ' ';
     os << "[" << name(level) << "]";
     const int rank = thread_rank();
     if (rank >= 0) os << " [rank " << rank << "]";
@@ -107,7 +105,6 @@ class Logger {
   }
 
   LogLevel level_ = LogLevel::kInfo;
-  bool timestamps_ = true;
   std::mutex mutex_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "sgnn/tensor/checkpoint.hpp"
 #include "sgnn/tensor/grad_reducer.hpp"
@@ -21,14 +22,6 @@ std::int64_t mlp_params(const std::vector<std::int64_t>& dims) {
 }
 
 }  // namespace
-
-const char* force_head_name(ForceHead head) {
-  switch (head) {
-    case ForceHead::kEquivariantEdge: return "equivariant edge decomposition";
-    case ForceHead::kNodeMLP: return "node MLP (HydraGNN-style)";
-  }
-  return "?";
-}
 
 const char* kernel_name(MessagePassingKernel kernel) {
   switch (kernel) {
@@ -153,6 +146,25 @@ EGNNLayer::EGNNLayer(const ModelConfig& config, Rng& rng)
                                    Activation::kSiLU, Activation::kNone);
     register_module(*phi_f_);
   }
+}
+
+EGNNLayer::EdgeContext EGNNLayer::EdgeContext::build(
+    const std::vector<std::int64_t>& src, const std::vector<std::int64_t>& dst,
+    Tensor edge_shift, std::int64_t num_nodes, GraphParallelHook* halo) {
+  EdgeContext context;
+  context.edge_src = &src;
+  context.edge_dst = &dst;
+  context.edge_shift = std::move(edge_shift);
+  context.num_nodes = num_nodes;
+  context.halo = halo;
+  const ScopedMemCategory scope(MemCategory::kWorkspace);
+  context.inv_degree = Tensor::zeros(Shape{num_nodes, 1});
+  real* d = context.inv_degree.data();
+  for (const auto i : dst) d[i] += 1;
+  for (std::int64_t i = 0; i < num_nodes; ++i) {
+    d[i] = real{1} / std::max(d[i], real{1});
+  }
+  return context;
 }
 
 Tensor EGNNLayer::forward(const Tensor& state,
@@ -287,124 +299,57 @@ EGNNModel::EGNNModel(const ModelConfig& config) : config_(config) {
 
 EGNNModel::Output EGNNModel::forward(const GraphBatch& batch,
                                      const ForwardOptions& options) const {
-  if (options.graph_parallel != nullptr) {
-    return forward_graph_parallel(batch, options);
-  }
   SGNN_CHECK(batch.num_nodes > 0, "forward on empty batch");
-  for (const auto z : batch.species) {
-    SGNN_CHECK(z >= 0 && z < config_.num_species,
-               "species " << z << " outside model vocabulary ["
-                          << config_.num_species << ")");
-  }
-
-  // Edge context shared by all layers (constant w.r.t. autograd).
-  EGNNLayer::EdgeContext context;
-  context.edge_src = &batch.edge_src;
-  context.edge_dst = &batch.edge_dst;
-  context.edge_shift = batch.edge_shift;
-  context.num_nodes = batch.num_nodes;
-  {
-    const ScopedMemCategory scope(MemCategory::kWorkspace);
-    Tensor inv_degree = Tensor::zeros(Shape{batch.num_nodes, 1});
-    real* d = inv_degree.data();
-    for (const auto dst : batch.edge_dst) d[dst] += 1;
-    for (std::int64_t i = 0; i < batch.num_nodes; ++i) {
-      d[i] = real{1} / std::max(d[i], real{1});
-    }
-    context.inv_degree = inv_degree;
-  }
-
-  // Initial state: [species embedding | positions | zero force accumulator].
-  const Tensor h0 = embedding_->forward(batch.species);
-  const Tensor state0 =
-      concat({h0, batch.positions, Tensor::zeros(Shape{batch.num_nodes, 3})},
-             1);
-
-  Tensor state = state0;
-  for (const auto& layer : layers_) {
-    if (options.activation_checkpointing) {
-      const EGNNLayer* raw = layer.get();
-      const EGNNLayer::EdgeContext ctx = context;  // copied into the closure
-      state = checkpoint(
-          [raw, ctx](const std::vector<Tensor>& in) {
-            return raw->forward(in[0], ctx);
-          },
-          {state});
-    } else {
-      state = layer->forward(state, context);
-    }
-  }
-
-  const Tensor h_final = narrow(state, 1, 0, config_.hidden_dim);
-  const Tensor forces =
-      config_.force_head == ForceHead::kNodeMLP
-          ? force_head_->forward(h_final)
-          : narrow(state, 1, config_.hidden_dim + 3, 3);
-
-  // Over-smoothing metric: variance of node features across nodes.
-  {
-    const autograd::NoGradGuard no_grad;
-    const Tensor centered = h_final - mean(h_final, 0, true);
-    last_feature_spread_ = mean(square(centered)).item();
-  }
-
-  // Graph-level energy: per-node contributions summed per graph (extensive
-  // quantity, HydraGNN's graph-level head).
-  const Tensor node_energy = energy_head_->forward(h_final);
-  Output out;
-  out.energy =
-      scatter_add_rows(node_energy, batch.node_to_graph, batch.num_graphs);
-  out.forces = forces;
-  if (dipole_head_) {
-    // Dipole magnitude is non-negative: softplus keeps the head in range.
-    const Tensor node_dipole = softplus(dipole_head_->forward(h_final));
-    out.dipole = scatter_add_rows(node_dipole, batch.node_to_graph,
-                                  batch.num_graphs);
-  }
-  return out;
-}
-
-EGNNModel::Output EGNNModel::forward_graph_parallel(
-    const GraphBatch& batch, const ForwardOptions& options) const {
-  SGNN_CHECK(batch.num_nodes > 0, "forward on empty batch");
+  // Each rank vets its own shard (without a hook, the whole batch): the owned
+  // ranges cover the batch, so these checks add up to the whole-batch one.
   GraphParallelHook* const hook = options.graph_parallel;
-  const std::int64_t owned = hook->num_owned();
-  // Each rank vets its own shard; the owned ranges cover the batch, so the
-  // union of these checks equals the unpartitioned vocabulary check.
-  for (const auto z : hook->owned_species()) {
+  const std::vector<int>& species =
+      hook != nullptr ? hook->owned_species() : batch.species;
+  for (const auto z : species) {
     SGNN_CHECK(z >= 0 && z < config_.num_species,
                "species " << z << " outside model vocabulary ["
                           << config_.num_species << ")");
   }
-  const EGNNLayer::EdgeContext& context = hook->edge_context();
-  SGNN_CHECK(context.halo == hook && context.num_nodes == owned,
+  // Edge context shared by all layers (constant w.r.t. autograd).
+  const EGNNLayer::EdgeContext context =
+      hook != nullptr
+          ? hook->edge_context()
+          : EGNNLayer::EdgeContext::build(batch.edge_src, batch.edge_dst,
+                                          batch.edge_shift, batch.num_nodes);
+  SGNN_CHECK(context.halo == hook,
              "graph-parallel hook edge context is inconsistent");
+  const auto replicate = [hook](const Tensor& owned) {
+    return hook != nullptr ? hook->all_gather_rows(owned) : owned;
+  };
 
-  // Sharded backbone. The reducer stays armed across it so every leaf
-  // parameter gradient recorded here (embedding scatter, weight and bias
-  // folds inside the MLPs) is continued rank to rank instead of computed
-  // from local rows only — that is what keeps parameter gradients
-  // replicated AND bit-identical to the single-rank fold.
+  // Backbone. Under graph parallelism the reducer stays armed across it so
+  // every leaf parameter gradient recorded here (embedding scatter, weight
+  // and bias folds inside the MLPs) is continued rank to rank instead of
+  // computed from local rows only — that is what keeps parameter gradients
+  // replicated AND bit-identical to the single-rank fold. Without a hook
+  // the reducer is null and arming it changes nothing.
   Tensor h_final;
   Tensor force_acc;
-  ShardedGradReducer* const reducer = hook->reducer();
+  ShardedGradReducer* const reducer =
+      hook != nullptr ? hook->reducer() : nullptr;
   {
     const ScopedShardedGradReducer armed(reducer);
-    const Tensor h0 = embedding_->forward(hook->owned_species());
-    Tensor state =
-        concat({h0, hook->owned_positions(), Tensor::zeros(Shape{owned, 3})},
-               1);
+    // Initial state: [species embedding | positions | zero force accumulator].
+    const Tensor h0 = embedding_->forward(species);
+    Tensor state = concat(
+        {h0, hook != nullptr ? hook->owned_positions() : batch.positions,
+         Tensor::zeros(Shape{context.num_nodes, 3})},
+        1);
     for (const auto& layer : layers_) {
       if (options.activation_checkpointing) {
         const EGNNLayer* raw = layer.get();
-        const EGNNLayer::EdgeContext ctx = context;  // copied into closure
         // Recompute-on-backward runs outside the forward's arming scope,
         // so the closure re-arms the reducer itself: the ops re-recorded
         // during recompute must capture it exactly like the originals.
         state = checkpoint(
-            [raw, ctx, reducer](const std::vector<Tensor>& in) {
+            [raw, context, reducer](const std::vector<Tensor>& in) {
               const ScopedShardedGradReducer rearmed(reducer);
-              return raw->forward(in[0], ctx);
+              return raw->forward(in[0], context);
             },
             {state});
       } else {
@@ -412,30 +357,36 @@ EGNNModel::Output EGNNModel::forward_graph_parallel(
       }
     }
     h_final = narrow(state, 1, 0, config_.hidden_dim);
-    force_acc = narrow(state, 1, config_.hidden_dim + 3, 3);
+    if (config_.force_head == ForceHead::kEquivariantEdge) {
+      force_acc = narrow(state, 1, config_.hidden_dim + 3, 3);
+    }
   }
 
   // Replicated readout: gather the final node features (and the force
   // accumulator) to every rank, then run the heads on FULL tensors with
   // the reducer disarmed — head activations are replicated, so their
   // parameter gradients are already the single-rank fold.
-  const Tensor h_full = hook->all_gather_rows(h_final);
+  const Tensor h_full = replicate(h_final);
   const Tensor forces = config_.force_head == ForceHead::kNodeMLP
                             ? force_head_->forward(h_full)
-                            : hook->all_gather_rows(force_acc);
+                            : replicate(force_acc);
 
+  // Over-smoothing metric: variance of node features across nodes.
   {
     const autograd::NoGradGuard no_grad;
     const Tensor centered = h_full - mean(h_full, 0, true);
     last_feature_spread_ = mean(square(centered)).item();
   }
 
+  // Graph-level energy: per-node contributions summed per graph (extensive
+  // quantity, HydraGNN's graph-level head).
   const Tensor node_energy = energy_head_->forward(h_full);
   Output out;
   out.energy =
       scatter_add_rows(node_energy, batch.node_to_graph, batch.num_graphs);
   out.forces = forces;
   if (dipole_head_) {
+    // Dipole magnitude is non-negative: softplus keeps the head in range.
     const Tensor node_dipole = softplus(dipole_head_->forward(h_full));
     out.dipole = scatter_add_rows(node_dipole, batch.node_to_graph,
                                   batch.num_graphs);

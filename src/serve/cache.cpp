@@ -103,6 +103,7 @@ CanonicalKey canonicalize(const AtomicStructure& structure) {
 StructureCache::StructureCache(std::size_t capacity) : capacity_(capacity) {}
 
 bool StructureCache::lookup(const CanonicalKey& key, bool need_forces,
+                            std::uint64_t weights_version,
                             CachedResult& out) {
   const obs::prof::ProfRegion prof("serve.cache_lookup");
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -118,7 +119,8 @@ bool StructureCache::lookup(const CanonicalKey& key, bool need_forces,
     ++stats_.collisions;
     return false;
   }
-  if (need_forces && !it->second->result.has_forces) {
+  if (it->second->result.weights_version != weights_version ||
+      (need_forces && !it->second->result.has_forces)) {
     ++stats_.misses;
     return false;
   }
@@ -135,6 +137,12 @@ void StructureCache::insert(const CanonicalKey& key, CachedResult result) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key.hash);
   if (it != index_.end()) {
+    // A batch that ran on older weights and finished after a swap must
+    // not displace the current version's answer.
+    if (it->second->bytes == key.bytes &&
+        it->second->result.weights_version > result.weights_version) {
+      return;
+    }
     // Same hash: refresh the slot (newest wins — on a true collision the
     // colliding structures will simply keep recomputing).
     it->second->bytes = key.bytes;

@@ -131,12 +131,13 @@ std::future<InferenceResult> Server::submit(InferenceRequest request) {
   }
 
   CachedResult cached;
-  if (cache_.lookup(pending.key, pending.request.compute_forces, cached)) {
+  if (cache_.lookup(pending.key, pending.request.compute_forces,
+                    weights_version(), cached)) {
     metrics.cache_hits.add();
     InferenceResult result;
     result.energy = cached.energy;
     result.cache_hit = true;
-    result.weights_version = weights_version();
+    result.weights_version = cached.weights_version;
     if (pending.request.compute_forces) {
       // Cached forces are in canonical atom order; map them back into this
       // request's order (exact for permuted/translated duplicates).
@@ -324,6 +325,7 @@ void Server::run_group(std::vector<Pending*>& group, EGNNModel& model,
       result.weights_version = model_version;
       CachedResult to_cache;
       to_cache.energy = result.energy;
+      to_cache.weights_version = model_version;
       if (want_forces) {
         result.forces.resize(static_cast<std::size_t>(n));
         to_cache.has_forces = true;

@@ -48,14 +48,6 @@ std::unique_ptr<GradSync> make_grad_sync(const DistTrainOptions& options,
 
 }  // namespace
 
-const char* dist_strategy_name(DistStrategy strategy) {
-  switch (strategy) {
-    case DistStrategy::kDDP: return "DDP (all-reduce)";
-    case DistStrategy::kZeRO1: return "ZeRO-1 (sharded optimizer)";
-  }
-  return "?";
-}
-
 DistributedTrainer::DistributedTrainer(const ModelConfig& config,
                                        const DistTrainOptions& options)
     : options_(options) {

@@ -5,7 +5,6 @@
 #include "sgnn/obs/metrics.hpp"
 #include "sgnn/obs/prof.hpp"
 #include "sgnn/tensor/kernels.hpp"
-#include "sgnn/tensor/memory_tracker.hpp"
 #include "sgnn/util/error.hpp"
 
 namespace sgnn::gpar {
@@ -39,23 +38,8 @@ HaloExchanger::HaloExchanger(Communicator& comm, int rank,
   Tensor shift = Tensor::zeros(Shape{local_edges, 3});
   std::copy_n(batch.edge_shift.data() + mine_.edge_begin * 3,
               static_cast<std::size_t>(local_edges * 3), shift.data());
-
-  // Every in-edge of an owned node lives in this rank's slice, so the
-  // local degree count IS the global one (integer counts — exact).
-  const ScopedMemCategory scope(MemCategory::kWorkspace);
-  Tensor inv_degree = Tensor::zeros(Shape{owned, 1});
-  real* d = inv_degree.data();
-  for (const auto dst : mine_.local_dst) d[dst] += 1;
-  for (std::int64_t i = 0; i < owned; ++i) {
-    d[i] = real{1} / std::max(d[i], real{1});
-  }
-
-  context_.edge_src = &mine_.local_src;
-  context_.edge_dst = &mine_.local_dst;
-  context_.edge_shift = shift;
-  context_.inv_degree = inv_degree;
-  context_.num_nodes = owned;
-  context_.halo = this;
+  context_ = EGNNLayer::EdgeContext::build(mine_.local_src, mine_.local_dst,
+                                           shift, owned, this);
 }
 
 HaloExchanger::~HaloExchanger() {

@@ -18,6 +18,7 @@
 #include <memory>
 #include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "sgnn/data/dataset.hpp"
@@ -363,8 +364,13 @@ TEST(PartitionTest, SpatialOrderHandlesZeroExtentGeometry) {
 struct ForwardBackwardResult {
   std::vector<real> energy;
   std::vector<real> forces;
+  std::vector<real> dipole;  ///< empty unless the config predicts dipoles
   std::vector<real> gradients;
 };
+
+std::vector<real> dipole_vector(const EGNNModel::Output& out) {
+  return out.dipole.defined() ? out.dipole.to_vector() : std::vector<real>{};
+}
 
 ForwardBackwardResult reference_forward_backward(const ModelConfig& config,
                                                  const GraphBatch& batch,
@@ -375,14 +381,22 @@ ForwardBackwardResult reference_forward_backward(const ModelConfig& config,
   const auto out = model.forward(batch, options);
   LossTerms terms = multitask_loss(out, batch, LossWeights{});
   terms.total.backward();
-  return {out.energy.to_vector(), out.forces.to_vector(),
+  return {out.energy.to_vector(), out.forces.to_vector(), dipole_vector(out),
           flatten_gradients(model.parameters())};
 }
 
-TEST(PartitionParityTest, ForwardBackwardIsBitIdenticalToUnpartitioned) {
+/// One model variant the forward's shared readout serves: message-passing
+/// kernel x force head x dipole head.
+using ModelVariant = std::tuple<MessagePassingKernel, ForceHead, bool>;
+
+class PartitionParityTest : public ::testing::TestWithParam<ModelVariant> {};
+
+TEST_P(PartitionParityTest, ForwardBackwardIsBitIdenticalToUnpartitioned) {
   ModelConfig config;
   config.hidden_dim = 10;
   config.num_layers = 2;
+  std::tie(config.kernel, config.force_head, config.predict_dipole) =
+      GetParam();
   const auto& graphs = tiny_dataset().graphs();
   ASSERT_GE(graphs.size(), 4u);
   std::vector<const MolecularGraph*> samples;
@@ -394,6 +408,7 @@ TEST(PartitionParityTest, ForwardBackwardIsBitIdenticalToUnpartitioned) {
         reference_forward_backward(config, reference_batch, checkpointing);
     ASSERT_FALSE(reference.energy.empty());
     ASSERT_FALSE(reference.gradients.empty());
+    ASSERT_EQ(reference.dipole.empty(), !config.predict_dipole);
 
     for (const int R : {1, 2, 4}) {
       SCOPED_TRACE(std::string("ranks=") + std::to_string(R) +
@@ -419,17 +434,30 @@ TEST(PartitionParityTest, ForwardBackwardIsBitIdenticalToUnpartitioned) {
         LossTerms terms = multitask_loss(out, batch, LossWeights{});
         terms.total.backward();
         results[ri] = {out.energy.to_vector(), out.forces.to_vector(),
+                       dipole_vector(out),
                        flatten_gradients(models[ri]->parameters())};
       });
       for (int r = 0; r < R; ++r) {
         const auto& got = results[static_cast<std::size_t>(r)];
         EXPECT_EQ(got.energy, reference.energy) << "rank " << r;
         EXPECT_EQ(got.forces, reference.forces) << "rank " << r;
+        if (config.predict_dipole) {
+          EXPECT_EQ(got.dipole, reference.dipole) << "rank " << r;
+        }
         EXPECT_EQ(got.gradients, reference.gradients) << "rank " << r;
       }
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelVariants, PartitionParityTest,
+    ::testing::Combine(::testing::Values(MessagePassingKernel::kEGNN,
+                                         MessagePassingKernel::kSchNet,
+                                         MessagePassingKernel::kGAT),
+                       ::testing::Values(ForceHead::kEquivariantEdge,
+                                         ForceHead::kNodeMLP),
+                       ::testing::Bool()));
 
 // -- trainer-level bit-identity -----------------------------------------------
 

@@ -155,14 +155,14 @@ TEST(StructureCacheTest, HitRequiresMatchingBytesNotJustHash) {
   cache.insert(key, result);
 
   CachedResult out;
-  EXPECT_TRUE(cache.lookup(key, /*need_forces=*/false, out));
+  EXPECT_TRUE(cache.lookup(key, /*need_forces=*/false, 0, out));
   EXPECT_DOUBLE_EQ(out.energy, -3.5);
 
   // Forced collision: same hash, different canonical bytes. Must be a
   // counted miss (recompute), never a wrong answer.
   CanonicalKey collider = key;
   collider.bytes += "#not-the-same-structure";
-  EXPECT_FALSE(cache.lookup(collider, /*need_forces=*/false, out));
+  EXPECT_FALSE(cache.lookup(collider, /*need_forces=*/false, 0, out));
   EXPECT_EQ(cache.stats().collisions, 1);
 }
 
@@ -175,8 +175,8 @@ TEST(StructureCacheTest, EnergyOnlyEntryCannotServeForceRequest) {
   cache.insert(key, energy_only);
 
   CachedResult out;
-  EXPECT_FALSE(cache.lookup(key, /*need_forces=*/true, out));
-  EXPECT_TRUE(cache.lookup(key, /*need_forces=*/false, out));
+  EXPECT_FALSE(cache.lookup(key, /*need_forces=*/true, 0, out));
+  EXPECT_TRUE(cache.lookup(key, /*need_forces=*/false, 0, out));
 }
 
 TEST(StructureCacheTest, EvictsLeastRecentlyUsed) {
@@ -189,13 +189,38 @@ TEST(StructureCacheTest, EvictsLeastRecentlyUsed) {
   cache.insert(b, CachedResult{});
 
   CachedResult out;
-  EXPECT_TRUE(cache.lookup(a, false, out));  // touch a; b is now LRU
+  EXPECT_TRUE(cache.lookup(a, false, 0, out));  // touch a; b is now LRU
   cache.insert(c, CachedResult{});
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.lookup(a, false, out));
-  EXPECT_FALSE(cache.lookup(b, false, out));
-  EXPECT_TRUE(cache.lookup(c, false, out));
+  EXPECT_TRUE(cache.lookup(a, false, 0, out));
+  EXPECT_FALSE(cache.lookup(b, false, 0, out));
+  EXPECT_TRUE(cache.lookup(c, false, 0, out));
   EXPECT_GE(cache.stats().evictions, 1);
+}
+
+TEST(StructureCacheTest, EntryFromOtherWeightsIsNeverServed) {
+  StructureCache cache(8);
+  Rng rng(9);
+  const CanonicalKey key = canonicalize(random_cluster(6, 5.0, rng));
+  CachedResult v1;
+  v1.energy = -1.0;
+  v1.weights_version = 1;
+  cache.insert(key, v1);
+
+  CachedResult out;
+  EXPECT_TRUE(cache.lookup(key, false, 1, out));
+  EXPECT_EQ(out.weights_version, 1u);
+  EXPECT_FALSE(cache.lookup(key, false, 2, out));  // swapped: recompute
+
+  CachedResult v2;
+  v2.energy = -2.0;
+  v2.weights_version = 2;
+  cache.insert(key, v2);
+  // A v1 batch that finishes after the swap must not displace v2.
+  cache.insert(key, v1);
+  EXPECT_TRUE(cache.lookup(key, false, 2, out));
+  EXPECT_DOUBLE_EQ(out.energy, -2.0);
+  EXPECT_FALSE(cache.lookup(key, false, 1, out));
 }
 
 TEST(StructureCacheTest, ZeroCapacityDisablesCaching) {
@@ -204,7 +229,7 @@ TEST(StructureCacheTest, ZeroCapacityDisablesCaching) {
   const CanonicalKey key = canonicalize(random_cluster(4, 5.0, rng));
   cache.insert(key, CachedResult{});
   CachedResult out;
-  EXPECT_FALSE(cache.lookup(key, false, out));
+  EXPECT_FALSE(cache.lookup(key, false, 0, out));
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -433,6 +458,40 @@ TEST(ServerTest, WeightSwapUnderLoadIsZeroDowntime) {
   torn.resize(torn.size() / 2);
   EXPECT_THROW(server.swap_weights(torn), Error);
   EXPECT_EQ(server.weights_version(), 2u);
+}
+
+TEST(ServerTest, WeightSwapWithCacheServesNewWeights) {
+  const ModelConfig config = serve_config();
+  const EGNNModel model_v1(config);
+  ModelConfig v2_config = config;
+  v2_config.seed = 999;  // same architecture, different weights
+  const EGNNModel model_v2(v2_config);
+  ServerOptions options;
+  options.num_workers = 1;
+  Server server(config, model_payload_bytes(model_v1), options);
+
+  Rng rng(16);
+  const AtomicStructure s = random_cluster(7, 5.0, rng);
+  const double expect_v1 = reference_predict(model_v1, s, false).first;
+  const double expect_v2 = reference_predict(model_v2, s, false).first;
+  ASSERT_NE(expect_v1, expect_v2);
+
+  const InferenceResult first = server.submit({s, false}).get();
+  EXPECT_EQ(first.weights_version, 1u);
+  EXPECT_NEAR(first.energy, expect_v1, 1e-9);
+  EXPECT_TRUE(server.submit({s, false}).get().cache_hit);
+
+  // The v1 entry is still resident; it must not answer for v2.
+  server.swap_weights(model_payload_bytes(model_v2));
+  const InferenceResult swapped = server.submit({s, false}).get();
+  EXPECT_FALSE(swapped.cache_hit);
+  EXPECT_EQ(swapped.weights_version, 2u);
+  EXPECT_NEAR(swapped.energy, expect_v2, 1e-9);
+
+  const InferenceResult cached = server.submit({s, false}).get();
+  EXPECT_TRUE(cached.cache_hit);
+  EXPECT_EQ(cached.weights_version, 2u);
+  EXPECT_NEAR(cached.energy, expect_v2, 1e-9);
 }
 
 TEST(ServerTest, ConcurrentSubmittersAllComplete) {
