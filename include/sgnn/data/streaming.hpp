@@ -5,18 +5,18 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sgnn/data/loader.hpp"
 #include "sgnn/graph/batch.hpp"
 #include "sgnn/store/bp_file.hpp"
-#include "sgnn/util/rng.hpp"
 
 namespace sgnn {
 
 /// Out-of-core mini-batch loader: batches are assembled directly from a bp
 /// container, deserializing records on demand through a bounded LRU cache.
 /// This is the data path for datasets that do not fit in memory — the
-/// situation the paper's ADIOS + DDStore stack exists for — and is tested
-/// to be batch-for-batch identical to the in-memory DataLoader given the
-/// same seed.
+/// situation the paper's ADIOS + DDStore stack exists for. It draws from
+/// the same EpochSampler as the in-memory DataLoader, so given the same
+/// seed the two deliver identical batches.
 class StreamingLoader {
  public:
   /// `cache_capacity` = max resident graphs (0 disables caching).
@@ -24,13 +24,10 @@ class StreamingLoader {
                   std::uint64_t seed, std::size_t cache_capacity = 256,
                   bool shuffle = true);
 
-  std::int64_t num_batches() const;
-  std::int64_t num_graphs() const {
-    return static_cast<std::int64_t>(order_.size());
-  }
+  std::int64_t num_batches() const { return sampler_.num_batches(); }
 
-  void begin_epoch();
-  bool has_next() const;
+  void begin_epoch() { sampler_.begin_epoch(); }
+  bool has_next() const { return sampler_.has_next(); }
   GraphBatch next();
 
   struct CacheStats {
@@ -49,11 +46,7 @@ class StreamingLoader {
   const MolecularGraph& fetch(std::size_t record);
 
   const BpReader& reader_;
-  std::int64_t batch_size_;
-  Rng rng_;
-  bool shuffle_;
-  std::vector<std::size_t> order_;
-  std::size_t cursor_ = 0;
+  EpochSampler sampler_;
 
   // LRU cache: list holds (record, graph) in recency order, map indexes it.
   std::size_t capacity_;

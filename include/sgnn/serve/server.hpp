@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -137,6 +138,8 @@ class Server {
                  std::uint64_t model_version, bool want_forces);
   /// Completes one request: promise, latency metric, per-request span.
   void finish(Pending& pending, InferenceResult result);
+  /// Fails one request: promise, failed-latency metric.
+  void fail(Pending& pending, std::exception_ptr error);
 
   ModelConfig config_;
   ServerOptions options_;

@@ -86,9 +86,9 @@ class Trainer {
  private:
   /// Writes a snapshot when the every_steps cadence is due.
   void maybe_checkpoint(const DataLoader& loader);
-  /// Restores from options.checkpoint.resume_from when set; returns true
-  /// when a snapshot was applied (the mid-epoch loader state included).
-  bool try_resume(DataLoader& loader);
+  /// Restores from options.checkpoint.resume_from when set, the loader's
+  /// batch position included.
+  void try_resume(DataLoader& loader);
 
   EGNNModel& model_;
   TrainOptions options_;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "sgnn/util/error.hpp"
 
@@ -83,6 +85,15 @@ class Rng {
     for (;;) {
       const std::uint64_t r = next_u64();
       if (r >= threshold) return r % n;
+    }
+  }
+
+  /// Fisher-Yates shuffle in place: the one permutation step behind every
+  /// batch order and dataset split.
+  template <typename T>
+  void shuffle(std::vector<T>& values) {
+    for (std::size_t i = values.size(); i > 1; --i) {
+      std::swap(values[i - 1], values[uniform_index(i)]);
     }
   }
 

@@ -48,11 +48,7 @@ AggregatedDataset::Split AggregatedDataset::split(double test_fraction,
              "test fraction must be in (0, 1), got " << test_fraction);
   std::vector<std::size_t> order(graphs_.size());
   std::iota(order.begin(), order.end(), 0);
-  Rng rng(seed);
-  // Fisher-Yates with our deterministic generator.
-  for (std::size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng.uniform_index(i)]);
-  }
+  Rng(seed).shuffle(order);
   const auto test_budget = static_cast<std::uint64_t>(
       test_fraction * static_cast<double>(total_bytes_));
   Split split;
@@ -74,10 +70,7 @@ std::vector<std::size_t> AggregatedDataset::subsample(
     const std::vector<std::size_t>& pool, std::uint64_t budget_bytes,
     bool proportional, std::uint64_t seed) const {
   std::vector<std::size_t> order = pool;
-  Rng rng(seed);
-  for (std::size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng.uniform_index(i)]);
-  }
+  Rng(seed).shuffle(order);
 
   if (!proportional) {
     // Cheap-data-first: molecular sources (and small bulk) before the

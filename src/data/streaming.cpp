@@ -1,40 +1,13 @@
 #include "sgnn/data/streaming.hpp"
 
-#include <numeric>
-
-#include "sgnn/util/error.hpp"
-
 namespace sgnn {
 
 StreamingLoader::StreamingLoader(const BpReader& reader,
                                  std::int64_t batch_size, std::uint64_t seed,
                                  std::size_t cache_capacity, bool shuffle)
     : reader_(reader),
-      batch_size_(batch_size),
-      rng_(seed),
-      shuffle_(shuffle),
-      capacity_(cache_capacity) {
-  SGNN_CHECK(reader.size() > 0, "streaming loader needs a non-empty file");
-  SGNN_CHECK(batch_size > 0, "batch size must be positive");
-  order_.resize(reader.size());
-  std::iota(order_.begin(), order_.end(), 0);
-  begin_epoch();
-}
-
-std::int64_t StreamingLoader::num_batches() const {
-  return (num_graphs() + batch_size_ - 1) / batch_size_;
-}
-
-void StreamingLoader::begin_epoch() {
-  cursor_ = 0;
-  if (shuffle_) {
-    for (std::size_t i = order_.size(); i > 1; --i) {
-      std::swap(order_[i - 1], order_[rng_.uniform_index(i)]);
-    }
-  }
-}
-
-bool StreamingLoader::has_next() const { return cursor_ < order_.size(); }
+      sampler_(reader.size(), batch_size, seed, shuffle),
+      capacity_(cache_capacity) {}
 
 const MolecularGraph& StreamingLoader::fetch(std::size_t record) {
   const auto it = cache_.find(record);
@@ -53,12 +26,9 @@ const MolecularGraph& StreamingLoader::fetch(std::size_t record) {
 }
 
 GraphBatch StreamingLoader::next() {
-  SGNN_CHECK(has_next(), "next() called on exhausted epoch");
   std::vector<const MolecularGraph*> batch;
-  batch.reserve(static_cast<std::size_t>(batch_size_));
-  while (cursor_ < order_.size() &&
-         batch.size() < static_cast<std::size_t>(batch_size_)) {
-    batch.push_back(&fetch(order_[cursor_++]));
+  for (const std::size_t record : sampler_.next()) {
+    batch.push_back(&fetch(record));
   }
   GraphBatch result = GraphBatch::from_graphs(batch);
   // Trim to capacity now that the batch no longer references cache entries

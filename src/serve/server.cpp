@@ -1,6 +1,7 @@
 #include "sgnn/serve/server.hpp"
 
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "sgnn/graph/batch.hpp"
@@ -33,6 +34,7 @@ struct ServeMetrics {
   obs::Counter& weight_swaps;
   obs::Gauge& queue_depth;
   obs::Histogram& latency;
+  obs::Histogram& failed_latency;
 
   static ServeMetrics& instance() {
     auto& registry = obs::MetricsRegistry::instance();
@@ -48,6 +50,7 @@ struct ServeMetrics {
         registry.counter("serve.weights.swaps"),
         registry.gauge("serve.queue.depth"),
         registry.histogram("serve.latency_seconds"),
+        registry.histogram("serve.failed_latency_seconds"),
     };
     return metrics;
   }
@@ -77,6 +80,13 @@ void Server::finish(Pending& pending, InferenceResult result) {
     recorder.record(std::move(event));
   }
   pending.promise.set_value(std::move(result));
+}
+
+void Server::fail(Pending& pending, std::exception_ptr error) {
+  ServeMetrics& metrics = ServeMetrics::instance();
+  metrics.failed_latency.observe(seconds_since(pending.enqueued));
+  metrics.failed.add();
+  pending.promise.set_exception(std::move(error));
 }
 
 Server::Server(const ModelConfig& config, std::string model_payload,
@@ -282,17 +292,25 @@ void Server::run_group(std::vector<Pending*>& group, EGNNModel& model,
                        std::uint64_t model_version, bool want_forces) {
   const obs::prof::ProfRegion prof(want_forces ? "serve.forward_backward"
                                                : "serve.forward");
-  if (group.empty()) return;
-  try {
-    std::vector<MolecularGraph> graphs;
-    graphs.reserve(group.size());
-    {
-      const obs::prof::ProfRegion build("serve.graph_build");
-      for (const Pending* pending : group) {
+  // Each request's graph is built on its own, so a structure the
+  // neighbor search rejects fails only its own request.
+  std::vector<Pending*> built;
+  std::vector<MolecularGraph> graphs;
+  graphs.reserve(group.size());
+  {
+    const obs::prof::ProfRegion build("serve.graph_build");
+    for (Pending* pending : group) {
+      try {
         graphs.push_back(MolecularGraph::from_structure(
             pending->request.structure, config_.cutoff));
+        built.push_back(pending);
+      } catch (...) {
+        fail(*pending, std::current_exception());
       }
     }
+  }
+  if (built.empty()) return;
+  try {
     GraphBatch packed = GraphBatch::from_graphs(graphs);
 
     Tensor energies;
@@ -317,8 +335,8 @@ void Server::run_group(std::vector<Pending*>& group, EGNNModel& model,
     const real* energy = energies.data();
     const real* grad = want_forces ? position_grad.data() : nullptr;
     std::int64_t node_offset = 0;
-    for (std::size_t gi = 0; gi < group.size(); ++gi) {
-      Pending& pending = *group[gi];
+    for (std::size_t gi = 0; gi < built.size(); ++gi) {
+      Pending& pending = *built[gi];
       const std::int64_t n = graphs[gi].num_nodes();
       InferenceResult result;
       result.energy = energy[gi];
@@ -347,11 +365,7 @@ void Server::run_group(std::vector<Pending*>& group, EGNNModel& model,
       node_offset += n;
     }
   } catch (...) {
-    ServeMetrics::instance().failed.add(
-        static_cast<std::int64_t>(group.size()));
-    for (Pending* pending : group) {
-      pending->promise.set_exception(std::current_exception());
-    }
+    for (Pending* pending : built) fail(*pending, std::current_exception());
   }
 }
 

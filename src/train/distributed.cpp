@@ -7,8 +7,10 @@
 #include <exception>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <thread>
 
+#include "sgnn/data/loader.hpp"
 #include "sgnn/graph/batch.hpp"
 #include "sgnn/graph/partition.hpp"
 #include "sgnn/obs/telemetry.hpp"
@@ -17,7 +19,6 @@
 #include "sgnn/train/halo.hpp"
 #include "sgnn/train/zero.hpp"
 #include "sgnn/util/error.hpp"
-#include "sgnn/util/rng.hpp"
 #include "sgnn/util/timer.hpp"
 
 namespace sgnn {
@@ -117,15 +118,21 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
     syncs.push_back(owned_syncs.back().get());
   }
 
-  // Steps per epoch: every rank must execute the same number of collective
-  // steps, so the per-epoch sample count is truncated to a multiple of
-  // R * batch. Graph-parallel ranks cooperate on ONE shared batch per
-  // step, so there the global batch is per_rank_batch_size itself.
+  // One sampler order over the store, cut into global batches; every rank
+  // draws from its own copy, so all ranks see the same order. Rank r takes
+  // the r-th stride of each global batch (the standard distributed
+  // sampler); graph-parallel ranks cooperate on ONE shared batch per step,
+  // so there the global batch is per_rank_batch_size itself. Every rank
+  // must execute the same number of collective steps, so an epoch holds
+  // only full global batches.
   const std::int64_t global_batch =
       gp ? options_.per_rank_batch_size
          : static_cast<std::int64_t>(R) * options_.per_rank_batch_size;
-  const std::int64_t steps_per_epoch = store.size() / global_batch;
-  SGNN_CHECK(steps_per_epoch > 0, "dataset smaller than one global batch");
+  EpochSampler initial_sampler(static_cast<std::size_t>(store.size()),
+                               global_batch, options_.sampler_seed,
+                               /*shuffle=*/true, /*drop_last=*/true);
+  SGNN_CHECK(initial_sampler.num_batches() > 0,
+             "dataset smaller than one global batch");
 
   const auto& copt = options_.checkpoint;
   SGNN_CHECK(copt.every_steps <= 0 || !copt.directory.empty(),
@@ -138,14 +145,9 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   // DDP/ZeRO sections, so cross-mode resumes fail loudly.
   const std::string kind = gp ? "dist.gpar" : "dist";
 
-  // Resume (single-threaded, before the rank threads exist). The snapshot
-  // stores the position of the NEXT step to run — (epoch, epoch_step) —
-  // plus the sampler state from which that epoch's permutation can be
-  // re-derived by re-shuffling.
+  // Resume (single-threaded, before the rank threads exist).
   std::int64_t start_epoch = 0;
-  std::int64_t start_step = 0;
   std::int64_t start_counted = 0;
-  Rng initial_sampler(options_.sampler_seed);
   const auto view = find_resume_snapshot(copt.resume_from, kind);
   if (view) {
     SGNN_CHECK(view->i64("meta.ranks") == R,
@@ -154,18 +156,14 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
     SGNN_CHECK(view->i64("meta.strategy") ==
                    static_cast<std::int64_t>(options_.strategy),
                "checkpoint strategy does not match trainer strategy");
-    load_training_state(*view, *replicas_.front(), syncs);
+    load_training_state(*view, *replicas_.front(), syncs, initial_sampler);
     for (int r = 1; r < R; ++r) {
       replicas_[static_cast<std::size_t>(r)]->copy_parameters_from(
           *replicas_.front());
     }
-    initial_sampler.set_state(
-        pod_from_bytes<Rng::State>(view->bytes("sampler.rng")));
     start_epoch = view->i64("meta.epoch");
-    start_step = view->i64("meta.epoch_step");
     start_counted = view->i64("meta.step");
   }
-  const Rng::State sampler_start = initial_sampler.state();
 
   std::vector<double> rank_loss(static_cast<std::size_t>(R), 0.0);
   std::vector<double> rank_seconds(static_cast<std::size_t>(R), 0.0);
@@ -187,8 +185,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
                                      .schedule = options_.schedule,
                                      .loss_scaler = no_loss_scaling,
                                      .telemetry = options_.telemetry};
-    Rng sampler(options_.sampler_seed);
-    sampler.set_state(sampler_start);  // identical on every rank
+    EpochSampler sampler = initial_sampler;
     const WallTimer timer;
     double loss_sum = 0;
     std::int64_t counted_steps = start_counted;
@@ -209,33 +206,20 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
     }
 
     for (std::int64_t epoch = start_epoch; epoch < options_.epochs; ++epoch) {
-      // Pre-shuffle sampler state: a mid-epoch checkpoint stores it so a
-      // resume can re-derive this epoch's permutation by re-shuffling.
-      const Rng::State epoch_start_state = sampler.state();
-      // Shared shuffled order; rank r takes the r-th stride (the standard
-      // distributed sampler). All ranks draw the same permutation because
-      // the sampler RNG is seeded identically.
-      std::vector<std::int64_t> order(
-          static_cast<std::size_t>(store.size()));
-      std::iota(order.begin(), order.end(), 0);
-      for (std::size_t i = order.size(); i > 1; --i) {
-        std::swap(order[i - 1], order[sampler.uniform_index(i)]);
-      }
-
-      const std::int64_t first_step = epoch == start_epoch ? start_step : 0;
-      for (std::int64_t step = first_step; step < steps_per_epoch; ++step) {
+      // A fresh run's epoch 0 and a mid-epoch resume continue the order the
+      // sampler holds; every other epoch reshuffles the previous one.
+      if (!sampler.has_next()) sampler.begin_epoch();
+      while (sampler.has_next()) {
         TrainStep train_step(context, counted_steps, epoch);
         std::vector<const MolecularGraph*> samples;
         {
           const obs::TraceSpan span("fetch_batch", "data");
+          const std::span<const std::size_t> global = sampler.next();
           for (std::int64_t b = 0; b < options_.per_rank_batch_size; ++b) {
-            // Graph-parallel ranks fetch the SAME samples (they cooperate
-            // on one shared batch); the replicated strategies stride by
-            // rank through the shared permutation.
-            const std::int64_t position =
-                step * global_batch + (gp ? b : b * R + rank);
+            const std::int64_t position = gp ? b : b * R + rank;
             samples.push_back(&store.fetch(
-                rank, order[static_cast<std::size_t>(position)]));
+                rank, static_cast<std::int64_t>(
+                          global[static_cast<std::size_t>(position)])));
           }
         }
         const GraphBatch batch = GraphBatch::from_graphs(samples);
@@ -326,19 +310,12 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
           // barrier's mutex/condvar provides the happens-before edge.
           comm.barrier();
           if (rank == 0) {
-            const bool epoch_done = step + 1 == steps_per_epoch;
             SnapshotBuilder builder;
-            save_training_state(builder, kind, counted_steps,
-                                epoch_done ? epoch + 1 : epoch,
-                                *replicas_.front(), syncs);
+            save_training_state(builder, kind, counted_steps, epoch,
+                                *replicas_.front(), syncs, sampler);
             builder.add_i64("meta.ranks", R);
             builder.add_i64("meta.strategy",
                             static_cast<std::int64_t>(options_.strategy));
-            builder.add_i64("meta.epoch_step", epoch_done ? 0 : step + 1);
-            // The state the NEXT step's epoch starts shuffling from.
-            const Rng::State resume_rng =
-                epoch_done ? sampler.state() : epoch_start_state;
-            builder.add_bytes("sampler.rng", pod_bytes(resume_rng));
             manager->save(static_cast<std::uint64_t>(counted_steps),
                           builder.payload());
           }

@@ -113,10 +113,15 @@ void TrainStep::emit(const obs::StepTelemetry& telemetry) const {
 void save_training_state(SnapshotBuilder& builder, const std::string& kind,
                          std::int64_t step, std::int64_t epoch,
                          const EGNNModel& model,
-                         const std::vector<GradSync*>& syncs) {
+                         const std::vector<GradSync*>& syncs,
+                         const EpochSampler& sampler) {
   builder.add_bytes("meta.kind", kind);
   builder.add_i64("meta.step", step);
-  builder.add_i64("meta.epoch", epoch);
+  builder.add_i64("meta.epoch", sampler.has_next() ? epoch : epoch + 1);
+  const EpochSampler::State position = sampler.state();
+  builder.add_bytes("sampler.rng", pod_bytes(position.rng));
+  builder.add_u64s("sampler.order", position.order);
+  builder.add_u64("sampler.cursor", position.cursor);
   save_model_sections(builder, model);
   for (std::size_t r = 0; r < syncs.size(); ++r) {
     syncs[r]->save(builder, static_cast<int>(r));
@@ -144,7 +149,13 @@ std::optional<SnapshotView> find_resume_snapshot(const std::string& location,
 }
 
 void load_training_state(const SnapshotView& view, EGNNModel& model,
-                         const std::vector<GradSync*>& syncs) {
+                         const std::vector<GradSync*>& syncs,
+                         EpochSampler& sampler) {
+  EpochSampler::State position;
+  position.rng = pod_from_bytes<Rng::State>(view.bytes("sampler.rng"));
+  position.order = view.u64s("sampler.order");
+  position.cursor = view.u64("sampler.cursor");
+  sampler.restore_state(position);
   load_model_sections(view, model);
   for (std::size_t r = 0; r < syncs.size(); ++r) {
     syncs[r]->load(view, static_cast<int>(r));

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sgnn/ckpt/checkpoint.hpp"
+#include "sgnn/data/loader.hpp"
 #include "sgnn/nn/egnn.hpp"
 #include "sgnn/obs/prof.hpp"
 #include "sgnn/obs/telemetry.hpp"
@@ -72,13 +73,15 @@ class TrainStep {
 };
 
 /// The snapshot writer both trainers use: meta.kind, meta.step (completed
-/// steps), meta.epoch, the model.* sections, and the optimizer sections of
-/// every rank's GradSync (syncs[r] is rank r's). The caller adds its
-/// batch-source position and any meta fields of its own.
+/// steps), meta.epoch (the epoch of the NEXT step: `epoch`, or the one
+/// after when the sampler has no batch left), sampler.{rng,order,cursor},
+/// the model.* sections, and the optimizer sections of every rank's
+/// GradSync (syncs[r] is rank r's). The caller adds its own meta fields.
 void save_training_state(SnapshotBuilder& builder, const std::string& kind,
                          std::int64_t step, std::int64_t epoch,
                          const EGNNModel& model,
-                         const std::vector<GradSync*>& syncs);
+                         const std::vector<GradSync*>& syncs,
+                         const EpochSampler& sampler);
 
 /// The newest readable snapshot under `location` for a resume: nullopt
 /// when `location` is empty (a fresh run), or with a warning when nothing
@@ -87,9 +90,11 @@ void save_training_state(SnapshotBuilder& builder, const std::string& kind,
 std::optional<SnapshotView> find_resume_snapshot(const std::string& location,
                                                  const std::string& kind);
 
-/// Restores what save_training_state wrote into `model` and each rank's
-/// GradSync; the caller reads the meta counters and its own sections.
+/// Restores what save_training_state wrote into `sampler` (first, so a
+/// position that does not fit it fails before anything else changes),
+/// `model` and each rank's GradSync; the caller reads the meta counters.
 void load_training_state(const SnapshotView& view, EGNNModel& model,
-                         const std::vector<GradSync*>& syncs);
+                         const std::vector<GradSync*>& syncs,
+                         EpochSampler& sampler);
 
 }  // namespace sgnn

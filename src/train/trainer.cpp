@@ -29,29 +29,21 @@ void Trainer::maybe_checkpoint(const DataLoader& loader) {
   }
   SnapshotBuilder builder;
   save_training_state(builder, "trainer", global_step_, epoch_index_, model_,
-                      {&optimizer_});
-  const DataLoader::State loader_state = loader.state();
-  builder.add_bytes("loader.rng", pod_bytes(loader_state.rng));
-  builder.add_u64s("loader.order", loader_state.order);
-  builder.add_u64("loader.cursor", loader_state.cursor);
+                      {&optimizer_}, loader.sampler());
   ckpt_manager_->save(static_cast<std::uint64_t>(global_step_),
                       builder.payload());
 }
 
-bool Trainer::try_resume(DataLoader& loader) {
+void Trainer::try_resume(DataLoader& loader) {
   const auto view =
       find_resume_snapshot(options_.checkpoint.resume_from, "trainer");
-  if (!view) return false;
-  load_training_state(*view, model_, {&optimizer_});
-  DataLoader::State loader_state;
-  loader_state.rng = pod_from_bytes<Rng::State>(view->bytes("loader.rng"));
-  loader_state.order = view->u64s("loader.order");
-  loader_state.cursor = view->u64("loader.cursor");
-  loader.restore_state(loader_state);
+  if (!view) return;
+  load_training_state(*view, model_, {&optimizer_}, loader.sampler());
   global_step_ = view->i64("meta.step");
   epoch_index_ = view->i64("meta.epoch");
-  skip_begin_epoch_ = true;
-  return true;
+  // A snapshot from an epoch's last step holds an exhausted order and
+  // meta.epoch already names the next epoch, which reshuffles as usual.
+  skip_begin_epoch_ = loader.has_next();
 }
 
 Trainer::EpochResult Trainer::train_epoch(DataLoader& loader) {

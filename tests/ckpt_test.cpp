@@ -330,6 +330,43 @@ TEST(TrainerResumeTest, CorruptNewestCheckpointFallsBackToPreviousGood) {
   EXPECT_EQ(resumed, reference);
 }
 
+TEST(TrainerResumeTest, EpochBoundaryResumeReportsNoPhantomEpoch) {
+  // 6 graphs at batch 4 is 2 steps per epoch; the snapshot at step 4 is
+  // taken on the last step of epoch 1, so the resume must start at epoch 2
+  // and report exactly the uninterrupted run's last epoch.
+  TempDir dir("sgnn_trainer_phantom_epoch_test");
+  const auto graphs = tiny_dataset().view({0, 1, 2, 3, 4, 5});
+  const auto fit = [&](std::int64_t every_steps, std::int64_t crash_after,
+                       const std::string& resume_from) {
+    ModelConfig config;
+    config.hidden_dim = 10;
+    config.num_layers = 2;
+    EGNNModel model(config);
+    TrainOptions options;
+    options.epochs = 3;
+    options.batch_size = 4;
+    options.checkpoint.every_steps = every_steps;
+    options.checkpoint.directory = dir.path();
+    options.checkpoint.crash_after_step = crash_after;
+    options.checkpoint.resume_from = resume_from;
+    Trainer trainer(model, options);
+    DataLoader loader(graphs, options.batch_size, 11);
+    std::vector<double> history;
+    for (const auto& epoch : trainer.fit(loader)) {
+      history.push_back(epoch.mean_train_loss);
+    }
+    return std::make_pair(history, flatten_parameters(model.parameters()));
+  };
+
+  const auto [reference_history, reference_params] = fit(0, -1, "");
+  ASSERT_EQ(reference_history.size(), 3u);
+  EXPECT_THROW(fit(2, 4, ""), ckpt::SimulatedCrash);
+  const auto [resumed_history, resumed_params] = fit(0, -1, dir.path());
+  EXPECT_EQ(resumed_history, std::vector<double>(reference_history.begin() + 2,
+                                                 reference_history.end()));
+  EXPECT_EQ(resumed_params, reference_params);
+}
+
 // -- distributed trainer resume ---------------------------------------------
 
 class DistributedResume : public ::testing::TestWithParam<DistStrategy> {};
@@ -468,6 +505,30 @@ TEST(DistributedResumeTest, MismatchedTopologyIsRejected) {
   options.num_ranks = 4;
   DistributedTrainer wrong_ranks(config, options);
   EXPECT_THROW(wrong_ranks.train(store4), Error);
+}
+
+TEST(DistributedResumeTest, StoreOfAnotherSizeIsRejected) {
+  // The snapshot holds the sampler's order over the store it was written
+  // for; resuming against a store of another size is a typed error, not a
+  // silently re-derived permutation.
+  DDStore store(2);
+  store.insert(tiny_dataset().graphs());
+  TempDir dir("sgnn_dist_store_size_test");
+  dist_run(DistStrategy::kDDP, store, dir.path(), 2, 3, "", true);
+
+  const auto& graphs = tiny_dataset().graphs();
+  DDStore smaller(2);
+  smaller.insert(std::vector<MolecularGraph>(graphs.begin(), graphs.end() - 1));
+  ModelConfig config;
+  config.hidden_dim = 10;
+  config.num_layers = 2;
+  DistTrainOptions options;
+  options.num_ranks = 2;
+  options.epochs = 2;
+  options.per_rank_batch_size = 4;
+  options.checkpoint.resume_from = dir.path();
+  DistributedTrainer trainer(config, options);
+  EXPECT_THROW(trainer.train(smaller), Error);
 }
 
 TEST(DistributedResumeTest, ReportCountsOnlyTheStepsThisCallRan) {
@@ -645,11 +706,13 @@ TEST(SnapshotLayoutTest, SectionNamesAndKindsArePinned) {
       "meta.kind",         "meta.step",     "meta.epoch",
       "model.config.hidden_dim", "model.param_count",
       "model.shape.0",     "model.param.0", "optim.timestep",
-      "optim.lr"};
-  const std::vector<std::string> loader = {"loader.rng", "loader.order",
-                                           "loader.cursor"};
-  const std::vector<std::string> dist_meta = {"meta.ranks", "meta.strategy",
-                                              "meta.epoch_step", "sampler.rng"};
+      "optim.lr",          "sampler.rng",   "sampler.order",
+      "sampler.cursor"};
+  const std::vector<std::string> dist_meta = {"meta.ranks", "meta.strategy"};
+  // Names no snapshot kind writes any more.
+  const std::vector<std::string> retired = {
+      "model", "loader.rng", "loader.order", "loader.cursor",
+      "meta.epoch_step"};
   const std::vector<std::string> replicated = {"optim.m", "optim.v"};
   const std::vector<std::string> sharded = {"optim.m.0", "optim.v.0",
                                             "optim.m.1", "optim.v.1"};
@@ -663,8 +726,8 @@ TEST(SnapshotLayoutTest, SectionNamesAndKindsArePinned) {
   trainer_run(trainer_dir.path(), 2, 4, "", true);
   const SnapshotView trainer = newest_snapshot(trainer_dir.path());
   EXPECT_EQ(trainer.bytes("meta.kind"), "trainer");
-  expect_sections(trainer, concat(concat(common, replicated), loader),
-                  concat(concat(dist_meta, sharded), {"model"}), "trainer");
+  expect_sections(trainer, concat(common, replicated),
+                  concat(concat(dist_meta, sharded), retired), "trainer");
 
   DDStore store(2);
   store.insert(tiny_dataset().graphs());
@@ -673,14 +736,14 @@ TEST(SnapshotLayoutTest, SectionNamesAndKindsArePinned) {
   const SnapshotView ddp = newest_snapshot(ddp_dir.path());
   EXPECT_EQ(ddp.bytes("meta.kind"), "dist");
   expect_sections(ddp, concat(concat(common, replicated), dist_meta),
-                  concat(concat(loader, sharded), {"model"}), "ddp");
+                  concat(sharded, retired), "ddp");
 
   TempDir zero_dir("sgnn_layout_zero_test");
   dist_run(DistStrategy::kZeRO1, store, zero_dir.path(), 2, 3, "", true);
   const SnapshotView zero = newest_snapshot(zero_dir.path());
   EXPECT_EQ(zero.bytes("meta.kind"), "dist");
   expect_sections(zero, concat(concat(common, sharded), dist_meta),
-                  concat(concat(loader, replicated), {"optim.m.2", "model"}),
+                  concat(concat(replicated, retired), {"optim.m.2"}),
                   "zero1");
 
   TempDir gpar_dir("sgnn_layout_gpar_test");
@@ -688,8 +751,7 @@ TEST(SnapshotLayoutTest, SectionNamesAndKindsArePinned) {
   const SnapshotView gpar = newest_snapshot(gpar_dir.path());
   EXPECT_EQ(gpar.bytes("meta.kind"), "dist.gpar");
   expect_sections(gpar, concat(concat(common, replicated), dist_meta),
-                  concat(concat(loader, sharded), {"model"}),
-                  "graph-parallel");
+                  concat(sharded, retired), "graph-parallel");
 }
 
 TEST(CheckpointIsModelFileTest, NewestSnapshotLoadsAndServesAsAModel) {

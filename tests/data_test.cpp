@@ -259,5 +259,59 @@ TEST(LoaderTest, BatchSizeBounds) {
   }
 }
 
+TEST(EpochSamplerTest, RestoredStateResumesTheSameOrder) {
+  EpochSampler original(10, 3, /*seed=*/5);
+  original.next();
+  original.next();
+  const EpochSampler::State mid_epoch = original.state();
+
+  // Another seed: everything the resume sees must come from the state.
+  EpochSampler restored(10, 3, /*seed=*/6);
+  restored.restore_state(mid_epoch);
+  const auto drain = [](EpochSampler& sampler) {
+    std::vector<std::size_t> indices;
+    while (sampler.has_next()) {
+      for (const std::size_t index : sampler.next()) indices.push_back(index);
+    }
+    return indices;
+  };
+  const std::vector<std::size_t> remaining = drain(original);
+  EXPECT_EQ(remaining.size(), 4u);
+  EXPECT_EQ(drain(restored), remaining);
+  original.begin_epoch();
+  restored.begin_epoch();
+  EXPECT_EQ(drain(restored), drain(original));
+}
+
+TEST(EpochSamplerTest, RestoreRejectsAStateThatDoesNotFit) {
+  EpochSampler sampler(10, 3, /*seed=*/5);
+  const EpochSampler::State good = sampler.state();
+
+  EpochSampler::State wrong_size = good;
+  wrong_size.order.pop_back();
+  EXPECT_THROW(sampler.restore_state(wrong_size), Error);
+
+  EpochSampler::State cursor_past_end = good;
+  cursor_past_end.cursor = 11;
+  EXPECT_THROW(sampler.restore_state(cursor_past_end), Error);
+
+  EpochSampler::State index_out_of_range = good;
+  index_out_of_range.order[4] = 10;
+  EXPECT_THROW(sampler.restore_state(index_out_of_range), Error);
+
+  // A rejected state leaves the sampler as it was.
+  EXPECT_EQ(sampler.state().order, good.order);
+  EXPECT_EQ(sampler.state().cursor, good.cursor);
+}
+
+TEST(EpochSamplerTest, DropLastHandsOutOnlyFullBatches) {
+  EpochSampler sampler(10, 4, /*seed=*/5, /*shuffle=*/true,
+                       /*drop_last=*/true);
+  EXPECT_EQ(sampler.num_batches(), 2);
+  EXPECT_EQ(sampler.next().size(), 4u);
+  EXPECT_EQ(sampler.next().size(), 4u);
+  EXPECT_FALSE(sampler.has_next());
+}
+
 }  // namespace
 }  // namespace sgnn

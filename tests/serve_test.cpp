@@ -14,6 +14,7 @@
 #include "sgnn/graph/batch.hpp"
 #include "sgnn/graph/graph.hpp"
 #include "sgnn/nn/model_io.hpp"
+#include "sgnn/obs/metrics.hpp"
 #include "sgnn/serve/cache.hpp"
 #include "sgnn/tensor/ops.hpp"
 #include "sgnn/util/error.hpp"
@@ -492,6 +493,49 @@ TEST(ServerTest, WeightSwapWithCacheServesNewWeights) {
   EXPECT_TRUE(cached.cache_hit);
   EXPECT_EQ(cached.weights_version, 2u);
   EXPECT_NEAR(cached.energy, expect_v2, 1e-9);
+}
+
+TEST(ServerTest, PoisonStructureFailsOnlyItsOwnRequest) {
+  // A periodic structure whose 1 Å cell is smaller than twice the cutoff
+  // passes admission but has no valid neighbor graph. It must fail alone,
+  // not the requests batched with it, and each request must reach exactly
+  // one latency histogram.
+  const ModelConfig config = serve_config();
+  const EGNNModel reference(config);
+  ServerOptions options;
+  options.num_workers = 1;
+  options.max_batch_graphs = 64;
+  options.cache_capacity = 0;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  const obs::Histogram& latency = registry.histogram("serve.latency_seconds");
+  const obs::Histogram& failed_latency =
+      registry.histogram("serve.failed_latency_seconds");
+  const std::uint64_t latency_before = latency.snapshot().count;
+  const std::uint64_t failed_before = failed_latency.snapshot().count;
+  Server server(config, model_payload_bytes(reference), options);
+
+  Rng rng(17);
+  std::vector<std::future<InferenceResult>> futures;
+  for (int i = 0; i < 32; ++i) {
+    AtomicStructure s = random_cluster(6, 5.0, rng);
+    if (i == 16) {
+      s = random_cluster(3, 1.0, rng);
+      s.cell = {1.0, 1.0, 1.0};
+      s.periodic = true;
+    }
+    futures.push_back(server.submit({s, /*compute_forces=*/false}));
+  }
+  int failed = 0;
+  for (auto& future : futures) {
+    try {
+      EXPECT_TRUE(std::isfinite(future.get().energy));
+    } catch (const Error&) {
+      ++failed;
+    }
+  }
+  EXPECT_EQ(failed, 1);
+  EXPECT_EQ(failed_latency.snapshot().count - failed_before, 1u);
+  EXPECT_EQ(latency.snapshot().count - latency_before, 31u);
 }
 
 TEST(ServerTest, ConcurrentSubmittersAllComplete) {

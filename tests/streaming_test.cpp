@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 
 #include "sgnn/data/dataset.hpp"
 #include "sgnn/data/loader.hpp"
+#include "sgnn/util/error.hpp"
 
 namespace sgnn {
 namespace {
@@ -49,16 +51,29 @@ TEST_F(StreamingTest, MatchesInMemoryLoaderBatchForBatch) {
   StreamingLoader streaming(reader, 4, /*seed=*/9, /*cache_capacity=*/16);
   ASSERT_EQ(in_memory.num_batches(), streaming.num_batches());
 
-  while (in_memory.has_next()) {
-    ASSERT_TRUE(streaming.has_next());
-    const GraphBatch a = in_memory.next();
-    const GraphBatch b = streaming.next();
-    EXPECT_EQ(a.num_graphs, b.num_graphs);
-    EXPECT_EQ(a.species, b.species);
-    EXPECT_EQ(a.energy.to_vector(), b.energy.to_vector());
-    EXPECT_EQ(a.positions.to_vector(), b.positions.to_vector());
+  // Two epochs, so the reshuffle at begin_epoch is compared too.
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    if (epoch > 0) {
+      in_memory.begin_epoch();
+      streaming.begin_epoch();
+    }
+    while (in_memory.has_next()) {
+      ASSERT_TRUE(streaming.has_next());
+      const GraphBatch a = in_memory.next();
+      const GraphBatch b = streaming.next();
+      EXPECT_EQ(a.num_graphs, b.num_graphs);
+      EXPECT_EQ(a.species, b.species);
+      EXPECT_EQ(a.energy.to_vector(), b.energy.to_vector());
+      EXPECT_EQ(a.positions.to_vector(), b.positions.to_vector());
+    }
+    EXPECT_FALSE(streaming.has_next());
   }
-  EXPECT_FALSE(streaming.has_next());
+}
+
+TEST_F(StreamingTest, RejectsImplausibleBatchSize) {
+  const BpReader reader(path_);
+  EXPECT_THROW(StreamingLoader(reader, 0, 5), Error);
+  EXPECT_THROW(StreamingLoader(reader, INT64_MAX, 5), Error);
 }
 
 TEST_F(StreamingTest, CoversEveryRecordPerEpoch) {
