@@ -146,6 +146,114 @@ TEST_P(OptimizerOverlapParity, BucketedUpdatesAreByteIdenticalToSequential) {
 
 INSTANTIATE_TEST_SUITE_P(Ranks, OptimizerOverlapParity, ::testing::Values(1, 4));
 
+// -- traffic pin --------------------------------------------------------------
+
+/// Per-step collective traffic of DDPAdam / ZeroAdam over a real model's
+/// parameter list, measured on rank 0 between two barriers after each step.
+std::vector<Communicator::Traffic> traffic_per_step(bool use_zero, int R,
+                                                    std::size_t bucket_bytes,
+                                                    bool clip, int steps) {
+  ModelConfig config;
+  config.hidden_dim = 10;
+  config.num_layers = 2;
+  Communicator comm(R);
+  std::vector<std::unique_ptr<EGNNModel>> models;
+  std::vector<std::unique_ptr<GradSync>> syncs;
+  for (int r = 0; r < R; ++r) {
+    models.push_back(std::make_unique<EGNNModel>(config));
+    if (use_zero) {
+      syncs.push_back(std::make_unique<ZeroAdam>(
+          comm, models.back()->parameters(), Adam::Options{}, bucket_bytes));
+    } else {
+      syncs.push_back(std::make_unique<DDPAdam>(
+          comm, models.back()->parameters(), Adam::Options{}, bucket_bytes));
+    }
+    syncs.back()->set_max_grad_norm(clip ? 1.0 : 0.0);
+  }
+  std::vector<Communicator::Traffic> deltas;
+  run_ranks(R, [&](int rank) {
+    const auto ri = static_cast<std::size_t>(rank);
+    const std::vector<Tensor> params = models[ri]->parameters();
+    Communicator::Traffic before;
+    for (int step = 0; step < steps; ++step) {
+      syncs[ri]->zero_grad();
+      Tensor total = Tensor::scalar(0);
+      for (const Tensor& p : params) {
+        total = total + sum(p * Tensor::full(p.shape(), real(rank + step + 1)));
+      }
+      syncs[ri]->backward(total, rank);
+      syncs[ri]->step(rank);
+      comm.barrier();
+      if (rank == 0) {
+        const Communicator::Traffic now = comm.traffic();
+        deltas.push_back(now.since(before));
+        before = now;
+      }
+      comm.barrier();
+    }
+  });
+  return deltas;
+}
+
+TEST(OverlapTrafficTest, PerStepTrafficFollowsTheBucketPlan) {
+  // Bytes and calls per collective kind, per step, derived from the
+  // parameter count and GradBucketer::plan: the gradient moves once per
+  // bucket, bucket_bytes 0 being one whole-model bucket. ZeRO adds one
+  // all-gather per bucket and, when the norm is needed (clipping on), one
+  // scalar all-reduce of the per-shard partial sums.
+  const int R = 2;
+  const int steps = 3;
+  ModelConfig config;
+  config.hidden_dim = 10;
+  config.num_layers = 2;
+  const EGNNModel reference(config);
+  const auto n = static_cast<std::uint64_t>(reference.num_parameters());
+  const std::uint64_t grad_bytes = n * sizeof(real);
+  for (const bool use_zero : {false, true}) {
+    for (const std::size_t bucket_bytes :
+         {std::size_t{0}, std::size_t{1000},
+          GradBucketer::kDefaultBucketBytes}) {
+      for (const bool clip : {false, true}) {
+        const std::uint64_t buckets =
+            GradBucketer::plan(n, bucket_bytes == 0 ? grad_bytes : bucket_bytes)
+                .size();
+        const std::uint64_t norm_calls = use_zero && clip ? 1 : 0;
+        const auto deltas =
+            traffic_per_step(use_zero, R, bucket_bytes, clip, steps);
+        ASSERT_EQ(deltas.size(), static_cast<std::size_t>(steps));
+        for (int s = 0; s < steps; ++s) {
+          const Communicator::Traffic& t = deltas[static_cast<std::size_t>(s)];
+          const std::string where =
+              std::string(use_zero ? "zero1" : "ddp") +
+              " bucket_bytes=" + std::to_string(bucket_bytes) +
+              " clip=" + std::to_string(clip) + " step=" + std::to_string(s);
+          if (use_zero) {
+            EXPECT_EQ(t.reduce_scatter_bytes, grad_bytes) << where;
+            EXPECT_EQ(t.reduce_scatter_calls, buckets) << where;
+            EXPECT_EQ(t.all_gather_bytes, grad_bytes) << where;
+            EXPECT_EQ(t.all_gather_calls, buckets) << where;
+            EXPECT_EQ(t.all_reduce_bytes, norm_calls * sizeof(real)) << where;
+            EXPECT_EQ(t.all_reduce_calls, norm_calls) << where;
+            EXPECT_EQ(t.collective_calls, 2 * buckets + norm_calls) << where;
+          } else {
+            EXPECT_EQ(t.all_reduce_bytes, grad_bytes) << where;
+            EXPECT_EQ(t.all_reduce_calls, buckets) << where;
+            EXPECT_EQ(t.reduce_scatter_bytes, 0u) << where;
+            EXPECT_EQ(t.reduce_scatter_calls, 0u) << where;
+            EXPECT_EQ(t.all_gather_bytes, 0u) << where;
+            EXPECT_EQ(t.all_gather_calls, 0u) << where;
+            EXPECT_EQ(t.collective_calls, buckets) << where;
+          }
+          EXPECT_EQ(t.total_bytes(),
+                    (use_zero ? 2 * grad_bytes : grad_bytes) +
+                        norm_calls * sizeof(real))
+              << where;
+        }
+      }
+    }
+  }
+}
+
 // -- trainer-level parity -----------------------------------------------------
 
 std::vector<real> trainer_run(DistStrategy strategy, std::size_t bucket_bytes,
