@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <iostream>
+#include <span>
 #include <vector>
 
 #include "sgnn/sgnn.hpp"
@@ -44,7 +45,8 @@ int main(int argc, char** argv) {
     Trainer trainer(model, run_options);
     DataLoader loader(dataset.view(split.train), run_options.batch_size, 19);
     trainer.fit(loader);
-    return flatten_parameters(model.parameters());
+    const std::span<real> values = ParamArena(model.parameters()).values();
+    return std::vector<real>(values.begin(), values.end());
   };
 
   // 1. The reference: an uninterrupted run.

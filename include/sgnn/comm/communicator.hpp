@@ -1,11 +1,11 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -13,13 +13,12 @@
 
 namespace sgnn {
 
-/// The four collective primitives, as an enum so cost accounting can be
+/// The three collective primitives, as an enum so cost accounting can be
 /// parameterized over the kind (see InterconnectModel::overlap_cost).
 enum class CollectiveKind {
   kAllReduce,
   kReduceScatter,
   kAllGather,
-  kBroadcast,
 };
 
 namespace comm_detail {
@@ -61,8 +60,9 @@ class CollectiveHandle {
 /// NVLink-connected A100 quads of the paper's Perlmutter nodes.
 ///
 /// All collectives are SPMD: every rank must call the same operation in the
-/// same order (enforced loosely by the internal barriers; mismatched calls
-/// deadlock just as they would in MPI).
+/// same order. Every collective runs on one progress engine; the blocking
+/// calls are a post plus a wait, so a mismatch fails the handles (wait()
+/// throws) instead of deadlocking.
 class Communicator {
  public:
   explicit Communicator(int num_ranks);
@@ -78,20 +78,17 @@ class Communicator {
   void barrier();
 
   /// In-place elementwise sum across ranks; every rank ends with the total.
-  void all_reduce_sum(int rank, std::vector<real>& data);
+  void all_reduce_sum(int rank, std::span<real> data);
 
-  /// Root's data replaces everyone's.
-  void broadcast(int rank, std::vector<real>& data, int root);
+  /// Splits `input` (same on-rank length everywhere) into the shard_range
+  /// shards; rank r receives the elementwise sum of shard r.
+  std::vector<real> reduce_scatter_sum(int rank, std::span<const real> input);
 
-  /// Splits `input` (same on-rank length everywhere) into num_ranks
-  /// contiguous shards; rank r receives the elementwise sum of shard r.
-  /// Trailing shard may be shorter when the length is not divisible.
-  std::vector<real> reduce_scatter_sum(int rank,
-                                       const std::vector<real>& input);
-
-  /// Concatenates per-rank shards (shard r from rank r) on every rank, in
-  /// rank order.
-  std::vector<real> all_gather(int rank, const std::vector<real>& shard);
+  /// The inverse of reduce_scatter_sum: concatenates, on every rank and in
+  /// rank order, the shard_range shards of a `total`-element vector (shard r
+  /// from rank r).
+  std::vector<real> all_gather(int rank, std::span<const real> shard,
+                               std::size_t total);
 
   // -- Non-blocking collectives ---------------------------------------------
   //
@@ -101,31 +98,37 @@ class Communicator {
   // per-rank post order: the i-th non-blocking post of every rank forms one
   // logical collective, so all ranks MUST post the same kinds/sizes in the
   // same order (a mismatch fails the handles instead of deadlocking).
-  // Results are bit-identical to the blocking counterparts (fixed
-  // rank-order reduction). Buffers belong to the engine until completion.
+  // Every reduction sums in fixed rank order, so results never depend on
+  // how a buffer is split into calls. Buffers belong to the engine until
+  // completion; an output may overlap its own rank's input (a gradient
+  // bucket reduce-scatters into its own shard, ZeRO gathers parameters
+  // into the buffer holding its piece), because the engine reads every
+  // input before it writes any output.
 
   /// Non-blocking all_reduce_sum: `data` holds the elementwise total across
   /// ranks once the handle completes.
-  CollectiveHandle iall_reduce_sum(int rank, std::vector<real>& data);
+  CollectiveHandle iall_reduce_sum(int rank, std::span<real> data);
 
   /// Non-blocking reduce-scatter with an EXPLICIT partition: `counts[r]`
   /// elements go to rank r (counts must be identical on every rank and sum
-  /// to input.size()). On completion `piece` holds the elementwise sum of
-  /// this rank's partition slice. The shard_range partition of the blocking
-  /// reduce_scatter_sum is the special case counts[r] = |shard_range(n,r,R)|;
-  /// explicit counts are what lets a gradient bucket scatter along GLOBAL
-  /// shard boundaries rather than bucket-local ones.
+  /// to input.size(); piece.size() must be counts[rank]). On completion
+  /// `piece` holds the elementwise sum of this rank's partition slice. The
+  /// shard_range partition of reduce_scatter_sum is the special case
+  /// counts[r] = |shard_range(n,r,R)|; explicit counts are what lets a
+  /// gradient bucket scatter along GLOBAL shard boundaries rather than
+  /// bucket-local ones.
   CollectiveHandle ireduce_scatter_counts(int rank,
-                                          const std::vector<real>& input,
+                                          std::span<const real> input,
                                           const std::vector<std::size_t>& counts,
-                                          std::vector<real>& piece);
+                                          std::span<real> piece);
 
   /// Non-blocking all-gather with explicit per-rank piece sizes (the inverse
-  /// of ireduce_scatter_counts). `piece.size()` must equal counts[rank]; on
-  /// completion `gathered` holds the rank-order concatenation of all pieces.
-  CollectiveHandle iall_gather_counts(int rank, const std::vector<real>& piece,
+  /// of ireduce_scatter_counts). `piece.size()` must equal counts[rank] and
+  /// `gathered.size()` the sum of counts; on completion `gathered` holds the
+  /// rank-order concatenation of all pieces.
+  CollectiveHandle iall_gather_counts(int rank, std::span<const real> piece,
                                       const std::vector<std::size_t>& counts,
-                                      std::vector<real>& gathered);
+                                      std::span<real> gathered);
 
   /// Payload bytes and call counts per collective so far (counted once per
   /// call, not per rank). InterconnectModel turns payloads into ring-
@@ -134,16 +137,13 @@ class Communicator {
     std::uint64_t all_reduce_bytes = 0;
     std::uint64_t reduce_scatter_bytes = 0;
     std::uint64_t all_gather_bytes = 0;
-    std::uint64_t broadcast_bytes = 0;
     std::uint64_t all_reduce_calls = 0;
     std::uint64_t reduce_scatter_calls = 0;
     std::uint64_t all_gather_calls = 0;
-    std::uint64_t broadcast_calls = 0;
-    std::uint64_t collective_calls = 0;  ///< total across all four kinds
+    std::uint64_t collective_calls = 0;  ///< total across all three kinds
 
     std::uint64_t total_bytes() const {
-      return all_reduce_bytes + reduce_scatter_bytes + all_gather_bytes +
-             broadcast_bytes;
+      return all_reduce_bytes + reduce_scatter_bytes + all_gather_bytes;
     }
 
     /// Elementwise difference (this minus `earlier`); the per-step traffic
@@ -163,15 +163,18 @@ class Communicator {
                                                          int num_ranks);
 
  private:
-  /// Enqueues `op` for this rank with the progress engine (starting the
-  /// engine thread on first use) and returns the caller's handle.
+  /// Checks `op`'s rank and shapes, enqueues it for its rank with the
+  /// progress engine (starting the engine thread on first use) and returns
+  /// the caller's handle.
   CollectiveHandle enqueue(comm_detail::PendingOp op);
+  /// |shard_range(n, r)| for every rank r.
+  std::vector<std::size_t> shard_counts(std::size_t n) const;
   /// Progress-engine body: matches same-sequence posts across ranks,
   /// executes them, and completes (or fails) the handles.
   void progress_loop();
-  /// Records one executed non-blocking collective in the traffic counters
-  /// and obs metrics — exactly once per logical op, at execution time.
-  void count_nonblocking(CollectiveKind kind, std::uint64_t bytes);
+  /// Records one executed collective in the traffic counters and obs
+  /// metrics — exactly once per logical op, at execution time.
+  void count(CollectiveKind kind, std::uint64_t bytes);
 
   int num_ranks_;
 
@@ -180,9 +183,6 @@ class Communicator {
   std::condition_variable cv_;
   int arrived_ = 0;
   std::uint64_t generation_ = 0;
-
-  // Exchange slots, valid between the surrounding barriers.
-  std::vector<const std::vector<real>*> posted_;
 
   // Non-blocking progress engine: one FIFO of pending posts per rank, one
   // lazily-started worker thread that executes a logical collective once
@@ -194,15 +194,8 @@ class Communicator {
   bool nb_engine_started_ = false;
   std::thread nb_engine_;
 
-  std::atomic<std::uint64_t> all_reduce_bytes_{0};
-  std::atomic<std::uint64_t> reduce_scatter_bytes_{0};
-  std::atomic<std::uint64_t> all_gather_bytes_{0};
-  std::atomic<std::uint64_t> broadcast_bytes_{0};
-  std::atomic<std::uint64_t> all_reduce_calls_{0};
-  std::atomic<std::uint64_t> reduce_scatter_calls_{0};
-  std::atomic<std::uint64_t> all_gather_calls_{0};
-  std::atomic<std::uint64_t> broadcast_calls_{0};
-  std::atomic<std::uint64_t> collective_calls_{0};
+  mutable std::mutex traffic_mutex_;
+  Traffic traffic_;  ///< written by the progress engine
 };
 
 /// Analytic cost model of the intra-node fabric (NVLink-3-class numbers:
@@ -225,14 +218,12 @@ struct InterconnectModel {
   /// Ring reduce-scatter / all-gather: (R-1) steps of n/R bytes.
   double reduce_scatter_seconds(std::uint64_t bytes, int ranks) const;
   double all_gather_seconds(std::uint64_t bytes, int ranks) const;
-  double broadcast_seconds(std::uint64_t bytes, int ranks) const;
 
   /// Launch latency of ONE call of each collective (steps x per-step
   /// latency). Multiply by the call count for the latency of many calls.
   double all_reduce_latency_seconds(int ranks) const;
   double reduce_scatter_latency_seconds(int ranks) const;
   double all_gather_latency_seconds(int ranks) const;
-  double broadcast_latency_seconds(int ranks) const;
 
   /// Total modeled fabric time for a traffic record (aggregate or delta):
   /// per-kind bandwidth terms plus per-call latency from the call counts.

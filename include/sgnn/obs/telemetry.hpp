@@ -44,7 +44,7 @@ struct StepTelemetry {
   /// Split of comm_seconds_modeled into the stall the rank would actually
   /// feel and the part hidden behind backward/optimizer compute (priced
   /// from the GradBucketer's post/wait stamps; exposed + overlapped ==
-  /// comm_seconds_modeled). With bucketing off, everything is exposed.
+  /// comm_seconds_modeled).
   double comm_exposed_seconds = 0;
   double comm_overlapped_seconds = 0;
   /// Non-blocking bucket collectives posted during this step.

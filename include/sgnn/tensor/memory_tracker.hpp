@@ -16,7 +16,7 @@ enum class MemCategory : int {
   kWeight = 1,       ///< model parameters
   kGradient = 2,     ///< parameter gradients
   kOptimizerState = 3,  ///< Adam moments, ZeRO shards
-  kWorkspace = 4,    ///< transient scratch (data buffers, comm staging)
+  kWorkspace = 4,    ///< transient scratch (batch and graph buffers)
   kCount = 5,
 };
 
@@ -80,6 +80,10 @@ class MemoryTracker {
   /// per-stage profile of the paper's Fig. 6(a) (forward / backward /
   /// weight-update peaks).
   std::int64_t peak_during(TrainPhase phase) const;
+  /// Counts the current live total toward the calling thread's phase peak:
+  /// allocations are the only other samples, so a phase that allocates
+  /// nothing (the in-place optimizer update) calls this to be seen.
+  void sample_phase();
 
   /// Forgets the recorded peak but keeps live counters (which must track
   /// real allocations at all times).
@@ -115,24 +119,6 @@ class ScopedMemCategory {
 
  private:
   MemCategory previous_;
-};
-
-/// RAII registration of non-Tensor buffer bytes (collective staging,
-/// flattened parameter copies) so the profiler sees the whole footprint of
-/// a training step, not just tensor storage.
-class ScopedBytes {
- public:
-  ScopedBytes(std::size_t bytes, MemCategory category)
-      : bytes_(bytes), category_(category) {
-    MemoryTracker::instance().on_alloc(bytes_, category_);
-  }
-  ~ScopedBytes() { MemoryTracker::instance().on_free(bytes_, category_); }
-  ScopedBytes(const ScopedBytes&) = delete;
-  ScopedBytes& operator=(const ScopedBytes&) = delete;
-
- private:
-  std::size_t bytes_;
-  MemCategory category_;
 };
 
 /// RAII tag: marks the executing training phase for peak attribution.

@@ -128,8 +128,16 @@ class Storage {
 struct TensorImpl {
   Shape shape;
   std::shared_ptr<Storage> storage;
+  /// First element of this tensor in `storage`; nonzero only for the views
+  /// a ParamArena creates.
+  std::size_t offset = 0;
   bool requires_grad = false;
   bool graph_consumed = false;  ///< backward already released this graph
+  /// Backward accumulated into `grad` since the last zero_grad.
+  bool has_grad = false;
+  /// `grad` is a fixed view of a ParamArena's gradient buffer: zero_grad
+  /// zeros it instead of releasing it.
+  bool arena_grad = false;
   std::shared_ptr<autograd::Node> grad_fn;  ///< set on non-leaf results
   std::shared_ptr<TensorImpl> grad;         ///< accumulated grad on leaves
 };
@@ -181,11 +189,13 @@ class Tensor {
   /// Marks a leaf as requiring gradients; returns *this for chaining.
   Tensor& set_requires_grad(bool value);
   bool is_leaf() const;
-  /// Accumulated gradient of a leaf (undefined Tensor if none yet).
+  /// Accumulated gradient of a leaf (undefined Tensor if none since the
+  /// last zero_grad).
   Tensor grad() const;
   void zero_grad();
 
-  /// Shares storage but severs the autograd history.
+  /// Shares storage (and, for a view, its range) but severs the autograd
+  /// history.
   Tensor detach() const;
   /// Deep copy of the data (no autograd history).
   Tensor clone() const;

@@ -1,46 +1,45 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "sgnn/comm/communicator.hpp"
-#include "sgnn/tensor/memory_tracker.hpp"
-#include "sgnn/tensor/tensor.hpp"
+#include "sgnn/tensor/param_arena.hpp"
 #include "sgnn/util/timer.hpp"
 
 namespace sgnn {
 
-/// Packs a parameter list's flattened gradient into size-capped buckets and
+/// Splits a parameter arena's flat gradient into size-capped buckets and
 /// posts each bucket's collective the moment its last gradient is produced
 /// during backward, so communication overlaps the rest of the backward
-/// pass (the enabler behind DDP's and ZeRO's scaling curves).
+/// pass (the enabler behind DDP's and ZeRO's scaling curves). A bucket is a
+/// range of the arena's gradient buffer and its collective runs in place:
+/// the bucketer holds no gradient or parameter copy.
 ///
 /// Layout: walking parameters in REVERSE registration order — the order
 /// autograd finishes their gradients, since later layers backpropagate
 /// first — and filling each bucket to exactly `bucket_bytes` (splitting
 /// mid-tensor when the cap does not align) makes every bucket a CONTIGUOUS
-/// range of the flat gradient vector, descending from the top. Contiguity
-/// is what lets a bucket reduce-scatter along the GLOBAL ZeRO shard
-/// boundaries (explicit counts = |shard_r ∩ bucket|), so shard ownership —
-/// and therefore checkpoint layout — is independent of the bucket size.
+/// range of the flat gradient, descending from the top. Contiguity is what
+/// lets a bucket reduce-scatter along the GLOBAL ZeRO shard boundaries
+/// (explicit counts = |shard_r ∩ bucket|), so shard ownership — and
+/// therefore checkpoint layout — is independent of the bucket size.
 ///
-/// Bit-identity: every collective sums elements in fixed rank order exactly
-/// like the blocking single-call path, and buckets are drained into the
-/// same flat vectors the sequential optimizers build, so bucketed training
-/// is byte-identical to sequential training for ANY bucket_bytes (pinned
-/// by tests/overlap_test.cpp).
+/// Bit-identity: every collective sums elements in fixed rank order, so the
+/// synced gradient — and the training that consumes it — is byte-identical
+/// for ANY bucket_bytes (pinned by tests/overlap_test.cpp).
 ///
 /// Step protocol (all methods are called from the owning rank's thread):
-///   begin_step(rank)                   — before backward
-///   on_leaf_grad(key)                  — from the autograd leaf-grad hook
-///   post_remaining()                   — after backward (sweeps up leaves
-///                                        the hook never saw: params used
-///                                        only inside checkpointed
-///                                        segments, or with no grad)
-///   drain_all_reduce / drain_reduce_scatter — before the optimizer update
-///   all_gather_params                  — ZeRO only, after the update
+///   begin_step(rank)    — before backward
+///   on_leaf_grad(key)   — from the autograd leaf-grad hook
+///   post_remaining()    — after backward (sweeps up leaves the hook never
+///                         saw: params used only inside checkpointed
+///                         segments, or with no grad)
+///   drain()             — before the optimizer update
+///   all_gather_params() — ZeRO only, after the update
+///   end_step()
 /// Every rank must run the identical protocol (same buckets, same order):
 /// posts are matched across ranks by FIFO position.
 class GradBucketer {
@@ -63,15 +62,15 @@ class GradBucketer {
                                   std::size_t bucket_bytes);
 
   /// `kind` selects the gradient collective: kAllReduce for DDP,
-  /// kReduceScatter for ZeRO. Parameter tensors are aliased, not copied.
-  GradBucketer(Communicator& comm, std::vector<Tensor> parameters,
+  /// kReduceScatter for ZeRO. `bucket_bytes` 0 makes one whole-model
+  /// bucket. The arena must outlive the bucketer.
+  GradBucketer(Communicator& comm, const ParamArena& arena,
                CollectiveKind kind, std::size_t bucket_bytes);
   ~GradBucketer();
   GradBucketer(const GradBucketer&) = delete;
   GradBucketer& operator=(const GradBucketer&) = delete;
 
   std::size_t num_buckets() const { return buckets_.size(); }
-  std::size_t total_elements() const { return total_elements_; }
   bool active() const { return active_; }
 
   /// Arms the bucketer for one training step of `rank`: resets readiness,
@@ -89,28 +88,22 @@ class GradBucketer {
   /// is identical on every rank.
   void on_leaf_grad(const void* leaf);
 
-  /// Posts every bucket not yet posted (parameters that never produced a
-  /// gradient contribute zeros, matching flatten_gradients). Idempotent.
+  /// Posts every bucket not yet posted (a parameter that never produced a
+  /// gradient contributes its zeroed slice). Idempotent.
   void post_remaining();
 
-  /// DDP drain: waits buckets in post order and assembles the full flat
-  /// gradient SUM (not yet averaged) into `flat_grad` — byte-identical to
-  /// what blocking all_reduce_sum(flatten_gradients(...)) produces.
-  void drain_all_reduce(std::vector<real>& flat_grad);
+  /// Waits every gradient bucket in post order. Then the arena's gradient
+  /// buffer holds the rank SUM (not yet averaged) for kAllReduce; for
+  /// kReduceScatter only this rank's global shard of it does, the rest
+  /// keeping this rank's local gradients.
+  void drain();
 
-  /// ZeRO drain: waits buckets in post order and assembles THIS rank's
-  /// global gradient shard (summed, not averaged) into `grad_shard` —
-  /// byte-identical to blocking reduce_scatter_sum on the full vector.
-  void drain_reduce_scatter(std::vector<real>& grad_shard);
+  /// ZeRO parameter path: all-gathers every bucket of the arena's value
+  /// buffer in place, each rank contributing its (updated) global shard.
+  /// Posts every bucket's gather, then waits them in order.
+  void all_gather_params();
 
-  /// ZeRO parameter path: posts one non-blocking all-gather per bucket of
-  /// the UPDATED parameter shard (`param_shard` = this rank's global shard
-  /// slice), then scatters each bucket into the parameter tensors as it
-  /// lands — the write-back of bucket k overlaps the gather of k+1. Ends
-  /// the step.
-  void all_gather_params(const std::vector<real>& param_shard);
-
-  /// Ends a DDP step (ZeRO steps end inside all_gather_params).
+  /// Ends the step.
   void end_step();
 
   /// Post/wait timestamps of the last step's collectives, in FIFO order and
@@ -119,25 +112,23 @@ class GradBucketer {
   std::vector<InterconnectModel::OverlapEvent> take_events();
 
  private:
-  struct BucketState;
-
   void post_bucket(std::size_t b);
   void post_ready();
+  /// Stamps the post of bucket b's `kind` collective as a new event.
+  void record_post(std::size_t b, CollectiveKind kind);
   /// Waits bucket b's handle, stamping the wait on its event.
   void wait_bucket(std::size_t b);
+  /// This rank's global shard intersected with bucket b.
+  std::span<real> shard_piece(std::span<real> buffer, std::size_t b) const;
 
   Communicator& comm_;
-  std::vector<Tensor> parameters_;
+  const ParamArena& arena_;
   CollectiveKind kind_;
-  std::size_t total_elements_ = 0;
-  std::vector<std::size_t> param_offsets_;  ///< flat offset of each param
   std::unordered_map<const void*, std::size_t> leaf_to_param_;
   std::vector<Bucket> buckets_;
   /// Buckets overlapping each param: [first, last] (contiguous by
   /// construction — param ranges and buckets are both contiguous).
   std::vector<std::pair<std::size_t, std::size_t>> param_buckets_;
-  /// Params overlapping each bucket: [first, last].
-  std::vector<std::pair<std::size_t, std::size_t>> bucket_params_;
   /// ZeRO: per-bucket |shard_r ∩ bucket| for every rank r.
   std::vector<std::vector<std::size_t>> counts_;
 
@@ -148,14 +139,9 @@ class GradBucketer {
   std::vector<std::size_t> bucket_pending_;  ///< incomplete params per bucket
   std::size_t next_post_ = 0;                ///< next bucket to post
   std::vector<CollectiveHandle> handles_;
-  std::vector<std::vector<real>> staging_;  ///< per-bucket payload buffers
-  std::vector<std::vector<real>> pieces_;   ///< ZeRO per-bucket shard pieces
-  std::vector<std::size_t> event_index_;    ///< bucket -> its events_ slot
+  std::vector<std::size_t> event_index_;  ///< bucket -> its events_ slot
   std::vector<InterconnectModel::OverlapEvent> events_;
   WallTimer step_timer_;
-  /// Staging is real allocated workspace; account it like the sequential
-  /// optimizers' flat buffers do.
-  std::optional<ScopedBytes> staging_bytes_;
 };
 
 }  // namespace sgnn

@@ -61,8 +61,8 @@ struct DistTrainOptions {
   /// Gradient-bucket cap for the overlapped communication path (DDP
   /// bucketed all-reduce / ZeRO bucketed reduce-scatter + all-gather),
   /// posted during backward via the autograd leaf-grad hook. Default is
-  /// DDP's 25 MB; 0 disables bucketing and restores the sequential
-  /// blocking collectives. Both settings train byte-identically — see
+  /// DDP's 25 MB; 0 makes one whole-model bucket, posted once backward has
+  /// finished. Every setting trains byte-identically — see
   /// docs/communication.md.
   std::size_t bucket_bytes = GradBucketer::kDefaultBucketBytes;
   /// Crash-safe training-state snapshots, written by rank 0 between two
@@ -77,6 +77,9 @@ struct DistTrainOptions {
 /// Outcome of a distributed run: learning progress plus the cost accounting
 /// that Tab. II and Fig. 6 are built from.
 struct DistTrainReport {
+  /// Mean step loss over the whole run (averaged over ranks); a resumed
+  /// run reports the uninterrupted run's value, the steps before the
+  /// snapshot included.
   double final_train_loss = 0;
   /// Wall-clock of the compute portion (max across ranks, measured).
   double compute_seconds = 0;
@@ -84,8 +87,7 @@ struct DistTrainReport {
   double comm_seconds = 0;
   /// Split of comm_seconds into the part hidden behind backward/optimizer
   /// compute and the part a rank would stall on (rank 0's accounting,
-  /// summed over steps; exposed + overlapped == comm_seconds). With
-  /// bucketing disabled everything is exposed.
+  /// summed over steps; exposed + overlapped == comm_seconds).
   double comm_exposed_seconds = 0;
   double comm_overlapped_seconds = 0;
   /// Non-blocking bucket collectives posted across the run.
@@ -112,7 +114,7 @@ struct DistTrainReport {
   std::int64_t peak_backward = 0;
   std::int64_t peak_optimizer = 0;
   /// Steps this call ran on each rank; after a resume, only the remaining
-  /// ones (like final_train_loss and compute_seconds).
+  /// ones (like compute_seconds).
   std::int64_t steps = 0;
 
   /// All-exposed accounting: every modeled comm second serializes after

@@ -62,4 +62,21 @@ struct MetricAccumulator {
   EvalMetrics mean() const;
 };
 
+/// A rank's running training loss: the sum and count of the step losses
+/// its reported mean covers (the epoch's for Trainer, the whole run's for a
+/// DistributedTrainer rank). It is training state: snapshots carry it, so
+/// a resumed mean covers the steps before the snapshot too.
+struct LossTally {
+  double sum = 0;
+  std::int64_t steps = 0;
+
+  void add(double loss) {
+    sum += loss;
+    ++steps;
+  }
+  double mean() const {
+    return steps > 0 ? sum / static_cast<double>(steps) : 0.0;
+  }
+};
+
 }  // namespace sgnn

@@ -3,10 +3,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sgnn/comm/communicator.hpp"
-#include "sgnn/tensor/tensor.hpp"
+#include "sgnn/tensor/param_arena.hpp"
 #include "sgnn/util/error.hpp"
 
 namespace sgnn {
@@ -15,13 +16,6 @@ class SnapshotBuilder;
 class SnapshotView;
 
 class GradBucketer;
-
-/// Flattening helpers shared by the optimizers and their checkpoints.
-std::vector<real> flatten_parameters(const std::vector<Tensor>& parameters);
-/// Undefined gradients flatten to zeros (a parameter a branch never touched).
-std::vector<real> flatten_gradients(const std::vector<Tensor>& parameters);
-void unflatten_into_parameters(const std::vector<real>& flat,
-                               std::vector<Tensor>& parameters);
 
 /// How one rank turns its local gradients into a parameter update: the one
 /// interface the shared training step (TrainStep) drives. Every
@@ -32,6 +26,10 @@ void unflatten_into_parameters(const std::vector<real>& flat,
 ///   ZeroAdam — reduce-scatter + all-gather, sharded moments (zero.hpp).
 /// The two moment vectors are the "optimizer states" of Fig. 6, allocated
 /// under MemCategory::kOptimizerState so the memory benches see them.
+///
+/// Construction packs the parameters into one ParamArena (or adopts the one
+/// they already form), so values, gradients and both moments are flat
+/// buffers in registration order and every update works on ranges of them.
 class GradSync {
  public:
   /// Adam hyperparameters.
@@ -46,9 +44,10 @@ class GradSync {
   GradSync(const GradSync&) = delete;
   GradSync& operator=(const GradSync&) = delete;
 
-  void zero_grad();
+  /// Zeros the arena's gradient buffer (see ParamArena::zero_grad).
+  void zero_grad() { arena_.zero_grad(); }
 
-  /// Runs loss.backward() with the sync armed: with bucketing on, the
+  /// Runs loss.backward() with the sync armed: for a synchronized sync, the
   /// bucketer begins the step for `rank` and the autograd leaf-grad hook
   /// posts each bucket's collective the moment its last gradient lands, so
   /// communication overlaps the rest of backward.
@@ -58,7 +57,9 @@ class GradSync {
   /// distributed implementations (every rank calls it once per step). When
   /// clipping is on or `measure_norm` is set, returns the joint L2 norm of
   /// the gradient the update consumed — rank-averaged where gradients are
-  /// synchronized — before clipping; otherwise returns 0.
+  /// synchronized — before clipping; otherwise returns 0. A synchronized
+  /// step leaves the averaged (and clipped) gradient in `.grad`: all of it
+  /// for DDP, only this rank's shard for ZeRO.
   double step(int rank = 0, bool measure_norm = false);
 
   double learning_rate() const { return options_.learning_rate; }
@@ -79,8 +80,9 @@ class GradSync {
   void save(SnapshotBuilder& builder, int rank) const;
   void load(const SnapshotView& view, int rank);
 
-  /// The gradient bucketer behind the overlapped path; null when nothing is
-  /// bucketed (plain Adam, or bucket_bytes 0).
+  /// The flat arena the parameters are views of.
+  const ParamArena& arena() const { return arena_; }
+  /// The gradient bucketer of a synchronized sync; null for plain Adam.
   GradBucketer* bucketer() { return bucketer_.get(); }
   /// Post/wait stamps of the last step's bucket collectives for
   /// InterconnectModel::overlap_cost; empty without a bucketer.
@@ -100,8 +102,9 @@ class GradSync {
                           const Options& options);
 
  protected:
-  /// `parameters` must be grad-requiring leaves. A sync over `comm` with
-  /// `bucket_bytes` > 0 gets a GradBucketer running collective `kind`.
+  /// `parameters` must be grad-requiring leaves. A sync over `comm` gets a
+  /// GradBucketer running collective `kind` over `bucket_bytes` buckets
+  /// (0: one whole-model bucket).
   GradSync(std::vector<Tensor> parameters, const Options& options,
            Communicator* comm = nullptr,
            CollectiveKind kind = CollectiveKind::kAllReduce,
@@ -112,36 +115,36 @@ class GradSync {
   /// True when each rank holds only its own moment shard.
   virtual bool sharded() const { return false; }
 
-  /// Allocates the two moments as tensors of the given shapes.
-  void allocate_moments(const std::vector<Shape>& shapes);
+  /// Allocates the two moments as flat tensors of `count` elements.
+  void allocate_moments(std::size_t count);
   /// Posts every bucket not yet posted (arming the bucketer first when the
-  /// caller never did), then fires the pre-drain hook.
-  void post_buckets(int rank);
+  /// caller never did), fires the pre-drain hook, then waits every bucket.
+  void reduce_gradients(int rank);
   /// Averages the rank-summed gradient `grad` over comm_'s ranks, then
   /// clips it. The norm is taken only when clipping or
   /// `measure_norm` asks for it; a sharded sync's `grad` is this rank's
   /// shard, whose partial sum of squares is all-reduced in fixed rank order
   /// so every rank gets the identical norm. Returns that pre-clip norm of
   /// the averaged gradient, or 0.
-  double average_and_clip(std::vector<real>& grad, int rank,
+  double average_and_clip(std::span<real> grad, int rank,
                           bool measure_norm) const;
 
-  std::vector<Tensor> parameters_;
+  ParamArena arena_;
   Options options_;
   Communicator* comm_;  ///< null for plain Adam
   double max_grad_norm_ = 0.0;
   std::int64_t timestep_ = 0;
-  std::vector<Tensor> m_;  ///< first moment, kOptimizerState
-  std::vector<Tensor> v_;  ///< second moment, kOptimizerState
+  Tensor m_;  ///< first moment, kOptimizerState
+  Tensor v_;  ///< second moment, kOptimizerState
   std::unique_ptr<GradBucketer> bucketer_;
 
  private:
   std::function<void()> pre_drain_hook_;
 };
 
-/// Plain Adam with per-parameter moments shaped like the parameters. Used
-/// by the single-process Trainer and by graph-parallel ranks, whose
-/// gradients are already replicated exactly.
+/// Plain Adam with replicated moments, each parameter updating its own
+/// range. Used by the single-process Trainer and by graph-parallel ranks,
+/// whose gradients are already replicated exactly.
 class Adam : public GradSync {
  public:
   Adam(std::vector<Tensor> parameters, const Options& options);

@@ -103,6 +103,8 @@ class Trainer {
   /// Set by try_resume: the first train_epoch continues the restored
   /// mid-epoch loader state instead of reshuffling.
   bool skip_begin_epoch_ = false;
+  /// Losses of the current epoch's steps so far (snapshotted).
+  LossTally epoch_loss_;
 };
 
 }  // namespace sgnn

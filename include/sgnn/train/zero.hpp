@@ -15,9 +15,9 @@ namespace sgnn {
 /// state redundancy ZeRO removes.
 class DDPAdam : public GradSync {
  public:
-  /// `bucket_bytes` caps the gradient buckets the overlapped all-reduce
-  /// path posts during backward (default: DDP's 25 MB); 0 falls back to
-  /// the sequential single-call path. Both paths are byte-identical.
+  /// `bucket_bytes` caps the gradient buckets whose in-place all-reduce is
+  /// posted during backward (default: DDP's 25 MB); 0 makes one
+  /// whole-model bucket. Every cap gives byte-identical training.
   DDPAdam(Communicator& comm, std::vector<Tensor> parameters,
           const Adam::Options& options,
           std::size_t bucket_bytes = GradBucketer::kDefaultBucketBytes);
@@ -25,7 +25,7 @@ class DDPAdam : public GradSync {
  private:
   /// When backward ran armed (GradSync::backward), gradients already in
   /// flight are drained here; called unarmed, it posts and drains
-  /// everything itself (bucketed but unoverlapped — still bit-identical).
+  /// everything itself (unoverlapped — still bit-identical).
   double update(int rank, bool measure_norm) override;
 };
 
@@ -39,16 +39,16 @@ class DDPAdam : public GradSync {
 class ZeroAdam : public GradSync {
  public:
   /// `bucket_bytes` as in DDPAdam: bucketed reduce-scatter posted during
-  /// backward plus an overlapped all-gather of the updated shard; 0
-  /// restores the sequential single-call path. Buckets scatter along the
-  /// GLOBAL shard boundaries (explicit counts), so shard ownership — and
-  /// checkpoint layout — never depends on the bucket size.
+  /// backward, then a bucketed all-gather of the updated shard straight
+  /// into the parameter values. Buckets scatter along the GLOBAL shard
+  /// boundaries (explicit counts), so shard ownership — and checkpoint
+  /// layout — never depends on the bucket size.
   ZeroAdam(Communicator& comm, std::vector<Tensor> parameters,
            const Adam::Options& options,
            std::size_t bucket_bytes = GradBucketer::kDefaultBucketBytes);
 
   std::size_t shard_elements() const {
-    return static_cast<std::size_t>(m_.front().numel());
+    return static_cast<std::size_t>(m_.numel());
   }
 
  private:
@@ -58,8 +58,6 @@ class ZeroAdam : public GradSync {
   /// (tiny) collective in the steps that need the norm.
   double update(int rank, bool measure_norm) override;
   bool sharded() const override { return true; }
-
-  std::size_t total_elements_ = 0;
 };
 
 }  // namespace sgnn

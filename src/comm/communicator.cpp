@@ -25,10 +25,9 @@ struct NbOpState {
 struct PendingOp {
   CollectiveKind kind = CollectiveKind::kAllReduce;
   int rank = -1;
-  std::vector<real>* inout = nullptr;        ///< all-reduce: in and out
-  const std::vector<real>* input = nullptr;  ///< rs input / ag piece
-  std::vector<real>* output = nullptr;       ///< rs piece / ag gathered
-  std::vector<std::size_t> counts;           ///< explicit partition sizes
+  std::span<const real> input;      ///< rs input / ag piece
+  std::span<real> output;           ///< ar in-out / rs piece / ag gathered
+  std::vector<std::size_t> counts;  ///< explicit partition sizes
   std::shared_ptr<NbOpState> state;
 };
 
@@ -64,7 +63,6 @@ void CollectiveHandle::wait() const {
 
 Communicator::Communicator(int num_ranks) : num_ranks_(num_ranks) {
   SGNN_CHECK(num_ranks > 0, "communicator needs at least one rank");
-  posted_.assign(static_cast<std::size_t>(num_ranks), nullptr);
   nb_queues_.resize(static_cast<std::size_t>(num_ranks));
 }
 
@@ -114,193 +112,89 @@ std::pair<std::size_t, std::size_t> Communicator::shard_range(std::size_t n,
   return {begin, begin + size};
 }
 
-void Communicator::all_reduce_sum(int rank, std::vector<real>& data) {
-  SGNN_CHECK(rank >= 0 && rank < num_ranks_, "invalid rank " << rank);
+void Communicator::all_reduce_sum(int rank, std::span<real> data) {
   obs::TraceSpan span("all_reduce", "collective");
   if (span.active()) {
-    span.arg("bytes",
-             static_cast<std::uint64_t>(data.size() * sizeof(real)));
+    span.arg("bytes", static_cast<std::uint64_t>(data.size_bytes()));
   }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    posted_[static_cast<std::size_t>(rank)] = &data;
-  }
-  barrier();
-  // Every rank reduces the full vector; results are bit-identical across
-  // ranks because the summation order is fixed (rank 0, 1, ..., R-1).
-  std::vector<real> total(data.size(), real{0});
-  for (int r = 0; r < num_ranks_; ++r) {
-    const auto& src = *posted_[static_cast<std::size_t>(r)];
-    SGNN_CHECK(src.size() == data.size(),
-               "all_reduce size mismatch: rank " << r << " has " << src.size()
-                                                 << ", rank " << rank
-                                                 << " has " << data.size());
-    for (std::size_t i = 0; i < total.size(); ++i) total[i] += src[i];
-  }
-  barrier();
-  data = std::move(total);
-  if (rank == 0) {
-    const std::uint64_t bytes = data.size() * sizeof(real);
-    all_reduce_bytes_.fetch_add(bytes);
-    all_reduce_calls_.fetch_add(1);
-    collective_calls_.fetch_add(1);
-    obs::MetricsRegistry::instance()
-        .counter("comm.all_reduce_bytes")
-        .add(static_cast<std::int64_t>(bytes));
-    obs::MetricsRegistry::instance().counter("comm.collective_calls").add(1);
-  }
+  iall_reduce_sum(rank, data).wait();
 }
 
-void Communicator::broadcast(int rank, std::vector<real>& data, int root) {
-  SGNN_CHECK(rank >= 0 && rank < num_ranks_, "invalid rank " << rank);
-  SGNN_CHECK(root >= 0 && root < num_ranks_, "invalid broadcast root");
-  obs::TraceSpan span("broadcast", "collective");
-  if (span.active()) {
-    span.arg("bytes",
-             static_cast<std::uint64_t>(data.size() * sizeof(real)));
+std::vector<std::size_t> Communicator::shard_counts(std::size_t n) const {
+  std::vector<std::size_t> counts;
+  for (int r = 0; r < num_ranks_; ++r) {
+    const auto [begin, end] = shard_range(n, r, num_ranks_);
+    counts.push_back(end - begin);
   }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    posted_[static_cast<std::size_t>(rank)] = &data;
-  }
-  barrier();
-  const auto& src = *posted_[static_cast<std::size_t>(root)];
-  std::vector<real> copy;
-  if (rank != root) {
-    copy = src;  // read while the root's buffer is pinned between barriers
-  }
-  barrier();
-  if (rank != root) data = std::move(copy);
-  if (rank == 0) {
-    const std::uint64_t bytes = data.size() * sizeof(real);
-    broadcast_bytes_.fetch_add(bytes);
-    broadcast_calls_.fetch_add(1);
-    collective_calls_.fetch_add(1);
-    obs::MetricsRegistry::instance()
-        .counter("comm.broadcast_bytes")
-        .add(static_cast<std::int64_t>(bytes));
-    obs::MetricsRegistry::instance().counter("comm.collective_calls").add(1);
-  }
+  return counts;
 }
 
 std::vector<real> Communicator::reduce_scatter_sum(
-    int rank, const std::vector<real>& input) {
-  SGNN_CHECK(rank >= 0 && rank < num_ranks_, "invalid rank " << rank);
+    int rank, std::span<const real> input) {
   obs::TraceSpan span("reduce_scatter", "collective");
   if (span.active()) {
-    span.arg("bytes",
-             static_cast<std::uint64_t>(input.size() * sizeof(real)));
+    span.arg("bytes", static_cast<std::uint64_t>(input.size_bytes()));
   }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    posted_[static_cast<std::size_t>(rank)] = &input;
-  }
-  barrier();
   const auto [begin, end] = shard_range(input.size(), rank, num_ranks_);
-  std::vector<real> shard(end - begin, real{0});
-  for (int r = 0; r < num_ranks_; ++r) {
-    const auto& src = *posted_[static_cast<std::size_t>(r)];
-    SGNN_CHECK(src.size() == input.size(), "reduce_scatter size mismatch");
-    for (std::size_t i = begin; i < end; ++i) shard[i - begin] += src[i];
-  }
-  barrier();
-  if (rank == 0) {
-    const std::uint64_t bytes = input.size() * sizeof(real);
-    reduce_scatter_bytes_.fetch_add(bytes);
-    reduce_scatter_calls_.fetch_add(1);
-    collective_calls_.fetch_add(1);
-    obs::MetricsRegistry::instance()
-        .counter("comm.reduce_scatter_bytes")
-        .add(static_cast<std::int64_t>(bytes));
-    obs::MetricsRegistry::instance().counter("comm.collective_calls").add(1);
-  }
+  std::vector<real> shard(end - begin);
+  ireduce_scatter_counts(rank, input, shard_counts(input.size()), shard)
+      .wait();
   return shard;
 }
 
 std::vector<real> Communicator::all_gather(int rank,
-                                           const std::vector<real>& shard) {
-  SGNN_CHECK(rank >= 0 && rank < num_ranks_, "invalid rank " << rank);
+                                           std::span<const real> shard,
+                                           std::size_t total) {
   obs::TraceSpan span("all_gather", "collective");
   if (span.active()) {
-    span.arg("bytes",
-             static_cast<std::uint64_t>(shard.size() * sizeof(real)));
+    span.arg("bytes", static_cast<std::uint64_t>(shard.size_bytes()));
   }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    posted_[static_cast<std::size_t>(rank)] = &shard;
-  }
-  barrier();
-  std::vector<real> gathered;
-  for (int r = 0; r < num_ranks_; ++r) {
-    const auto& src = *posted_[static_cast<std::size_t>(r)];
-    gathered.insert(gathered.end(), src.begin(), src.end());
-  }
-  barrier();
-  if (rank == 0) {
-    const std::uint64_t bytes = gathered.size() * sizeof(real);
-    all_gather_bytes_.fetch_add(bytes);
-    all_gather_calls_.fetch_add(1);
-    collective_calls_.fetch_add(1);
-    obs::MetricsRegistry::instance()
-        .counter("comm.all_gather_bytes")
-        .add(static_cast<std::int64_t>(bytes));
-    obs::MetricsRegistry::instance().counter("comm.collective_calls").add(1);
-  }
+  std::vector<real> gathered(total);
+  iall_gather_counts(rank, shard, shard_counts(total), gathered).wait();
   return gathered;
 }
 
 CollectiveHandle Communicator::iall_reduce_sum(int rank,
-                                               std::vector<real>& data) {
-  SGNN_CHECK(rank >= 0 && rank < num_ranks_, "invalid rank " << rank);
-  comm_detail::PendingOp op;
-  op.kind = CollectiveKind::kAllReduce;
-  op.rank = rank;
-  op.inout = &data;
-  return enqueue(std::move(op));
+                                               std::span<real> data) {
+  return enqueue({CollectiveKind::kAllReduce, rank, {}, data, {}, nullptr});
 }
 
 CollectiveHandle Communicator::ireduce_scatter_counts(
-    int rank, const std::vector<real>& input,
-    const std::vector<std::size_t>& counts, std::vector<real>& piece) {
-  SGNN_CHECK(rank >= 0 && rank < num_ranks_, "invalid rank " << rank);
-  SGNN_CHECK(counts.size() == static_cast<std::size_t>(num_ranks_),
-             "ireduce_scatter_counts needs one count per rank, got "
-                 << counts.size() << " for " << num_ranks_ << " ranks");
-  const std::size_t total =
-      std::accumulate(counts.begin(), counts.end(), std::size_t{0});
-  SGNN_CHECK(total == input.size(),
-             "ireduce_scatter_counts counts sum to "
-                 << total << " but input has " << input.size() << " elements");
-  comm_detail::PendingOp op;
-  op.kind = CollectiveKind::kReduceScatter;
-  op.rank = rank;
-  op.input = &input;
-  op.output = &piece;
-  op.counts = counts;
-  return enqueue(std::move(op));
+    int rank, std::span<const real> input,
+    const std::vector<std::size_t>& counts, std::span<real> piece) {
+  return enqueue(
+      {CollectiveKind::kReduceScatter, rank, input, piece, counts, nullptr});
 }
 
 CollectiveHandle Communicator::iall_gather_counts(
-    int rank, const std::vector<real>& piece,
-    const std::vector<std::size_t>& counts, std::vector<real>& gathered) {
-  SGNN_CHECK(rank >= 0 && rank < num_ranks_, "invalid rank " << rank);
-  SGNN_CHECK(counts.size() == static_cast<std::size_t>(num_ranks_),
-             "iall_gather_counts needs one count per rank, got "
-                 << counts.size() << " for " << num_ranks_ << " ranks");
-  SGNN_CHECK(piece.size() == counts[static_cast<std::size_t>(rank)],
-             "iall_gather_counts piece has "
-                 << piece.size() << " elements but counts[" << rank << "] is "
-                 << counts[static_cast<std::size_t>(rank)]);
-  comm_detail::PendingOp op;
-  op.kind = CollectiveKind::kAllGather;
-  op.rank = rank;
-  op.input = &piece;
-  op.output = &gathered;
-  op.counts = counts;
-  return enqueue(std::move(op));
+    int rank, std::span<const real> piece,
+    const std::vector<std::size_t>& counts, std::span<real> gathered) {
+  return enqueue(
+      {CollectiveKind::kAllGather, rank, piece, gathered, counts, nullptr});
 }
 
 CollectiveHandle Communicator::enqueue(comm_detail::PendingOp op) {
+  // Per-rank shape checks fire before anything is queued, so a bad post
+  // throws on its own rank instead of failing the matched set.
+  SGNN_CHECK(op.rank >= 0 && op.rank < num_ranks_, "invalid rank " << op.rank);
+  if (op.kind != CollectiveKind::kAllReduce) {
+    SGNN_CHECK(op.counts.size() == static_cast<std::size_t>(num_ranks_),
+               "collective needs one count per rank, got "
+                   << op.counts.size() << " for " << num_ranks_ << " ranks");
+    const std::size_t total =
+        std::accumulate(op.counts.begin(), op.counts.end(), std::size_t{0});
+    const std::size_t mine = op.counts[static_cast<std::size_t>(op.rank)];
+    const bool scatter = op.kind == CollectiveKind::kReduceScatter;
+    const std::size_t full = scatter ? op.input.size() : op.output.size();
+    const std::size_t piece = scatter ? op.output.size() : op.input.size();
+    SGNN_CHECK(full == total, "collective counts sum to "
+                                  << total << " but the full buffer has "
+                                  << full << " elements");
+    SGNN_CHECK(piece == mine, "collective piece has " << piece
+                                                      << " elements but counts["
+                                                      << op.rank << "] is "
+                                                      << mine);
+  }
   op.state = std::make_shared<comm_detail::NbOpState>();
   CollectiveHandle handle(op.state);
   {
@@ -321,39 +215,23 @@ namespace {
 
 /// Cross-rank validation of one matched set of posts. Returns an empty
 /// string when the set forms a well-posed collective; otherwise the error
-/// every handle should fail with. This is the non-blocking analogue of the
-/// SGNN_CHECKs inside the blocking collectives — except a mismatch here
-/// cannot throw in any rank's thread, so it is deferred to wait()/test().
+/// every handle should fail with. Per-rank shapes were checked at post
+/// time; what only the matched set can show is deferred to wait()/test(),
+/// since it cannot throw in any rank's thread.
 std::string validate_matched(const std::vector<comm_detail::PendingOp>& ops) {
-  const CollectiveKind kind = ops.front().kind;
+  const comm_detail::PendingOp& first = ops.front();
   for (const auto& op : ops) {
-    if (op.kind != kind) {
+    if (op.kind != first.kind) {
       return "mismatched non-blocking collective kinds across ranks "
              "(SPMD post-order violation)";
     }
-  }
-  switch (kind) {
-    case CollectiveKind::kAllReduce: {
-      const std::size_t n = ops.front().inout->size();
-      for (const auto& op : ops) {
-        if (op.inout->size() != n) {
-          return "iall_reduce_sum size mismatch across ranks";
-        }
+    if (first.kind == CollectiveKind::kAllReduce) {
+      if (op.output.size() != first.output.size()) {
+        return "iall_reduce_sum size mismatch across ranks";
       }
-      break;
+    } else if (op.counts != first.counts) {
+      return "non-blocking collective counts differ across ranks";
     }
-    case CollectiveKind::kReduceScatter:
-    case CollectiveKind::kAllGather: {
-      const auto& counts = ops.front().counts;
-      for (const auto& op : ops) {
-        if (op.counts != counts) {
-          return "non-blocking collective counts differ across ranks";
-        }
-      }
-      break;
-    }
-    case CollectiveKind::kBroadcast:
-      return "broadcast has no non-blocking variant";
   }
   return std::string();
 }
@@ -389,112 +267,78 @@ void Communicator::progress_loop() {
       comm_detail::finish(ops, error);
       continue;
     }
-    switch (ops.front().kind) {
-      case CollectiveKind::kAllReduce: {
-        // Fixed rank-order summation, exactly like the blocking path, so
-        // bucketed results are bit-identical to one big all_reduce_sum.
-        std::vector<real> total(ops.front().inout->size(), real{0});
-        for (const auto& op : ops) {
-          const auto& src = *op.inout;
-          for (std::size_t i = 0; i < total.size(); ++i) total[i] += src[i];
-        }
-        for (auto& op : ops) *op.inout = total;
-        count_nonblocking(CollectiveKind::kAllReduce,
-                          total.size() * sizeof(real));
-        break;
+    // Every input is read into `result` before any output is written, so
+    // an output may alias its own rank's input. Reductions sum in fixed
+    // rank order, so a buffer's total never depends on how it was split
+    // into calls.
+    const CollectiveKind kind = ops.front().kind;
+    std::vector<real> result;
+    if (kind == CollectiveKind::kAllGather) {
+      for (const auto& op : ops) {
+        result.insert(result.end(), op.input.begin(), op.input.end());
       }
-      case CollectiveKind::kReduceScatter: {
-        const auto& counts = ops.front().counts;
-        std::size_t offset = 0;
-        for (std::size_t r = 0; r < counts.size(); ++r) {
-          auto& piece = *ops[r].output;
-          piece.assign(counts[r], real{0});
-          for (const auto& op : ops) {
-            const auto& src = *op.input;
-            for (std::size_t i = 0; i < counts[r]; ++i) {
-              piece[i] += src[offset + i];
-            }
-          }
-          offset += counts[r];
-        }
-        count_nonblocking(CollectiveKind::kReduceScatter,
-                          offset * sizeof(real));
-        break;
+    } else {
+      const bool all_reduce = kind == CollectiveKind::kAllReduce;
+      result.assign(all_reduce ? ops.front().output.size()
+                               : ops.front().input.size(),
+                    real{0});
+      for (const auto& op : ops) {
+        const std::span<const real> src =
+            all_reduce ? std::span<const real>(op.output) : op.input;
+        for (std::size_t i = 0; i < result.size(); ++i) result[i] += src[i];
       }
-      case CollectiveKind::kAllGather: {
-        std::vector<real> gathered;
-        for (const auto& op : ops) {
-          gathered.insert(gathered.end(), op.input->begin(), op.input->end());
-        }
-        for (auto& op : ops) *op.output = gathered;
-        count_nonblocking(CollectiveKind::kAllGather,
-                          gathered.size() * sizeof(real));
-        break;
-      }
-      case CollectiveKind::kBroadcast:
-        break;  // rejected by validate_matched
     }
+    std::size_t offset = 0;
+    for (std::size_t r = 0; r < ops.size(); ++r) {
+      if (kind == CollectiveKind::kReduceScatter) {
+        const std::size_t n = ops.front().counts[r];
+        std::copy_n(result.begin() + static_cast<std::ptrdiff_t>(offset), n,
+                    ops[r].output.begin());
+        offset += n;
+      } else {
+        std::copy(result.begin(), result.end(), ops[r].output.begin());
+      }
+    }
+    count(kind, result.size() * sizeof(real));
     comm_detail::finish(ops, std::string());
   }
 }
 
-void Communicator::count_nonblocking(CollectiveKind kind,
-                                     std::uint64_t bytes) {
-  auto& registry = obs::MetricsRegistry::instance();
-  switch (kind) {
-    case CollectiveKind::kAllReduce:
-      all_reduce_bytes_.fetch_add(bytes);
-      all_reduce_calls_.fetch_add(1);
-      registry.counter("comm.all_reduce_bytes")
-          .add(static_cast<std::int64_t>(bytes));
-      break;
-    case CollectiveKind::kReduceScatter:
-      reduce_scatter_bytes_.fetch_add(bytes);
-      reduce_scatter_calls_.fetch_add(1);
-      registry.counter("comm.reduce_scatter_bytes")
-          .add(static_cast<std::int64_t>(bytes));
-      break;
-    case CollectiveKind::kAllGather:
-      all_gather_bytes_.fetch_add(bytes);
-      all_gather_calls_.fetch_add(1);
-      registry.counter("comm.all_gather_bytes")
-          .add(static_cast<std::int64_t>(bytes));
-      break;
-    case CollectiveKind::kBroadcast:
-      broadcast_bytes_.fetch_add(bytes);
-      broadcast_calls_.fetch_add(1);
-      registry.counter("comm.broadcast_bytes")
-          .add(static_cast<std::int64_t>(bytes));
-      break;
+void Communicator::count(CollectiveKind kind, std::uint64_t bytes) {
+  const char* metric = "comm.all_gather_bytes";
+  {
+    const std::lock_guard<std::mutex> lock(traffic_mutex_);
+    switch (kind) {
+      case CollectiveKind::kAllReduce:
+        traffic_.all_reduce_bytes += bytes;
+        ++traffic_.all_reduce_calls;
+        metric = "comm.all_reduce_bytes";
+        break;
+      case CollectiveKind::kReduceScatter:
+        traffic_.reduce_scatter_bytes += bytes;
+        ++traffic_.reduce_scatter_calls;
+        metric = "comm.reduce_scatter_bytes";
+        break;
+      case CollectiveKind::kAllGather:
+        traffic_.all_gather_bytes += bytes;
+        ++traffic_.all_gather_calls;
+        break;
+    }
+    ++traffic_.collective_calls;
   }
-  collective_calls_.fetch_add(1);
+  auto& registry = obs::MetricsRegistry::instance();
+  registry.counter(metric).add(static_cast<std::int64_t>(bytes));
   registry.counter("comm.collective_calls").add(1);
 }
 
 Communicator::Traffic Communicator::traffic() const {
-  Traffic t;
-  t.all_reduce_bytes = all_reduce_bytes_.load();
-  t.reduce_scatter_bytes = reduce_scatter_bytes_.load();
-  t.all_gather_bytes = all_gather_bytes_.load();
-  t.broadcast_bytes = broadcast_bytes_.load();
-  t.all_reduce_calls = all_reduce_calls_.load();
-  t.reduce_scatter_calls = reduce_scatter_calls_.load();
-  t.all_gather_calls = all_gather_calls_.load();
-  t.broadcast_calls = broadcast_calls_.load();
-  t.collective_calls = collective_calls_.load();
-  return t;
+  const std::lock_guard<std::mutex> lock(traffic_mutex_);
+  return traffic_;
 }
 
 void Communicator::reset_traffic() {
-  all_reduce_bytes_ = 0;
-  reduce_scatter_bytes_ = 0;
-  all_gather_bytes_ = 0;
-  broadcast_bytes_ = 0;
-  all_reduce_calls_ = 0;
-  reduce_scatter_calls_ = 0;
-  all_gather_calls_ = 0;
-  broadcast_calls_ = 0;
-  collective_calls_ = 0;
+  const std::lock_guard<std::mutex> lock(traffic_mutex_);
+  traffic_ = Traffic{};
 }
 
 Communicator::Traffic Communicator::Traffic::since(
@@ -502,11 +346,9 @@ Communicator::Traffic Communicator::Traffic::since(
   SGNN_CHECK(earlier.all_reduce_bytes <= all_reduce_bytes &&
                  earlier.reduce_scatter_bytes <= reduce_scatter_bytes &&
                  earlier.all_gather_bytes <= all_gather_bytes &&
-                 earlier.broadcast_bytes <= broadcast_bytes &&
                  earlier.all_reduce_calls <= all_reduce_calls &&
                  earlier.reduce_scatter_calls <= reduce_scatter_calls &&
                  earlier.all_gather_calls <= all_gather_calls &&
-                 earlier.broadcast_calls <= broadcast_calls &&
                  earlier.collective_calls <= collective_calls,
              "Traffic::since called with a later snapshot as `earlier`; "
              "unsigned subtraction would wrap");
@@ -515,12 +357,10 @@ Communicator::Traffic Communicator::Traffic::since(
   delta.reduce_scatter_bytes =
       reduce_scatter_bytes - earlier.reduce_scatter_bytes;
   delta.all_gather_bytes = all_gather_bytes - earlier.all_gather_bytes;
-  delta.broadcast_bytes = broadcast_bytes - earlier.broadcast_bytes;
   delta.all_reduce_calls = all_reduce_calls - earlier.all_reduce_calls;
   delta.reduce_scatter_calls =
       reduce_scatter_calls - earlier.reduce_scatter_calls;
   delta.all_gather_calls = all_gather_calls - earlier.all_gather_calls;
-  delta.broadcast_calls = broadcast_calls - earlier.broadcast_calls;
   delta.collective_calls = collective_calls - earlier.collective_calls;
   return delta;
 }
@@ -546,12 +386,6 @@ double InterconnectModel::all_gather_seconds(std::uint64_t bytes,
   return reduce_scatter_seconds(bytes, ranks);
 }
 
-double InterconnectModel::broadcast_seconds(std::uint64_t bytes,
-                                            int ranks) const {
-  if (ranks <= 1) return 0.0;
-  return static_cast<double>(bytes) / link_bandwidth_bytes_per_s;
-}
-
 double InterconnectModel::all_reduce_latency_seconds(int ranks) const {
   if (ranks <= 1) return 0.0;
   return 2.0 * (ranks - 1) * latency_seconds;
@@ -566,25 +400,17 @@ double InterconnectModel::all_gather_latency_seconds(int ranks) const {
   return reduce_scatter_latency_seconds(ranks);
 }
 
-double InterconnectModel::broadcast_latency_seconds(int ranks) const {
-  if (ranks <= 1) return 0.0;
-  return static_cast<double>(ranks - 1) * latency_seconds;
-}
-
 double InterconnectModel::seconds(const Communicator::Traffic& traffic,
                                   int ranks) const {
   return all_reduce_seconds(traffic.all_reduce_bytes, ranks) +
          reduce_scatter_seconds(traffic.reduce_scatter_bytes, ranks) +
          all_gather_seconds(traffic.all_gather_bytes, ranks) +
-         broadcast_seconds(traffic.broadcast_bytes, ranks) +
          static_cast<double>(traffic.all_reduce_calls) *
              all_reduce_latency_seconds(ranks) +
          static_cast<double>(traffic.reduce_scatter_calls) *
              reduce_scatter_latency_seconds(ranks) +
          static_cast<double>(traffic.all_gather_calls) *
-             all_gather_latency_seconds(ranks) +
-         static_cast<double>(traffic.broadcast_calls) *
-             broadcast_latency_seconds(ranks);
+             all_gather_latency_seconds(ranks);
 }
 
 double InterconnectModel::call_seconds(CollectiveKind kind,
@@ -599,9 +425,6 @@ double InterconnectModel::call_seconds(CollectiveKind kind,
     case CollectiveKind::kAllGather:
       return all_gather_seconds(bytes, ranks) +
              all_gather_latency_seconds(ranks);
-    case CollectiveKind::kBroadcast:
-      return broadcast_seconds(bytes, ranks) +
-             broadcast_latency_seconds(ranks);
   }
   SGNN_CHECK(false, "unknown CollectiveKind");
   return 0.0;

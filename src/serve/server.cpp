@@ -1,6 +1,7 @@
 #include "sgnn/serve/server.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <utility>
 
@@ -338,6 +339,17 @@ void Server::run_group(std::vector<Pending*>& group, EGNNModel& model,
     for (std::size_t gi = 0; gi < built.size(); ++gi) {
       Pending& pending = *built[gi];
       const std::int64_t n = graphs[gi].num_nodes();
+      // A non-finite answer fails its own request and is never cached.
+      bool finite = std::isfinite(energy[gi]);
+      for (std::int64_t k = 0; want_forces && k < 3 * n; ++k) {
+        finite = finite && std::isfinite(grad[node_offset * 3 + k]);
+      }
+      if (!finite) {
+        fail(pending, std::make_exception_ptr(Error(
+                          "inference produced a non-finite energy or force")));
+        node_offset += n;
+        continue;
+      }
       InferenceResult result;
       result.energy = energy[gi];
       result.weights_version = model_version;

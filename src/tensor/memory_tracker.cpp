@@ -81,6 +81,12 @@ std::int64_t MemoryTracker::peak_total() const {
   return peak_.total();
 }
 
+void MemoryTracker::sample_phase() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  auto& phase_peak = peak_by_phase_[static_cast<std::size_t>(t_phase)];
+  phase_peak = std::max(phase_peak, live_.total());
+}
+
 std::int64_t MemoryTracker::peak_during(TrainPhase phase) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return peak_by_phase_[static_cast<std::size_t>(phase)];

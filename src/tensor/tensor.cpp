@@ -153,12 +153,12 @@ const Shape& Tensor::shape() const {
 
 real* Tensor::data() {
   SGNN_CHECK(defined(), "data() on undefined tensor");
-  return impl_->storage->data();
+  return impl_->storage->data() + impl_->offset;
 }
 
 const real* Tensor::data() const {
   SGNN_CHECK(defined(), "data() on undefined tensor");
-  return impl_->storage->data();
+  return impl_->storage->data() + impl_->offset;
 }
 
 std::vector<real> Tensor::to_vector() const {
@@ -221,12 +221,17 @@ bool Tensor::is_leaf() const {
 
 Tensor Tensor::grad() const {
   SGNN_CHECK(defined(), "grad() on undefined tensor");
-  return impl_->grad ? Tensor(impl_->grad) : Tensor();
+  return impl_->has_grad ? Tensor(impl_->grad) : Tensor();
 }
 
 void Tensor::zero_grad() {
   SGNN_CHECK(defined(), "zero_grad() on undefined tensor");
-  impl_->grad.reset();
+  if (impl_->arena_grad) {
+    std::fill_n(Tensor(impl_->grad).data(), impl_->shape.numel(), real{0});
+  } else {
+    impl_->grad.reset();
+  }
+  impl_->has_grad = false;
 }
 
 Tensor Tensor::detach() const {
@@ -234,14 +239,14 @@ Tensor Tensor::detach() const {
   auto impl = std::make_shared<detail::TensorImpl>();
   impl->shape = impl_->shape;
   impl->storage = impl_->storage;  // aliases the data
+  impl->offset = impl_->offset;
   return Tensor(std::move(impl));
 }
 
 Tensor Tensor::clone() const {
   SGNN_CHECK(defined(), "clone() on undefined tensor");
   auto impl = make_impl(impl_->shape);
-  std::copy_n(impl_->storage->data(),
-              static_cast<std::size_t>(impl_->shape.numel()),
+  std::copy_n(data(), static_cast<std::size_t>(impl_->shape.numel()),
               impl->storage->data());
   return Tensor(std::move(impl));
 }
@@ -345,11 +350,13 @@ void Tensor::backward(const Tensor& grad_output) {
 
     if (!impl->grad_fn) {
       if (impl->requires_grad) {
-        // Leaf: accumulate into the persistent .grad buffer.
+        // Leaf: accumulate into the persistent .grad buffer (in place
+        // into its slice of the gradient arena when it has one).
         if (!impl->grad) {
           impl->grad = Tensor::zeros(impl->shape).impl();
         }
-        real* g = impl->grad->storage->data();
+        impl->has_grad = true;
+        real* g = Tensor(impl->grad).data();
         const real* src = grad.data();
         const std::int64_t n = impl->shape.numel();
         for (std::int64_t i = 0; i < n; ++i) g[i] += src[i];

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
-#include <numeric>
 #include <optional>
 #include <span>
 #include <thread>
@@ -148,6 +147,8 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   // Resume (single-threaded, before the rank threads exist).
   std::int64_t start_epoch = 0;
   std::int64_t start_counted = 0;
+  // Each rank's run-long loss tally; a snapshot carries every rank's.
+  std::vector<LossTally> losses(static_cast<std::size_t>(R));
   const auto view = find_resume_snapshot(copt.resume_from, kind);
   if (view) {
     SGNN_CHECK(view->i64("meta.ranks") == R,
@@ -156,7 +157,8 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
     SGNN_CHECK(view->i64("meta.strategy") ==
                    static_cast<std::int64_t>(options_.strategy),
                "checkpoint strategy does not match trainer strategy");
-    load_training_state(*view, *replicas_.front(), syncs, initial_sampler);
+    load_training_state(*view, *replicas_.front(), syncs, initial_sampler,
+                        losses);
     for (int r = 1; r < R; ++r) {
       replicas_[static_cast<std::size_t>(r)]->copy_parameters_from(
           *replicas_.front());
@@ -165,7 +167,6 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
     start_counted = view->i64("meta.step");
   }
 
-  std::vector<double> rank_loss(static_cast<std::size_t>(R), 0.0);
   std::vector<double> rank_seconds(static_cast<std::size_t>(R), 0.0);
   // The step count and the overlap/halo accounting are rank 0's, written
   // only by the rank-0 worker (the thread join below publishes them).
@@ -187,7 +188,6 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
                                      .telemetry = options_.telemetry};
     EpochSampler sampler = initial_sampler;
     const WallTimer timer;
-    double loss_sum = 0;
     std::int64_t counted_steps = start_counted;
     std::int64_t local_steps = 0;
 
@@ -248,7 +248,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
         const Communicator::Traffic traffic_before =
             rank == 0 ? comm.traffic() : Communicator::Traffic{};
         obs::StepTelemetry telemetry = train_step.run(batch, forward_options);
-        loss_sum += telemetry.loss;
+        losses[ri].add(telemetry.loss);
         if (rank == 0) {
           // One formula for per-step and aggregate accounting: the modeled
           // time of the step's traffic delta. seconds() is additive over
@@ -262,7 +262,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
           // step's non-blocking collectives: the sync's gradient buckets,
           // or the halo exchanges of a graph-parallel step. Collectives
           // without stamps (the ZeRO norm's scalar all-reduce, the blocking
-          // halo exchanges, the sequential path) count as fully exposed:
+          // halo exchanges) count as fully exposed:
           // exposed = overlap-priced exposure + (delta - event total).
           std::vector<InterconnectModel::OverlapEvent> events =
               sync.take_overlap_events();
@@ -305,14 +305,16 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
         if (manager && counted_steps % copt.every_steps == 0) {
           // Rank 0 snapshots ALL ranks' state between two barriers: every
           // other rank is parked in the second barrier while the writer
-          // reads the shared parameters and (for ZeRO) the other ranks'
-          // moment shards, so the cross-thread reads are race-free — the
-          // barrier's mutex/condvar provides the happens-before edge.
+          // reads the shared parameters, the loss tallies and (for ZeRO)
+          // the other ranks' moment shards, so the cross-thread reads are
+          // race-free — the barrier's mutex/condvar provides the
+          // happens-before edge.
           comm.barrier();
           if (rank == 0) {
             SnapshotBuilder builder;
             save_training_state(builder, kind, counted_steps, epoch,
-                                *replicas_.front(), syncs, sampler);
+                                *replicas_.front(), syncs, sampler,
+                                losses);
             builder.add_i64("meta.ranks", R);
             builder.add_i64("meta.strategy",
                             static_cast<std::int64_t>(options_.strategy));
@@ -327,9 +329,6 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
         ckpt::maybe_crash(copt, counted_steps);
       }
     }
-    rank_loss[ri] = local_steps > 0
-                        ? loss_sum / static_cast<double>(local_steps)
-                        : 0.0;
     rank_seconds[ri] = timer.seconds();
     if (rank == 0) report.steps = local_steps;
   };
@@ -361,8 +360,9 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   SGNN_CHECK(replica_divergence() == 0.0,
              "replicas diverged — gradient synchronization is broken");
 
-  report.final_train_loss =
-      std::accumulate(rank_loss.begin(), rank_loss.end(), 0.0) / R;
+  double loss_sum = 0;
+  for (const LossTally& tally : losses) loss_sum += tally.mean();
+  report.final_train_loss = loss_sum / R;
   report.compute_seconds =
       *std::max_element(rank_seconds.begin(), rank_seconds.end());
   report.collective_traffic = comm.traffic();

@@ -12,62 +12,22 @@
 
 namespace sgnn {
 
-std::vector<real> flatten_parameters(const std::vector<Tensor>& parameters) {
-  std::vector<real> flat;
-  for (const auto& p : parameters) {
-    const real* d = p.data();
-    flat.insert(flat.end(), d, d + p.numel());
-  }
-  return flat;
-}
-
-std::vector<real> flatten_gradients(const std::vector<Tensor>& parameters) {
-  std::vector<real> flat;
-  for (const auto& p : parameters) {
-    const Tensor grad = p.grad();
-    if (grad.defined()) {
-      const real* d = grad.data();
-      flat.insert(flat.end(), d, d + grad.numel());
-    } else {
-      flat.insert(flat.end(), static_cast<std::size_t>(p.numel()), real{0});
-    }
-  }
-  return flat;
-}
-
-void unflatten_into_parameters(const std::vector<real>& flat,
-                               std::vector<Tensor>& parameters) {
-  std::size_t offset = 0;
-  for (auto& p : parameters) {
-    const auto n = static_cast<std::size_t>(p.numel());
-    SGNN_CHECK(offset + n <= flat.size(), "unflatten size mismatch");
-    std::copy_n(flat.data() + offset, n, p.data());
-    offset += n;
-  }
-  SGNN_CHECK(offset == flat.size(), "unflatten left " << flat.size() - offset
-                                                      << " dangling values");
-}
-
 GradSync::GradSync(std::vector<Tensor> parameters, const Options& options,
                    Communicator* comm, CollectiveKind kind,
                    std::size_t bucket_bytes)
-    : parameters_(std::move(parameters)), options_(options), comm_(comm) {
-  SGNN_CHECK(!parameters_.empty(), "optimizer needs parameters");
-  for (const auto& p : parameters_) {
-    SGNN_CHECK(p.defined() && p.is_leaf() && p.requires_grad(),
+    : arena_(std::move(parameters)), options_(options), comm_(comm) {
+  SGNN_CHECK(!arena_.parameters().empty(), "optimizer needs parameters");
+  for (const auto& p : arena_.parameters()) {
+    SGNN_CHECK(p.requires_grad(),
                "optimizer parameters must be grad-requiring leaves");
   }
-  if (comm_ != nullptr && bucket_bytes > 0) {
+  if (comm_ != nullptr) {
     bucketer_ =
-        std::make_unique<GradBucketer>(*comm_, parameters_, kind, bucket_bytes);
+        std::make_unique<GradBucketer>(*comm_, arena_, kind, bucket_bytes);
   }
 }
 
 GradSync::~GradSync() = default;
-
-void GradSync::zero_grad() {
-  for (auto& p : parameters_) p.zero_grad();
-}
 
 void GradSync::backward(Tensor& loss, int rank) {
   GradBucketer* const bucketer = bucketer_.get();
@@ -83,7 +43,10 @@ void GradSync::backward(Tensor& loss, int rank) {
 
 double GradSync::step(int rank, bool measure_norm) {
   ++timestep_;
-  return update(rank, measure_norm);
+  const double norm = update(rank, measure_norm);
+  // The update works in place and allocates nothing; sample its footprint.
+  MemoryTracker::instance().sample_phase();
+  return norm;
 }
 
 void GradSync::save(SnapshotBuilder& builder, int rank) const {
@@ -93,10 +56,9 @@ void GradSync::save(SnapshotBuilder& builder, int rank) const {
   }
   if (!sharded() && rank != 0) return;  // rank 0's copy stands for all
   const std::string suffix = sharded() ? "." + std::to_string(rank) : "";
-  const std::vector<real> m = flatten_parameters(m_);
-  const std::vector<real> v = flatten_parameters(v_);
-  builder.add_reals("optim.m" + suffix, m.data(), m.size());
-  builder.add_reals("optim.v" + suffix, v.data(), v.size());
+  const auto n = static_cast<std::size_t>(m_.numel());
+  builder.add_reals("optim.m" + suffix, m_.data(), n);
+  builder.add_reals("optim.v" + suffix, v_.data(), n);
 }
 
 void GradSync::load(const SnapshotView& view, int rank) {
@@ -105,8 +67,14 @@ void GradSync::load(const SnapshotView& view, int rank) {
   timestep_ = timestep;
   options_.learning_rate = view.f64("optim.lr");
   const std::string suffix = sharded() ? "." + std::to_string(rank) : "";
-  unflatten_into_parameters(view.reals("optim.m" + suffix), m_);
-  unflatten_into_parameters(view.reals("optim.v" + suffix), v_);
+  for (auto [name, moment] : {std::pair{"optim.m" + suffix, &m_},
+                              std::pair{"optim.v" + suffix, &v_}}) {
+    const std::vector<real> values = view.reals(name);
+    SGNN_CHECK(static_cast<std::int64_t>(values.size()) == moment->numel(),
+               name << " holds " << values.size() << " values, expected "
+                    << moment->numel());
+    std::copy(values.begin(), values.end(), moment->data());
+  }
 }
 
 std::vector<InterconnectModel::OverlapEvent> GradSync::take_overlap_events() {
@@ -114,21 +82,20 @@ std::vector<InterconnectModel::OverlapEvent> GradSync::take_overlap_events() {
   return bucketer_->take_events();
 }
 
-void GradSync::allocate_moments(const std::vector<Shape>& shapes) {
+void GradSync::allocate_moments(std::size_t count) {
   const ScopedMemCategory scope(MemCategory::kOptimizerState);
-  for (const Shape& shape : shapes) {
-    m_.push_back(Tensor::zeros(shape));
-    v_.push_back(Tensor::zeros(shape));
-  }
+  m_ = Tensor::zeros(Shape{static_cast<std::int64_t>(count)});
+  v_ = Tensor::zeros(Shape{static_cast<std::int64_t>(count)});
 }
 
-void GradSync::post_buckets(int rank) {
+void GradSync::reduce_gradients(int rank) {
   if (!bucketer_->active()) bucketer_->begin_step(rank);
   bucketer_->post_remaining();
   if (pre_drain_hook_) pre_drain_hook_();
+  bucketer_->drain();
 }
 
-double GradSync::average_and_clip(std::vector<real>& grad, int rank,
+double GradSync::average_and_clip(std::span<real> grad, int rank,
                                   bool measure_norm) const {
   const auto scale = real{1} / static_cast<real>(comm_->num_ranks());
   for (auto& g : grad) g *= scale;
@@ -142,9 +109,9 @@ double GradSync::average_and_clip(std::vector<real>& grad, int rank,
     sum_sq += static_cast<double>(g) * static_cast<double>(g);
   }
   if (sharded()) {
-    std::vector<real> partial = {static_cast<real>(sum_sq)};
-    comm_->all_reduce_sum(rank, partial);
-    sum_sq = static_cast<double>(partial[0]);
+    real partial = static_cast<real>(sum_sq);
+    comm_->all_reduce_sum(rank, std::span<real>(&partial, 1));
+    sum_sq = static_cast<double>(partial);
   }
   const double norm = std::sqrt(sum_sq);
   if (max_grad_norm_ > 0 && norm > max_grad_norm_) {
@@ -179,24 +146,23 @@ void GradSync::update_flat(real* param, const real* grad, real* m, real* v,
 
 Adam::Adam(std::vector<Tensor> parameters, const Options& options)
     : GradSync(std::move(parameters), options) {
-  std::vector<Shape> shapes;
-  for (const auto& p : parameters_) shapes.push_back(p.shape());
-  allocate_moments(shapes);
+  allocate_moments(arena_.size());
 }
 
 double Adam::update(int /*rank*/, bool measure_norm) {
+  const std::vector<Tensor>& parameters = arena_.parameters();
   double norm = 0;
   if (max_grad_norm_ > 0) {
-    norm = clip_grad_norm(parameters_, max_grad_norm_);
+    norm = clip_grad_norm(parameters, max_grad_norm_);
   } else if (measure_norm) {
-    norm = grad_l2_norm(parameters_);
+    norm = grad_l2_norm(parameters);
   }
-  for (std::size_t i = 0; i < parameters_.size(); ++i) {
-    const Tensor grad = parameters_[i].grad();
-    if (!grad.defined()) continue;
-    update_flat(parameters_[i].data(), grad.data(), m_[i].data(),
-                v_[i].data(), static_cast<std::size_t>(parameters_[i].numel()),
-                timestep_, options_);
+  for (std::size_t i = 0; i < parameters.size(); ++i) {
+    if (!parameters[i].grad().defined()) continue;
+    const std::size_t at = arena_.offset(i);
+    update_flat(arena_.values().data() + at, arena_.grads().data() + at,
+                m_.data() + at, v_.data() + at,
+                arena_.offset(i + 1) - at, timestep_, options_);
   }
   return norm;
 }

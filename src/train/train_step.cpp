@@ -114,7 +114,8 @@ void save_training_state(SnapshotBuilder& builder, const std::string& kind,
                          std::int64_t step, std::int64_t epoch,
                          const EGNNModel& model,
                          const std::vector<GradSync*>& syncs,
-                         const EpochSampler& sampler) {
+                         const EpochSampler& sampler,
+                         const std::vector<LossTally>& losses) {
   builder.add_bytes("meta.kind", kind);
   builder.add_i64("meta.step", step);
   builder.add_i64("meta.epoch", sampler.has_next() ? epoch : epoch + 1);
@@ -122,6 +123,14 @@ void save_training_state(SnapshotBuilder& builder, const std::string& kind,
   builder.add_bytes("sampler.rng", pod_bytes(position.rng));
   builder.add_u64s("sampler.order", position.order);
   builder.add_u64("sampler.cursor", position.cursor);
+  std::vector<real> sums;
+  std::vector<std::uint64_t> steps;
+  for (const LossTally& tally : losses) {
+    sums.push_back(tally.sum);
+    steps.push_back(static_cast<std::uint64_t>(tally.steps));
+  }
+  builder.add_reals("loss.sum", sums.data(), sums.size());
+  builder.add_u64s("loss.steps", steps);
   save_model_sections(builder, model);
   for (std::size_t r = 0; r < syncs.size(); ++r) {
     syncs[r]->save(builder, static_cast<int>(r));
@@ -150,12 +159,21 @@ std::optional<SnapshotView> find_resume_snapshot(const std::string& location,
 
 void load_training_state(const SnapshotView& view, EGNNModel& model,
                          const std::vector<GradSync*>& syncs,
-                         EpochSampler& sampler) {
+                         EpochSampler& sampler,
+                         std::vector<LossTally>& losses) {
   EpochSampler::State position;
   position.rng = pod_from_bytes<Rng::State>(view.bytes("sampler.rng"));
   position.order = view.u64s("sampler.order");
   position.cursor = view.u64("sampler.cursor");
   sampler.restore_state(position);
+  const std::vector<real> sums = view.reals("loss.sum");
+  const std::vector<std::uint64_t> steps = view.u64s("loss.steps");
+  SGNN_CHECK(sums.size() == losses.size() && steps.size() == losses.size(),
+             "snapshot holds " << sums.size() << " loss tallies, expected "
+                               << losses.size());
+  for (std::size_t r = 0; r < losses.size(); ++r) {
+    losses[r] = LossTally{sums[r], static_cast<std::int64_t>(steps[r])};
+  }
   load_model_sections(view, model);
   for (std::size_t r = 0; r < syncs.size(); ++r) {
     syncs[r]->load(view, static_cast<int>(r));

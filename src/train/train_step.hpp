@@ -75,13 +75,15 @@ class TrainStep {
 /// The snapshot writer both trainers use: meta.kind, meta.step (completed
 /// steps), meta.epoch (the epoch of the NEXT step: `epoch`, or the one
 /// after when the sampler has no batch left), sampler.{rng,order,cursor},
-/// the model.* sections, and the optimizer sections of every rank's
-/// GradSync (syncs[r] is rank r's). The caller adds its own meta fields.
+/// loss.{sum,steps} (one entry per rank's tally), the model.* sections,
+/// and the optimizer sections of every rank's GradSync (syncs[r] is rank
+/// r's). The caller adds its own meta fields.
 void save_training_state(SnapshotBuilder& builder, const std::string& kind,
                          std::int64_t step, std::int64_t epoch,
                          const EGNNModel& model,
                          const std::vector<GradSync*>& syncs,
-                         const EpochSampler& sampler);
+                         const EpochSampler& sampler,
+                         const std::vector<LossTally>& losses);
 
 /// The newest readable snapshot under `location` for a resume: nullopt
 /// when `location` is empty (a fresh run), or with a warning when nothing
@@ -92,9 +94,11 @@ std::optional<SnapshotView> find_resume_snapshot(const std::string& location,
 
 /// Restores what save_training_state wrote into `sampler` (first, so a
 /// position that does not fit it fails before anything else changes),
-/// `model` and each rank's GradSync; the caller reads the meta counters.
+/// `losses` (which must hold one tally per rank), `model` and each rank's
+/// GradSync; the caller reads the meta counters.
 void load_training_state(const SnapshotView& view, EGNNModel& model,
                          const std::vector<GradSync*>& syncs,
-                         EpochSampler& sampler);
+                         EpochSampler& sampler,
+                         std::vector<LossTally>& losses);
 
 }  // namespace sgnn

@@ -29,7 +29,7 @@ void Trainer::maybe_checkpoint(const DataLoader& loader) {
   }
   SnapshotBuilder builder;
   save_training_state(builder, "trainer", global_step_, epoch_index_, model_,
-                      {&optimizer_}, loader.sampler());
+                      {&optimizer_}, loader.sampler(), {epoch_loss_});
   ckpt_manager_->save(static_cast<std::uint64_t>(global_step_),
                       builder.payload());
 }
@@ -38,7 +38,9 @@ void Trainer::try_resume(DataLoader& loader) {
   const auto view =
       find_resume_snapshot(options_.checkpoint.resume_from, "trainer");
   if (!view) return;
-  load_training_state(*view, model_, {&optimizer_}, loader.sampler());
+  std::vector<LossTally> losses(1);
+  load_training_state(*view, model_, {&optimizer_}, loader.sampler(), losses);
+  epoch_loss_ = losses.front();
   global_step_ = view->i64("meta.step");
   epoch_index_ = view->i64("meta.epoch");
   // A snapshot from an epoch's last step holds an exhausted order and
@@ -48,15 +50,15 @@ void Trainer::try_resume(DataLoader& loader) {
 
 Trainer::EpochResult Trainer::train_epoch(DataLoader& loader) {
   const WallTimer timer;
-  double loss_sum = 0;
-  std::int64_t batches = 0;
 
   if (skip_begin_epoch_) {
     // First epoch after a resume: the loader already sits at the restored
-    // mid-epoch position; reshuffling would diverge from the original run.
+    // mid-epoch position, and the loss tally holds the epoch's steps so
+    // far; reshuffling would diverge from the original run.
     skip_begin_epoch_ = false;
   } else {
     loader.begin_epoch();
+    epoch_loss_ = LossTally{};
   }
   EGNNModel::ForwardOptions forward_options;
   forward_options.activation_checkpointing =
@@ -77,17 +79,15 @@ Trainer::EpochResult Trainer::train_epoch(DataLoader& loader) {
     if (use_baseline_) baseline_.subtract_from(batch);
     const obs::StepTelemetry telemetry = step.run(batch, forward_options);
     step.emit(telemetry);
-    loss_sum += telemetry.loss;
+    epoch_loss_.add(telemetry.loss);
     ++global_step_;
-    ++batches;
     maybe_checkpoint(loader);
     ckpt::maybe_crash(options_.checkpoint, global_step_);
   }
 
   ++epoch_index_;
   EpochResult result;
-  result.mean_train_loss =
-      batches > 0 ? loss_sum / static_cast<double>(batches) : 0.0;
+  result.mean_train_loss = epoch_loss_.mean();
   result.seconds = timer.seconds();
   return result;
 }

@@ -1,7 +1,8 @@
 // Randomized property suite for the gradient bucketer (FUZZ label, run
 // under ASan/UBSan in CI): for random shape lists and bucket caps, the
-// layout must tile the flat vector exactly, the bucketed collectives must
-// reproduce the blocking ones bit-for-bit, and degenerate inputs (empty
+// layout must tile the flat vector exactly, the in-place bucketed
+// collectives over a parameter arena must reproduce the whole-vector
+// rank-order reductions bit-for-bit, and degenerate inputs (empty
 // parameter list, fewer elements than ranks, double begin_step) must throw
 // or no-op cleanly — never deadlock. Everything is seeded, so a failure
 // reproduces deterministically.
@@ -10,13 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "sgnn/tensor/ops.hpp"
-#include "sgnn/train/zero.hpp"
 #include "sgnn/util/error.hpp"
 #include "sgnn/util/rng.hpp"
 
@@ -111,13 +113,27 @@ void install_grads(std::vector<Tensor>& params, int rank) {
   }
 }
 
-/// Fixed rank-order elementwise sum of the per-rank flat gradients — the
-/// exact reduction order both the blocking path and the engine use.
-std::vector<real> rank_order_sum(
+std::vector<real> to_vector(std::span<const real> values) {
+  return {values.begin(), values.end()};
+}
+
+/// One arena per rank over that rank's parameters.
+std::vector<std::unique_ptr<ParamArena>> make_arenas(
     const std::vector<std::vector<Tensor>>& params) {
-  std::vector<real> total = flatten_gradients(params[0]);
-  for (std::size_t r = 1; r < params.size(); ++r) {
-    const std::vector<real> g = flatten_gradients(params[r]);
+  std::vector<std::unique_ptr<ParamArena>> arenas;
+  for (const auto& rank_params : params) {
+    arenas.push_back(std::make_unique<ParamArena>(rank_params));
+  }
+  return arenas;
+}
+
+/// Fixed rank-order elementwise sum of the per-rank flat gradients — the
+/// exact reduction order the engine uses.
+std::vector<real> rank_order_sum(
+    const std::vector<std::unique_ptr<ParamArena>>& arenas) {
+  std::vector<real> total = to_vector(arenas[0]->grads());
+  for (std::size_t r = 1; r < arenas.size(); ++r) {
+    const std::span<const real> g = arenas[r]->grads();
     for (std::size_t i = 0; i < total.size(); ++i) total[i] += g[i];
   }
   return total;
@@ -133,25 +149,26 @@ TEST(BucketerFuzz, BucketedAllReduceMatchesBlockingForRandomShapes) {
     for (int r = 0; r < R; ++r) {
       install_grads(params[static_cast<std::size_t>(r)], r);
     }
-    const std::vector<real> expected = rank_order_sum(params);
+    const auto arenas = make_arenas(params);
+    const std::vector<real> expected = rank_order_sum(arenas);
 
     Communicator comm(R);
     std::vector<std::unique_ptr<GradBucketer>> bucketers;
     for (int r = 0; r < R; ++r) {
       bucketers.push_back(std::make_unique<GradBucketer>(
-          comm, params[static_cast<std::size_t>(r)],
+          comm, *arenas[static_cast<std::size_t>(r)],
           CollectiveKind::kAllReduce, bucket_bytes));
     }
-    std::vector<std::vector<real>> drained(static_cast<std::size_t>(R));
     run_ranks(R, [&](int rank) {
       const auto ri = static_cast<std::size_t>(rank);
       bucketers[ri]->begin_step(rank);
       bucketers[ri]->post_remaining();
-      bucketers[ri]->drain_all_reduce(drained[ri]);
+      bucketers[ri]->drain();
       bucketers[ri]->end_step();
     });
     for (int r = 0; r < R; ++r) {
-      EXPECT_EQ(drained[static_cast<std::size_t>(r)], expected)
+      EXPECT_EQ(to_vector(arenas[static_cast<std::size_t>(r)]->grads()),
+                expected)
           << "trial " << trial << " rank " << r << " R=" << R
           << " bucket_bytes=" << bucket_bytes;
     }
@@ -168,14 +185,15 @@ TEST(BucketerFuzz, BucketedReduceScatterAndAllGatherMatchBlockingShards) {
     for (int r = 0; r < R; ++r) {
       install_grads(params[static_cast<std::size_t>(r)], r);
     }
-    const std::vector<real> expected = rank_order_sum(params);
+    const auto arenas = make_arenas(params);
+    const std::vector<real> expected = rank_order_sum(arenas);
     const std::size_t n = expected.size();
 
     Communicator comm(R);
     std::vector<std::unique_ptr<GradBucketer>> bucketers;
     for (int r = 0; r < R; ++r) {
       bucketers.push_back(std::make_unique<GradBucketer>(
-          comm, params[static_cast<std::size_t>(r)],
+          comm, *arenas[static_cast<std::size_t>(r)],
           CollectiveKind::kReduceScatter, bucket_bytes));
     }
     // The refreshed parameters every rank must end up holding.
@@ -188,23 +206,26 @@ TEST(BucketerFuzz, BucketedReduceScatterAndAllGatherMatchBlockingShards) {
       const auto ri = static_cast<std::size_t>(rank);
       bucketers[ri]->begin_step(rank);
       bucketers[ri]->post_remaining();
-      std::vector<real> shard;
-      bucketers[ri]->drain_reduce_scatter(shard);
+      bucketers[ri]->drain();
       // The drained shard is exactly this rank's slice of the global sum —
       // shard boundaries never depend on the bucket size.
       const auto [begin, end] = Communicator::shard_range(n, rank, R);
-      ASSERT_EQ(shard.size(), end - begin);
+      const std::span<real> grads = arenas[ri]->grads();
       for (std::size_t i = begin; i < end; ++i) {
-        EXPECT_EQ(shard[i - begin], expected[i])
+        EXPECT_EQ(grads[i], expected[i])
             << "trial " << trial << " rank " << rank << " element " << i;
       }
-      // Overlapped all-gather of the updated shard ends the step.
-      const std::vector<real> shard_update(updated.begin() + static_cast<std::ptrdiff_t>(begin),
-                                           updated.begin() + static_cast<std::ptrdiff_t>(end));
-      bucketers[ri]->all_gather_params(shard_update);
+      // The rank updates its own shard of the values; the all-gather
+      // spreads every shard to every rank.
+      std::copy(updated.begin() + static_cast<std::ptrdiff_t>(begin),
+                updated.begin() + static_cast<std::ptrdiff_t>(end),
+                arenas[ri]->values().begin() +
+                    static_cast<std::ptrdiff_t>(begin));
+      bucketers[ri]->all_gather_params();
+      bucketers[ri]->end_step();
     });
     for (int r = 0; r < R; ++r) {
-      EXPECT_EQ(flatten_parameters(params[static_cast<std::size_t>(r)]),
+      EXPECT_EQ(to_vector(arenas[static_cast<std::size_t>(r)]->values()),
                 updated)
           << "trial " << trial << " rank " << r;
     }
@@ -217,33 +238,36 @@ TEST(BucketerDegenerateTest, FewerElementsThanRanksLeavesEmptyShards) {
   const int R = 4;
   Communicator comm(R);
   std::vector<std::vector<Tensor>> params(R);
-  std::vector<std::unique_ptr<GradBucketer>> bucketers;
   for (int r = 0; r < R; ++r) {
     Tensor p = Tensor::zeros(Shape{2}).set_requires_grad(true);
     params[static_cast<std::size_t>(r)] = {p};
     install_grads(params[static_cast<std::size_t>(r)], r);
+  }
+  const auto arenas = make_arenas(params);
+  std::vector<std::unique_ptr<GradBucketer>> bucketers;
+  for (int r = 0; r < R; ++r) {
     bucketers.push_back(std::make_unique<GradBucketer>(
-        comm, params[static_cast<std::size_t>(r)],
+        comm, *arenas[static_cast<std::size_t>(r)],
         CollectiveKind::kReduceScatter, sizeof(real)));
   }
-  const std::vector<real> expected = rank_order_sum(params);
+  const std::vector<real> expected = rank_order_sum(arenas);
   run_ranks(R, [&](int rank) {
     const auto ri = static_cast<std::size_t>(rank);
     bucketers[ri]->begin_step(rank);
     bucketers[ri]->post_remaining();
-    std::vector<real> shard;
-    bucketers[ri]->drain_reduce_scatter(shard);
+    bucketers[ri]->drain();
     const auto [begin, end] = Communicator::shard_range(2, rank, R);
-    ASSERT_EQ(shard.size(), end - begin);  // ranks 2 and 3 own nothing
+    ASSERT_EQ(end - begin, rank < 2 ? 1u : 0u);  // ranks 2 and 3 own nothing
+    const std::span<real> values = arenas[ri]->values();
     for (std::size_t i = begin; i < end; ++i) {
-      EXPECT_EQ(shard[i - begin], expected[i]);
+      EXPECT_EQ(arenas[ri]->grads()[i], expected[i]);
+      values[i] = expected[i];
     }
-    bucketers[ri]->all_gather_params(
-        std::vector<real>(expected.begin() + static_cast<std::ptrdiff_t>(begin),
-                          expected.begin() + static_cast<std::ptrdiff_t>(end)));
+    bucketers[ri]->all_gather_params();
+    bucketers[ri]->end_step();
   });
   for (int r = 0; r < R; ++r) {
-    EXPECT_EQ(flatten_parameters(params[static_cast<std::size_t>(r)]),
+    EXPECT_EQ(to_vector(arenas[static_cast<std::size_t>(r)]->values()),
               expected);
   }
 }
@@ -251,20 +275,19 @@ TEST(BucketerDegenerateTest, FewerElementsThanRanksLeavesEmptyShards) {
 TEST(BucketerDegenerateTest, EmptyParameterListIsACleanNoOp) {
   const int R = 2;
   Communicator comm(R);
+  const ParamArena empty{std::vector<Tensor>{}};
+  EXPECT_EQ(empty.size(), 0u);
   std::vector<std::unique_ptr<GradBucketer>> bucketers;
   for (int r = 0; r < R; ++r) {
     bucketers.push_back(std::make_unique<GradBucketer>(
-        comm, std::vector<Tensor>{}, CollectiveKind::kAllReduce, 1024));
+        comm, empty, CollectiveKind::kAllReduce, 1024));
     EXPECT_EQ(bucketers.back()->num_buckets(), 0u);
-    EXPECT_EQ(bucketers.back()->total_elements(), 0u);
   }
   run_ranks(R, [&](int rank) {
     const auto ri = static_cast<std::size_t>(rank);
     bucketers[ri]->begin_step(rank);
     bucketers[ri]->post_remaining();
-    std::vector<real> flat = {real{99}};  // must come back empty
-    bucketers[ri]->drain_all_reduce(flat);
-    EXPECT_TRUE(flat.empty());
+    bucketers[ri]->drain();
     bucketers[ri]->end_step();
   });
   EXPECT_EQ(comm.traffic().total_bytes(), 0u);
@@ -272,17 +295,15 @@ TEST(BucketerDegenerateTest, EmptyParameterListIsACleanNoOp) {
 
 TEST(BucketerDegenerateTest, BeginStepWhileActiveThrows) {
   Communicator comm(1);
-  std::vector<Tensor> params = {
-      Tensor::zeros(Shape{3}).set_requires_grad(true)};
-  GradBucketer bucketer(comm, params, CollectiveKind::kAllReduce, 1024);
+  const ParamArena arena({Tensor::zeros(Shape{3}).set_requires_grad(true)});
+  GradBucketer bucketer(comm, arena, CollectiveKind::kAllReduce, 1024);
   bucketer.begin_step(0);
   EXPECT_THROW(bucketer.begin_step(0), Error);
   // The original step is still live and completes normally (the undefined
   // gradient drains as zeros).
   bucketer.post_remaining();
-  std::vector<real> flat;
-  bucketer.drain_all_reduce(flat);
-  EXPECT_EQ(flat, (std::vector<real>{0, 0, 0}));
+  bucketer.drain();
+  EXPECT_EQ(to_vector(arena.grads()), (std::vector<real>{0, 0, 0}));
   bucketer.end_step();
 }
 

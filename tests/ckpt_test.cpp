@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+#include <span>
 
 #include "sgnn/data/dataset.hpp"
 #include "sgnn/graph/batch.hpp"
@@ -22,6 +23,14 @@
 
 namespace sgnn {
 namespace {
+
+/// The parameters' values, flat in registration order: their arena's value
+/// buffer (a list an optimizer already packed is adopted, not copied).
+std::vector<real> flat_values(const std::vector<Tensor>& parameters) {
+  const std::span<real> values = ParamArena(parameters).values();
+  return {values.begin(), values.end()};
+}
+
 
 /// Unique scratch directory, removed (recursively) on destruction.
 class TempDir {
@@ -267,7 +276,7 @@ std::vector<real> trainer_run(const std::string& ckpt_dir,
   } else {
     trainer.fit(loader);
   }
-  return flatten_parameters(model.parameters());
+  return flat_values(model.parameters());
 }
 
 TEST(TrainerResumeTest, CrashAndResumeIsBitIdenticalToUninterruptedRun) {
@@ -330,39 +339,58 @@ TEST(TrainerResumeTest, CorruptNewestCheckpointFallsBackToPreviousGood) {
   EXPECT_EQ(resumed, reference);
 }
 
-TEST(TrainerResumeTest, EpochBoundaryResumeReportsNoPhantomEpoch) {
-  // 6 graphs at batch 4 is 2 steps per epoch; the snapshot at step 4 is
-  // taken on the last step of epoch 1, so the resume must start at epoch 2
-  // and report exactly the uninterrupted run's last epoch.
-  TempDir dir("sgnn_trainer_phantom_epoch_test");
-  const auto graphs = tiny_dataset().view({0, 1, 2, 3, 4, 5});
-  const auto fit = [&](std::int64_t every_steps, std::int64_t crash_after,
-                       const std::string& resume_from) {
-    ModelConfig config;
-    config.hidden_dim = 10;
-    config.num_layers = 2;
-    EGNNModel model(config);
-    TrainOptions options;
-    options.epochs = 3;
-    options.batch_size = 4;
-    options.checkpoint.every_steps = every_steps;
-    options.checkpoint.directory = dir.path();
-    options.checkpoint.crash_after_step = crash_after;
-    options.checkpoint.resume_from = resume_from;
-    Trainer trainer(model, options);
-    DataLoader loader(graphs, options.batch_size, 11);
-    std::vector<double> history;
-    for (const auto& epoch : trainer.fit(loader)) {
-      history.push_back(epoch.mean_train_loss);
-    }
-    return std::make_pair(history, flatten_parameters(model.parameters()));
-  };
+/// A 3-epoch run over 6 graphs at batch 4 (2 steps per epoch): the
+/// per-epoch mean losses and the final parameters.
+std::pair<std::vector<double>, std::vector<real>> small_fit(
+    const std::string& ckpt_dir, std::int64_t every_steps,
+    std::int64_t crash_after, const std::string& resume_from) {
+  ModelConfig config;
+  config.hidden_dim = 10;
+  config.num_layers = 2;
+  EGNNModel model(config);
+  TrainOptions options;
+  options.epochs = 3;
+  options.batch_size = 4;
+  options.checkpoint.every_steps = every_steps;
+  options.checkpoint.directory = ckpt_dir;
+  options.checkpoint.crash_after_step = crash_after;
+  options.checkpoint.resume_from = resume_from;
+  Trainer trainer(model, options);
+  DataLoader loader(tiny_dataset().view({0, 1, 2, 3, 4, 5}),
+                    options.batch_size, 11);
+  std::vector<double> history;
+  for (const auto& epoch : trainer.fit(loader)) {
+    history.push_back(epoch.mean_train_loss);
+  }
+  return std::make_pair(history, flat_values(model.parameters()));
+}
 
-  const auto [reference_history, reference_params] = fit(0, -1, "");
+TEST(TrainerResumeTest, EpochBoundaryResumeReportsNoPhantomEpoch) {
+  // The snapshot at step 4 is taken on the last step of epoch 1, so the
+  // resume must start at epoch 2 and report exactly the uninterrupted
+  // run's last epoch.
+  TempDir dir("sgnn_trainer_phantom_epoch_test");
+  const auto [reference_history, reference_params] = small_fit("", 0, -1, "");
   ASSERT_EQ(reference_history.size(), 3u);
-  EXPECT_THROW(fit(2, 4, ""), ckpt::SimulatedCrash);
-  const auto [resumed_history, resumed_params] = fit(0, -1, dir.path());
+  EXPECT_THROW(small_fit(dir.path(), 2, 4, ""), ckpt::SimulatedCrash);
+  const auto [resumed_history, resumed_params] =
+      small_fit("", 0, -1, dir.path());
   EXPECT_EQ(resumed_history, std::vector<double>(reference_history.begin() + 2,
+                                                 reference_history.end()));
+  EXPECT_EQ(resumed_params, reference_params);
+}
+
+TEST(TrainerResumeTest, MidEpochResumeReportsTheWholeEpochLoss) {
+  // The snapshot at step 3 is taken after the first step of epoch 1, so
+  // the resumed epoch-1 mean must still cover that step: the restored loss
+  // tally continues the sum the crashed run had.
+  TempDir dir("sgnn_trainer_mid_epoch_loss_test");
+  const auto [reference_history, reference_params] = small_fit("", 0, -1, "");
+  ASSERT_EQ(reference_history.size(), 3u);
+  EXPECT_THROW(small_fit(dir.path(), 1, 3, ""), ckpt::SimulatedCrash);
+  const auto [resumed_history, resumed_params] =
+      small_fit("", 0, -1, dir.path());
+  EXPECT_EQ(resumed_history, std::vector<double>(reference_history.begin() + 1,
                                                  reference_history.end()));
   EXPECT_EQ(resumed_params, reference_params);
 }
@@ -375,7 +403,8 @@ std::vector<real> dist_run(DistStrategy strategy, const DDStore& store,
                            const std::string& ckpt_dir,
                            std::int64_t every_steps, std::int64_t crash_after,
                            const std::string& resume_from, bool expect_crash,
-                           std::int64_t crash_in_overlap = -1) {
+                           std::int64_t crash_in_overlap = -1,
+                           DistTrainReport* report = nullptr) {
   ModelConfig config;
   config.hidden_dim = 10;
   config.num_layers = 2;
@@ -396,11 +425,29 @@ std::vector<real> dist_run(DistStrategy strategy, const DDStore& store,
   if (expect_crash) {
     EXPECT_THROW(trainer.train(store), ckpt::SimulatedCrash);
   } else {
-    trainer.train(store);
+    const DistTrainReport result = trainer.train(store);
+    if (report != nullptr) *report = result;
     EXPECT_EQ(trainer.replica_divergence(), 0.0);
   }
-  return flatten_parameters(
-      const_cast<EGNNModel&>(trainer.model()).parameters());
+  return flat_values(trainer.model().parameters());
+}
+
+TEST_P(DistributedResume, MidEpochResumeReportsTheUninterruptedFinalLoss) {
+  // final_train_loss is the mean over the whole run; every rank's loss
+  // tally rides in the snapshot, so the resumed report matches bit for bit.
+  const DistStrategy strategy = GetParam();
+  DDStore store(2);
+  store.insert(tiny_dataset().graphs());
+  const std::int64_t steps_per_epoch = store.size() / (2 * 4);
+  ASSERT_GT(steps_per_epoch, 1);
+  DistTrainReport reference;
+  dist_run(strategy, store, "", 0, -1, "", false, -1, &reference);
+  TempDir dir("sgnn_dist_final_loss_test");
+  dist_run(strategy, store, dir.path(), 1, steps_per_epoch + 1, "", true);
+  DistTrainReport resumed;
+  dist_run(strategy, store, "", 0, -1, dir.path(), false, -1, &resumed);
+  EXPECT_EQ(resumed.final_train_loss, reference.final_train_loss);
+  EXPECT_LT(resumed.steps, reference.steps);
 }
 
 TEST_P(DistributedResume, CrashAndResumeIsBitIdenticalToUninterruptedRun) {
@@ -589,8 +636,7 @@ std::vector<real> gpar_run(const DDStore& store, const std::string& ckpt_dir,
     trainer.train(store);
     EXPECT_EQ(trainer.replica_divergence(), 0.0);
   }
-  return flatten_parameters(
-      const_cast<EGNNModel&>(trainer.model()).parameters());
+  return flat_values(trainer.model().parameters());
 }
 
 TEST(GraphParallelResumeTest, CrashInHaloExchangeWindowResumesBitIdentically) {
@@ -707,7 +753,7 @@ TEST(SnapshotLayoutTest, SectionNamesAndKindsArePinned) {
       "model.config.hidden_dim", "model.param_count",
       "model.shape.0",     "model.param.0", "optim.timestep",
       "optim.lr",          "sampler.rng",   "sampler.order",
-      "sampler.cursor"};
+      "sampler.cursor",    "loss.sum",      "loss.steps"};
   const std::vector<std::string> dist_meta = {"meta.ranks", "meta.strategy"};
   // Names no snapshot kind writes any more.
   const std::vector<std::string> retired = {

@@ -63,7 +63,7 @@ TEST_P(CommRankSweep, ReduceScatterThenAllGatherReconstructsSum) {
     const auto shard =
         comm.reduce_scatter_sum(rank, input[static_cast<std::size_t>(rank)]);
     reconstructed[static_cast<std::size_t>(rank)] =
-        comm.all_gather(rank, shard);
+        comm.all_gather(rank, shard, n);
   });
   for (int r = 0; r < R; ++r) {
     ASSERT_EQ(reconstructed[static_cast<std::size_t>(r)].size(), n);
@@ -75,25 +75,6 @@ TEST_P(CommRankSweep, ReduceScatterThenAllGatherReconstructsSum) {
       EXPECT_DOUBLE_EQ(reconstructed[static_cast<std::size_t>(r)][i],
                        expected);
     }
-  }
-}
-
-TEST_P(CommRankSweep, BroadcastReplicatesRoot) {
-  const int R = GetParam();
-  Communicator comm(R);
-  const int root = R - 1;
-  std::vector<std::vector<real>> data(static_cast<std::size_t>(R));
-  for (int r = 0; r < R; ++r) {
-    data[static_cast<std::size_t>(r)] = {static_cast<real>(r),
-                                         static_cast<real>(r * 2)};
-  }
-  run_ranks(R, [&](int rank) {
-    comm.broadcast(rank, data[static_cast<std::size_t>(rank)], root);
-  });
-  for (int r = 0; r < R; ++r) {
-    EXPECT_EQ(data[static_cast<std::size_t>(r)],
-              (std::vector<real>{static_cast<real>(root),
-                                 static_cast<real>(root * 2)}));
   }
 }
 
@@ -164,18 +145,15 @@ TEST(InterconnectModelTest, SecondsMatchesHandComputedKnownTraffic) {
 
   // Bandwidth terms are pure: zero bytes cost zero regardless of latency.
   EXPECT_DOUBLE_EQ(model.all_reduce_seconds(0, R), 0.0);
-  EXPECT_DOUBLE_EQ(model.broadcast_seconds(0, R), 0.0);
   // Ring all-reduce: 2(R-1) steps of n/R bytes = 6 * (400/4/100) = 6 s.
   EXPECT_DOUBLE_EQ(model.all_reduce_seconds(400, R), 6.0);
   // Ring reduce-scatter / all-gather: (R-1) steps of n/R bytes.
   EXPECT_DOUBLE_EQ(model.reduce_scatter_seconds(200, R), 1.5);
   EXPECT_DOUBLE_EQ(model.all_gather_seconds(100, R), 0.75);
-  EXPECT_DOUBLE_EQ(model.broadcast_seconds(50, R), 0.5);
   // Per-call launch latency: steps x latency_seconds.
   EXPECT_DOUBLE_EQ(model.all_reduce_latency_seconds(R), 3.0);
   EXPECT_DOUBLE_EQ(model.reduce_scatter_latency_seconds(R), 1.5);
   EXPECT_DOUBLE_EQ(model.all_gather_latency_seconds(R), 1.5);
-  EXPECT_DOUBLE_EQ(model.broadcast_latency_seconds(R), 1.5);
 
   Communicator::Traffic traffic;
   traffic.all_reduce_bytes = 400;
@@ -184,11 +162,9 @@ TEST(InterconnectModelTest, SecondsMatchesHandComputedKnownTraffic) {
   traffic.reduce_scatter_calls = 1;
   traffic.all_gather_bytes = 100;
   traffic.all_gather_calls = 3;
-  traffic.broadcast_bytes = 50;
-  traffic.broadcast_calls = 1;
-  // bandwidth: 6 + 1.5 + 0.75 + 0.5 = 8.75
-  // latency:   2*3 + 1*1.5 + 3*1.5 + 1*1.5 = 13.5
-  EXPECT_DOUBLE_EQ(model.seconds(traffic, R), 8.75 + 13.5);
+  // bandwidth: 6 + 1.5 + 0.75 = 8.25
+  // latency:   2*3 + 1*1.5 + 3*1.5 = 12
+  EXPECT_DOUBLE_EQ(model.seconds(traffic, R), 8.25 + 12.0);
   // A single rank never touches the fabric.
   EXPECT_DOUBLE_EQ(model.seconds(traffic, 1), 0.0);
 }
@@ -202,8 +178,8 @@ TEST(InterconnectModelTest, SecondsIsAdditiveOverTrafficDeltas) {
   Communicator::Traffic first;
   first.all_reduce_bytes = 1234;
   first.all_reduce_calls = 3;
-  first.broadcast_bytes = 77;
-  first.broadcast_calls = 1;
+  first.all_gather_bytes = 77;
+  first.all_gather_calls = 1;
   Communicator::Traffic total = first;
   total.all_reduce_bytes += 555;
   total.all_reduce_calls += 1;
@@ -213,7 +189,7 @@ TEST(InterconnectModelTest, SecondsIsAdditiveOverTrafficDeltas) {
   EXPECT_EQ(delta.all_reduce_bytes, 555u);
   EXPECT_EQ(delta.all_reduce_calls, 1u);
   EXPECT_EQ(delta.all_gather_bytes, 901u);
-  EXPECT_EQ(delta.broadcast_bytes, 0u);
+  EXPECT_EQ(delta.reduce_scatter_bytes, 0u);
   EXPECT_DOUBLE_EQ(model.seconds(first, 8) + model.seconds(delta, 8),
                    model.seconds(total, 8));
 }
@@ -226,12 +202,7 @@ TEST(CommunicatorTest, CollectivesRejectOutOfRangeRanks) {
   EXPECT_THROW(comm.all_reduce_sum(-1, data), Error);
   EXPECT_THROW(comm.all_reduce_sum(2, data), Error);
   EXPECT_THROW(comm.reduce_scatter_sum(5, data), Error);
-  EXPECT_THROW(comm.all_gather(-3, data), Error);
-  EXPECT_THROW(comm.broadcast(2, data, 0), Error);
-  EXPECT_THROW(comm.broadcast(-1, data, 0), Error);
-  // A valid rank with an out-of-range root is rejected the same way.
-  EXPECT_THROW(comm.broadcast(0, data, 7), Error);
-  EXPECT_THROW(comm.broadcast(0, data, -1), Error);
+  EXPECT_THROW(comm.all_gather(-3, data, 8), Error);
 }
 
 // -- non-blocking collectives -------------------------------------------------
@@ -303,6 +274,7 @@ TEST(NonBlockingCommTest, ScatterGatherCountsTileTheVectorAndCountOnce) {
     for (std::size_t i = begin; i < end; ++i) {
       EXPECT_DOUBLE_EQ(piece[i - begin], full_sum[i]);
     }
+    gathered[ri].resize(n);  // the caller sizes the output
     comm.iall_gather_counts(rank, piece, counts, gathered[ri]).wait();
   });
   for (int r = 0; r < R; ++r) {
@@ -384,8 +356,6 @@ TEST(InterconnectModelTest, CallSecondsMatchesPerKindFormulas) {
                    1.5 + 1.5);
   EXPECT_DOUBLE_EQ(model.call_seconds(CollectiveKind::kAllGather, 100, R),
                    0.75 + 1.5);
-  EXPECT_DOUBLE_EQ(model.call_seconds(CollectiveKind::kBroadcast, 50, R),
-                   0.5 + 1.5);
 }
 
 TEST(InterconnectModelTest, OverlapCostSplitsExposedAndHiddenTime) {

@@ -94,6 +94,19 @@ TEST(MemoryTrackerTest, PerPhasePeaksAreTrackedIndependently) {
   EXPECT_EQ(tracker.peak_during(TrainPhase::kBackward), 0);
 }
 
+TEST(MemoryTrackerTest, SampledPhaseWithoutAllocationsRecordsItsLiveLevel) {
+  auto& tracker = MemoryTracker::instance();
+  const Tensor resident = Tensor::zeros(Shape{512});
+  tracker.reset_peak();
+  {
+    const ScopedTrainPhase phase(TrainPhase::kOptimizer);
+    EXPECT_EQ(tracker.peak_during(TrainPhase::kOptimizer), 0);
+    tracker.sample_phase();
+  }
+  EXPECT_GE(tracker.peak_during(TrainPhase::kOptimizer),
+            512 * static_cast<std::int64_t>(sizeof(real)));
+}
+
 TEST(MemoryTrackerTest, FractionSumsToOne) {
   MemBreakdown b;
   b.bytes[0] = 300;

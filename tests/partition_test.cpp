@@ -20,6 +20,7 @@
 #include <thread>
 #include <tuple>
 #include <vector>
+#include <span>
 
 #include "sgnn/data/dataset.hpp"
 #include "sgnn/graph/batch.hpp"
@@ -33,6 +34,21 @@
 
 namespace sgnn {
 namespace {
+
+/// The parameters' values, flat in registration order: their arena's value
+/// buffer (a list an optimizer already packed is adopted, not copied).
+std::vector<real> flat_values(const std::vector<Tensor>& parameters) {
+  const std::span<real> values = ParamArena(parameters).values();
+  return {values.begin(), values.end()};
+}
+
+/// The parameters' gradients, flat in registration order (zeros where
+/// backward produced none): their arena's gradient buffer.
+std::vector<real> flat_grads(const std::vector<Tensor>& parameters) {
+  const std::span<real> grads = ParamArena(parameters).grads();
+  return {grads.begin(), grads.end()};
+}
+
 
 const AggregatedDataset& tiny_dataset() {
   static const AggregatedDataset dataset = [] {
@@ -382,7 +398,7 @@ ForwardBackwardResult reference_forward_backward(const ModelConfig& config,
   LossTerms terms = multitask_loss(out, batch, LossWeights{});
   terms.total.backward();
   return {out.energy.to_vector(), out.forces.to_vector(), dipole_vector(out),
-          flatten_gradients(model.parameters())};
+          flat_grads(model.parameters())};
 }
 
 /// One model variant the forward's shared readout serves: message-passing
@@ -435,7 +451,7 @@ TEST_P(PartitionParityTest, ForwardBackwardIsBitIdenticalToUnpartitioned) {
         terms.total.backward();
         results[ri] = {out.energy.to_vector(), out.forces.to_vector(),
                        dipole_vector(out),
-                       flatten_gradients(models[ri]->parameters())};
+                       flat_grads(models[ri]->parameters())};
       });
       for (int r = 0; r < R; ++r) {
         const auto& got = results[static_cast<std::size_t>(r)];
@@ -483,8 +499,7 @@ std::vector<real> parity_train(int ranks, bool graph_parallel,
   const DistTrainReport report = trainer.train(*store);
   if (report_out != nullptr) *report_out = report;
   EXPECT_EQ(trainer.replica_divergence(), 0.0);
-  return flatten_parameters(
-      const_cast<EGNNModel&>(trainer.model()).parameters());
+  return flat_values(trainer.model().parameters());
 }
 
 TEST(PartitionParityTest, TrainedParametersMatchSingleRankByteForByte) {

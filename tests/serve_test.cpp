@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -493,6 +494,39 @@ TEST(ServerTest, WeightSwapWithCacheServesNewWeights) {
   EXPECT_TRUE(cached.cache_hit);
   EXPECT_EQ(cached.weights_version, 2u);
   EXPECT_NEAR(cached.energy, expect_v2, 1e-9);
+}
+
+TEST(ServerTest, NonFiniteAnswerIsATypedErrorAndNeverCached) {
+  // NaN weights make every answer non-finite: each request fails with
+  // Error, and nothing reaches the cache, so a repeat fails the same way
+  // instead of being served from it.
+  const ModelConfig config = serve_config();
+  EGNNModel poisoned(config);
+  for (Tensor& parameter : poisoned.parameters()) {
+    parameter.data()[0] = std::numeric_limits<real>::quiet_NaN();
+  }
+  ServerOptions options;
+  options.num_workers = 1;
+  Server server(config, model_payload_bytes(poisoned), options);
+
+  Rng rng(23);
+  const AtomicStructure s = random_cluster(6, 5.0, rng);
+  for (int round = 0; round < 2; ++round) {
+    for (const bool forces : {false, true}) {
+      auto result = server.submit({s, forces});
+      try {
+        result.get();
+        ADD_FAILURE() << "non-finite answer returned, forces=" << forces;
+      } catch (const RejectedError&) {
+        ADD_FAILURE() << "rejected instead of failed, forces=" << forces;
+      } catch (const Error& error) {
+        EXPECT_NE(std::string(error.what()).find("non-finite"),
+                  std::string::npos)
+            << error.what();
+      }
+    }
+  }
+  EXPECT_EQ(server.cache_stats().hits, 0);
 }
 
 TEST(ServerTest, PoisonStructureFailsOnlyItsOwnRequest) {

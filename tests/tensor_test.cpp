@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sgnn/tensor/ops.hpp"
+#include "sgnn/tensor/param_arena.hpp"
 #include "sgnn/util/error.hpp"
 
 namespace sgnn {
@@ -182,6 +183,94 @@ TEST(TensorTest, LongChainBackwardDoesNotOverflowStack) {
   for (int i = 0; i < 20000; ++i) y = y + 0.0;
   y.backward();
   EXPECT_DOUBLE_EQ(x.grad().item(), 1.0);
+}
+
+// -- parameter arena ----------------------------------------------------------
+
+/// Two parameters of 12 and 7 elements holding 0..18 in registration order.
+std::vector<Tensor> counting_parameters() {
+  std::vector<real> a(12);
+  std::vector<real> b(7);
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<real>(i);
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<real>(12 + i);
+  return {Tensor::from_vector(a, Shape{3, 4}).set_requires_grad(true),
+          Tensor::from_vector(b, Shape{7}).set_requires_grad(true)};
+}
+
+TEST(ParamArenaTest, ViewsAliasOneBufferInRegistrationOrder) {
+  std::vector<Tensor> params = counting_parameters();
+  const Tensor alias = params[1];  // packing rebinds every alias
+  const ParamArena arena(params);
+  ASSERT_EQ(arena.size(), 19u);
+  EXPECT_EQ(arena.offset(1), 12u);
+  EXPECT_EQ(params[0].data(), arena.values().data());
+  EXPECT_EQ(params[1].data(), arena.values().data() + 12);
+  EXPECT_EQ(alias.data(), params[1].data());
+  for (std::size_t i = 0; i < arena.size(); ++i) {
+    EXPECT_EQ(arena.values()[i], static_cast<real>(i));
+  }
+  // Backward accumulates in place into each parameter's gradient slice.
+  (sum(params[0] * 2.0) + sum(params[1] * 3.0)).backward();
+  EXPECT_EQ(params[0].grad().data(), arena.grads().data());
+  EXPECT_EQ(params[1].grad().data(), arena.grads().data() + 12);
+  for (std::size_t i = 0; i < arena.size(); ++i) {
+    EXPECT_EQ(arena.grads()[i], i < 12 ? 2.0 : 3.0);
+  }
+}
+
+TEST(ParamArenaTest, PackingKeepsExistingGradients) {
+  std::vector<Tensor> params = counting_parameters();
+  sum(params[1] * 5.0).backward();
+  const ParamArena arena(params);
+  EXPECT_FALSE(params[0].grad().defined());
+  ASSERT_TRUE(params[1].grad().defined());
+  for (std::size_t i = 0; i < arena.size(); ++i) {
+    EXPECT_EQ(arena.grads()[i], i < 12 ? 0.0 : 5.0);
+  }
+}
+
+TEST(ParamArenaTest, ZeroGradClearsTheBufferAndTheFlags) {
+  std::vector<Tensor> params = counting_parameters();
+  ParamArena arena(params);
+  sum(params[0]).backward();
+  arena.zero_grad();
+  EXPECT_FALSE(params[0].grad().defined());
+  for (const real g : arena.grads()) EXPECT_EQ(g, 0.0);
+  // A parameter's own zero_grad clears only its slice.
+  (sum(params[0]) + sum(params[1])).backward();
+  params[1].zero_grad();
+  EXPECT_TRUE(params[0].grad().defined());
+  EXPECT_FALSE(params[1].grad().defined());
+  for (std::size_t i = 0; i < arena.size(); ++i) {
+    EXPECT_EQ(arena.grads()[i], i < 12 ? 1.0 : 0.0);
+  }
+}
+
+TEST(ParamArenaTest, DetachAndCloneOfAViewTouchOnlyItsRange) {
+  std::vector<Tensor> params = counting_parameters();
+  const ParamArena arena(params);
+  Tensor detached = params[1].detach();
+  EXPECT_EQ(detached.data(), params[1].data());
+  EXPECT_EQ(detached.to_vector(), params[1].to_vector());
+  detached.data()[0] = -1.0;
+  Tensor cloned = params[1].clone();
+  EXPECT_EQ(cloned.to_vector(), params[1].to_vector());
+  cloned.data()[1] = -2.0;
+  for (std::size_t i = 0; i < arena.size(); ++i) {
+    EXPECT_EQ(arena.values()[i], i == 12 ? -1.0 : static_cast<real>(i));
+  }
+}
+
+TEST(ParamArenaTest, AnArenaIsAdoptedNotRepacked) {
+  std::vector<Tensor> params = counting_parameters();
+  const ParamArena first(params);
+  const ParamArena second(params);
+  EXPECT_EQ(second.values().data(), first.values().data());
+  EXPECT_EQ(second.grads().data(), first.grads().data());
+  // A list in another order is a different layout and gets its own arena.
+  const ParamArena reversed({params[1], params[0]});
+  EXPECT_NE(reversed.values().data(), first.values().data());
+  EXPECT_EQ(params[1].data(), reversed.values().data());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "sgnn/data/dataset.hpp"
+#include "sgnn/store/snapshot.hpp"
 #include "sgnn/tensor/ops.hpp"
 #include "sgnn/train/optim.hpp"
 #include "sgnn/train/zero.hpp"
@@ -65,6 +66,83 @@ TEST(OptimTest, UndefinedGradientsAreSkipped) {
   adam.step();
   EXPECT_NE(used.item(), 1.0);
   EXPECT_EQ(untouched.item(), 5.0);
+}
+
+TEST(OptimTest, ParameterWithoutGradientKeepsItsMomentsUntouched) {
+  // The used parameter must follow an Adam that owns it alone, bit for
+  // bit; the idle one keeps its values and zero moments.
+  Rng rng(5);
+  const Tensor init_used = Tensor::randn(Shape{6}, rng);
+  const Tensor init_idle = Tensor::randn(Shape{2, 2}, rng);
+  Tensor alone = init_used.clone().set_requires_grad(true);
+  Tensor used = init_used.clone().set_requires_grad(true);
+  Tensor idle = init_idle.clone().set_requires_grad(true);
+  Adam reference({alone}, {});
+  Adam adam({used, idle}, {});
+  for (int step = 0; step < 3; ++step) {
+    reference.zero_grad();
+    adam.zero_grad();
+    sum(square(alone)).backward();
+    sum(square(used)).backward();
+    reference.step();
+    adam.step();
+  }
+  EXPECT_EQ(used.to_vector(), alone.to_vector());
+  EXPECT_EQ(idle.to_vector(), init_idle.to_vector());
+  SnapshotBuilder saved_reference;
+  SnapshotBuilder saved;
+  reference.save(saved_reference, 0);
+  adam.save(saved, 0);
+  const SnapshotView reference_view(saved_reference.payload());
+  const SnapshotView view(saved.payload());
+  for (const char* moment : {"optim.m", "optim.v"}) {
+    std::vector<real> expected = reference_view.reals(moment);
+    expected.resize(expected.size() + 4, real{0});
+    EXPECT_EQ(view.reals(moment), expected) << moment;
+  }
+}
+
+TEST(OptimTest, SecondSyncAdoptsTheArenaAndSeesTheSameModel) {
+  // The perfbench pattern: a second Adam beside the Trainer's over the same
+  // model adopts its arena instead of repacking the weights.
+  ModelConfig config;
+  config.hidden_dim = 8;
+  config.num_layers = 1;
+  EGNNModel model(config);
+  Trainer trainer(model, TrainOptions{});
+  const std::vector<Tensor> params = model.parameters();
+  const auto weights_before =
+      MemoryTracker::instance().live().of(MemCategory::kWeight);
+  Adam second(params, {});
+  EXPECT_EQ(MemoryTracker::instance().live().of(MemCategory::kWeight),
+            weights_before);
+  Adam third(params, {});
+  ASSERT_EQ(third.arena().values().data(), second.arena().values().data());
+  EXPECT_EQ(params.front().data(), second.arena().values().data());
+
+  const auto step_through = [&](Adam& adam) {
+    adam.zero_grad();
+    Tensor total = Tensor::scalar(0);
+    for (const Tensor& p : params) total = total + sum(square(p));
+    total.backward();
+    adam.step();
+  };
+  const std::vector<real> before(second.arena().values().begin(),
+                                 second.arena().values().end());
+  step_through(second);
+  const std::vector<real> after_second(third.arena().values().begin(),
+                                       third.arena().values().end());
+  EXPECT_NE(after_second, before);
+  step_through(third);
+  const std::vector<real> after_third(second.arena().values().begin(),
+                                      second.arena().values().end());
+  EXPECT_NE(after_third, after_second);
+  std::vector<real> model_values;
+  for (const Tensor& p : model.parameters()) {
+    const std::vector<real> v = p.to_vector();
+    model_values.insert(model_values.end(), v.begin(), v.end());
+  }
+  EXPECT_EQ(model_values, after_third);
 }
 
 TEST(OptimTest, RejectsNonLeafParameters) {

@@ -111,7 +111,7 @@ struct IncludeEdge {
 /// against the symbol table is by name (an over-approximation, documented
 /// in docs/static-analysis.md), except that a qualified call binds only to
 /// same-qualifier definitions when any exist — this is what keeps
-/// `Shape::broadcast(...)` from aliasing `Communicator::broadcast`.
+/// `Shape::broadcast(...)` from aliasing another class's `broadcast`.
 struct FunctionDef {
   int file = -1;               ///< index into ProjectIndex::files
   std::string name;            ///< unqualified name ("barrier")

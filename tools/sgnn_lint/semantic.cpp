@@ -86,9 +86,9 @@ bool is_hook_header(const std::string& target) {
 
 // -- R8: SPMD collective safety ----------------------------------------------
 
-/// Blocking communicator entry points. `broadcast` collides with
-/// `Shape::broadcast`; the scanner skips `::`-qualified spellings.
-const char* kBlockingCalls[] = {"barrier", "all_reduce_sum", "broadcast",
+/// Blocking communicator entry points; the scanner skips `::`-qualified
+/// spellings (static members of other classes).
+const char* kBlockingCalls[] = {"barrier", "all_reduce_sum",
                                 "reduce_scatter_sum", "all_gather"};
 
 /// Tokens that make an `if`/`while` condition rank-divergent. Deliberately
@@ -104,7 +104,7 @@ bool rank_conditioned(const std::string& cond) {
 }
 
 /// True when the word at [begin, begin+len) heads a blocking collective
-/// call: followed by `(`, not `::`-qualified (static Shape::broadcast).
+/// call: followed by `(`, not `::`-qualified (a static member elsewhere).
 bool is_blocking_call(const std::string& code, std::size_t begin,
                       const std::string& word) {
   bool known = false;
