@@ -80,8 +80,6 @@ class GradSync {
   void save(SnapshotBuilder& builder, int rank) const;
   void load(const SnapshotView& view, int rank);
 
-  /// The flat arena the parameters are views of.
-  const ParamArena& arena() const { return arena_; }
   /// The gradient bucketer of a synchronized sync; null for plain Adam.
   GradBucketer* bucketer() { return bucketer_.get(); }
   /// Post/wait stamps of the last step's bucket collectives for
