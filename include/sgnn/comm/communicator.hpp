@@ -80,16 +80,6 @@ class Communicator {
   /// In-place elementwise sum across ranks; every rank ends with the total.
   void all_reduce_sum(int rank, std::span<real> data);
 
-  /// Splits `input` (same on-rank length everywhere) into the shard_range
-  /// shards; rank r receives the elementwise sum of shard r.
-  std::vector<real> reduce_scatter_sum(int rank, std::span<const real> input);
-
-  /// The inverse of reduce_scatter_sum: concatenates, on every rank and in
-  /// rank order, the shard_range shards of a `total`-element vector (shard r
-  /// from rank r).
-  std::vector<real> all_gather(int rank, std::span<const real> shard,
-                               std::size_t total);
-
   // -- Non-blocking collectives ---------------------------------------------
   //
   // MPI-style immediate variants: the call enqueues the operation with the
@@ -113,10 +103,9 @@ class Communicator {
   /// elements go to rank r (counts must be identical on every rank and sum
   /// to input.size(); piece.size() must be counts[rank]). On completion
   /// `piece` holds the elementwise sum of this rank's partition slice. The
-  /// shard_range partition of reduce_scatter_sum is the special case
-  /// counts[r] = |shard_range(n,r,R)|; explicit counts are what lets a
-  /// gradient bucket scatter along GLOBAL shard boundaries rather than
-  /// bucket-local ones.
+  /// shard_range partition is the special case counts[r] =
+  /// |shard_range(n,r,R)|; explicit counts are what lets a gradient bucket
+  /// scatter along GLOBAL shard boundaries rather than bucket-local ones.
   CollectiveHandle ireduce_scatter_counts(int rank,
                                           std::span<const real> input,
                                           const std::vector<std::size_t>& counts,
@@ -157,7 +146,7 @@ class Communicator {
   void reset_traffic();
 
   /// Shard [begin, end) of a buffer of length n for rank r — the partition
-  /// used by reduce_scatter_sum / all_gather (and by ZeRO's state shards).
+  /// of ZeRO's state shards and of the gradient buckets' global shards.
   static std::pair<std::size_t, std::size_t> shard_range(std::size_t n,
                                                          int rank,
                                                          int num_ranks);
@@ -167,8 +156,6 @@ class Communicator {
   /// progress engine (starting the engine thread on first use) and returns
   /// the caller's handle.
   CollectiveHandle enqueue(comm_detail::PendingOp op);
-  /// |shard_range(n, r)| for every rank r.
-  std::vector<std::size_t> shard_counts(std::size_t n) const;
   /// Progress-engine body: matches same-sequence posts across ranks,
   /// executes them, and completes (or fails) the handles.
   void progress_loop();

@@ -30,14 +30,17 @@ class EpochSampler {
   std::span<const std::size_t> next();
 
   /// Iteration state, for training-state checkpoints: the RNG, the current
-  /// epoch's order, and the position within it.
+  /// epoch's order, the position within it, and the batch size that
+  /// position counts in.
   struct State {
     Rng::State rng;
     std::vector<std::uint64_t> order;
     std::uint64_t cursor = 0;
+    std::uint64_t batch_size = 0;
   };
   State state() const;
-  /// Error unless `state` indexes [0, size()) with an in-range cursor.
+  /// Error unless `state` indexes [0, size()) with an in-range cursor and
+  /// was taken at this sampler's batch size.
   void restore_state(const State& state);
 
  private:

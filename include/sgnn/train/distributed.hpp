@@ -31,20 +31,16 @@ struct DistTrainOptions {
   int num_ranks = 4;  ///< the paper's four A100s per node
   DistStrategy strategy = DistStrategy::kDDP;
   bool activation_checkpointing = false;
-  /// Graph parallelism (sgnn::gpar): instead of replicating every graph,
-  /// the ranks COOPERATE on one shared global batch per step — each owns a
-  /// contiguous spatial slab of the batch (GraphPartition) and exchanges
-  /// one-hop halo rows through a HaloExchanger before each EGNN layer, with
-  /// the exchange overlapped against the distance/RBF compute window.
-  /// Gradients replicate exactly (ghost rows per edge in global edge order,
-  /// parameter gradients by fold continuation), so every rank's update —
-  /// and therefore the whole run — is BIT-IDENTICAL to the single-rank
-  /// unpartitioned run (the partition-parity test wall enforces this).
-  /// In this mode per_rank_batch_size is reinterpreted as the GLOBAL batch
-  /// size (all ranks fetch the same samples), optimizer state is plain
-  /// per-rank Adam (no all-reduce; see docs/graph-parallelism.md for why
-  /// DDP averaging would break bit-identity), and the run requires kDDP
-  /// strategy, float64 compute, and max_grad_norm == 0.
+  /// Graph parallelism (sgnn::gpar): the ranks COOPERATE on one shared
+  /// global batch per step — each owns a contiguous spatial slab of it
+  /// (GraphPartition) and exchanges one-hop halo rows through a
+  /// HaloExchanger before each EGNN layer, overlapped with the distance/RBF
+  /// compute. Gradients replicate exactly, so the run is BIT-IDENTICAL to
+  /// the single-rank unpartitioned one (the partition-parity tests enforce
+  /// this). per_rank_batch_size is then the GLOBAL batch size, optimizer
+  /// state is plain per-rank Adam (docs/graph-parallelism.md says why DDP
+  /// averaging would break bit-identity), and the run requires kDDP,
+  /// float64 compute and max_grad_norm == 0.
   bool graph_parallel = false;
   std::int64_t epochs = 2;
   std::int64_t per_rank_batch_size = 4;
@@ -58,12 +54,10 @@ struct DistTrainOptions {
   /// Clipping after averaging keeps replicas bit-identical (per-replica
   /// clipping before the all-reduce would break the sync invariant).
   double max_grad_norm = 0.0;
-  /// Gradient-bucket cap for the overlapped communication path (DDP
-  /// bucketed all-reduce / ZeRO bucketed reduce-scatter + all-gather),
-  /// posted during backward via the autograd leaf-grad hook. Default is
-  /// DDP's 25 MB; 0 makes one whole-model bucket, posted once backward has
-  /// finished. Every setting trains byte-identically — see
-  /// docs/communication.md.
+  /// Gradient-bucket cap of the overlapped communication path, whose
+  /// buckets post during backward. Default is DDP's 25 MB; 0 makes one
+  /// whole-model bucket, posted once backward has finished. Every setting
+  /// trains byte-identically — see docs/communication.md.
   std::size_t bucket_bytes = GradBucketer::kDefaultBucketBytes;
   /// Crash-safe training-state snapshots, written by rank 0 between two
   /// barriers (see docs/fault-tolerance.md).
@@ -127,9 +121,9 @@ struct DistTrainReport {
 };
 
 /// Simulated data-parallel training across `num_ranks` replicas, one thread
-/// per rank, samples served from a DDStore shard layout. Replicas are
-/// verified to remain bit-identical after every epoch (the invariant DDP
-/// and ZeRO both guarantee).
+/// per rank running the same training loop as Trainer, samples served from
+/// a DDStore shard layout. Replicas are verified to be bit-identical after
+/// training (the invariant DDP and ZeRO both guarantee).
 class DistributedTrainer {
  public:
   DistributedTrainer(const ModelConfig& config,

@@ -63,9 +63,10 @@ struct MetricAccumulator {
 };
 
 /// A rank's running training loss: the sum and count of the step losses
-/// its reported mean covers (the epoch's for Trainer, the whole run's for a
-/// DistributedTrainer rank). It is training state: snapshots carry it, so
-/// a resumed mean covers the steps before the snapshot too.
+/// its reported mean covers. The training loop keeps one per rank and adds
+/// every step; Trainer resets its tally at each epoch start, a
+/// DistributedTrainer rank never does. It is training state: snapshots
+/// carry it, so a resumed mean covers the steps before the snapshot too.
 struct LossTally {
   double sum = 0;
   std::int64_t steps = 0;

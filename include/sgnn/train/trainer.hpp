@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -18,6 +19,8 @@ namespace sgnn {
 namespace obs {
 class TelemetrySink;
 }  // namespace obs
+
+class TrainLoop;
 
 /// Hyperparameters of one training run. Defaults follow the paper's setup
 /// (Sec. III-B: hyperparameters from the HydraGNN-GFM study, 10 epochs).
@@ -43,12 +46,13 @@ struct TrainOptions {
 };
 
 /// Single-process trainer: the building block the scaling sweeps call, and
-/// the reference the distributed trainers are tested against. Its steps run
-/// the same step body as every DistributedTrainer rank, with plain Adam as
-/// the GradSync.
+/// the reference the distributed trainers are tested against. It runs the
+/// same training loop as every DistributedTrainer rank — step body,
+/// snapshot writer and resume path — with plain Adam as the GradSync.
 class Trainer {
  public:
   Trainer(EGNNModel& model, const TrainOptions& options);
+  ~Trainer();
 
   struct EpochResult {
     double mean_train_loss = 0;
@@ -84,12 +88,6 @@ class Trainer {
   void set_telemetry(obs::TelemetrySink* sink) { telemetry_ = sink; }
 
  private:
-  /// Writes a snapshot when the every_steps cadence is due.
-  void maybe_checkpoint(const DataLoader& loader);
-  /// Restores from options.checkpoint.resume_from when set, the loader's
-  /// batch position included.
-  void try_resume(DataLoader& loader);
-
   EGNNModel& model_;
   TrainOptions options_;
   Adam optimizer_;
@@ -99,12 +97,11 @@ class Trainer {
   std::int64_t global_step_ = 0;
   std::int64_t epoch_index_ = 0;
   obs::TelemetrySink* telemetry_ = nullptr;
-  std::optional<ckpt::CheckpointManager> ckpt_manager_;
-  /// Set by try_resume: the first train_epoch continues the restored
-  /// mid-epoch loader state instead of reshuffling.
+  /// Snapshots, resume, and the loss tally of the current epoch's steps.
+  std::unique_ptr<TrainLoop> loop_;
+  /// Set by a mid-epoch resume: the first train_epoch continues the
+  /// restored loader state instead of reshuffling.
   bool skip_begin_epoch_ = false;
-  /// Losses of the current epoch's steps so far (snapshotted).
-  LossTally epoch_loss_;
 };
 
 }  // namespace sgnn

@@ -120,40 +120,6 @@ void Communicator::all_reduce_sum(int rank, std::span<real> data) {
   iall_reduce_sum(rank, data).wait();
 }
 
-std::vector<std::size_t> Communicator::shard_counts(std::size_t n) const {
-  std::vector<std::size_t> counts;
-  for (int r = 0; r < num_ranks_; ++r) {
-    const auto [begin, end] = shard_range(n, r, num_ranks_);
-    counts.push_back(end - begin);
-  }
-  return counts;
-}
-
-std::vector<real> Communicator::reduce_scatter_sum(
-    int rank, std::span<const real> input) {
-  obs::TraceSpan span("reduce_scatter", "collective");
-  if (span.active()) {
-    span.arg("bytes", static_cast<std::uint64_t>(input.size_bytes()));
-  }
-  const auto [begin, end] = shard_range(input.size(), rank, num_ranks_);
-  std::vector<real> shard(end - begin);
-  ireduce_scatter_counts(rank, input, shard_counts(input.size()), shard)
-      .wait();
-  return shard;
-}
-
-std::vector<real> Communicator::all_gather(int rank,
-                                           std::span<const real> shard,
-                                           std::size_t total) {
-  obs::TraceSpan span("all_gather", "collective");
-  if (span.active()) {
-    span.arg("bytes", static_cast<std::uint64_t>(shard.size_bytes()));
-  }
-  std::vector<real> gathered(total);
-  iall_gather_counts(rank, shard, shard_counts(total), gathered).wait();
-  return gathered;
-}
-
 CollectiveHandle Communicator::iall_reduce_sum(int rank,
                                                std::span<real> data) {
   return enqueue({CollectiveKind::kAllReduce, rank, {}, data, {}, nullptr});

@@ -55,6 +55,7 @@ EpochSampler::State EpochSampler::state() const {
   state.rng = rng_.state();
   state.order.assign(order_.begin(), order_.end());
   state.cursor = cursor_;
+  state.batch_size = batch_size_;
   return state;
 }
 
@@ -63,6 +64,10 @@ void EpochSampler::restore_state(const State& state) {
              "sampler state covers " << state.order.size()
                                      << " samples, sampler holds "
                                      << order_.size());
+  SGNN_CHECK(state.batch_size == batch_size_,
+             "sampler state was taken at batch size "
+                 << state.batch_size << ", sampler draws batches of "
+                 << batch_size_);
   SGNN_CHECK(state.cursor <= state.order.size(),
              "sampler state cursor out of range");
   for (const auto index : state.order) {

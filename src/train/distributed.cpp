@@ -46,13 +46,58 @@ std::unique_ptr<GradSync> make_grad_sync(const DistTrainOptions& options,
   return sync;
 }
 
+/// Rank 0's comm and halo accounting of one step from the traffic `delta`
+/// its collectives added: exact on rank 0, since no collective of a step
+/// completes before rank 0 posts it. The other ranks report 0.
+void account_step(const InterconnectModel& interconnect, int num_ranks,
+                  const Communicator::Traffic& delta, GradSync& sync,
+                  gpar::HaloExchanger* halo, obs::StepTelemetry& telemetry,
+                  DistTrainReport& report) {
+  // seconds() is additive over deltas, so the per-step values sum exactly
+  // to the report's aggregate comm_seconds.
+  telemetry.collective_bytes = delta.total_bytes();
+  telemetry.comm_seconds_modeled = interconnect.seconds(delta, num_ranks);
+  // Price the overlap from the post/wait stamps of the step's non-blocking
+  // collectives (gradient buckets, halo exchanges). Collectives without
+  // stamps (the ZeRO norm's all-reduce, blocking halo exchanges) count as
+  // fully exposed: exposed = overlap-priced exposure + (delta - event total).
+  std::vector<InterconnectModel::OverlapEvent> events =
+      sync.take_overlap_events();
+  telemetry.comm_buckets = static_cast<std::int64_t>(events.size());
+  if (halo != nullptr) {
+    const auto halo_events = halo->take_events();
+    events.insert(events.end(), halo_events.begin(), halo_events.end());
+  }
+  const auto cost = interconnect.overlap_cost(events, num_ranks);
+  const double exposed = std::min(
+      telemetry.comm_seconds_modeled,
+      cost.exposed_seconds +
+          std::max(0.0, telemetry.comm_seconds_modeled - cost.total_seconds));
+  telemetry.comm_exposed_seconds = exposed;
+  telemetry.comm_overlapped_seconds = telemetry.comm_seconds_modeled - exposed;
+  if (halo != nullptr) {
+    // Every collective of a graph-parallel step is halo traffic.
+    telemetry.halo_bytes = halo->halo_bytes();
+    telemetry.halo_exchanges = halo->exchanges();
+    telemetry.halo_exposed_seconds = exposed;
+    telemetry.halo_overlapped_seconds = telemetry.comm_overlapped_seconds;
+    report.halo_bytes += telemetry.halo_bytes;
+    report.halo_exchanges += telemetry.halo_exchanges;
+    report.halo_exposed_seconds += telemetry.halo_exposed_seconds;
+    report.halo_overlapped_seconds += telemetry.halo_overlapped_seconds;
+  }
+  report.comm_exposed_seconds += telemetry.comm_exposed_seconds;
+  report.comm_overlapped_seconds += telemetry.comm_overlapped_seconds;
+  report.comm_buckets += telemetry.comm_buckets;
+}
+
 }  // namespace
 
 DistributedTrainer::DistributedTrainer(const ModelConfig& config,
                                        const DistTrainOptions& options)
     : options_(options) {
   SGNN_CHECK(options.num_ranks > 0, "need at least one rank");
-  SGNN_CHECK(options.epochs > 0, "epochs must be positive");
+  TrainLoop::check_options(options.epochs, options.checkpoint);
   for (int r = 0; r < options.num_ranks; ++r) {
     replicas_.push_back(std::make_unique<EGNNModel>(config));
   }
@@ -118,12 +163,10 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   }
 
   // One sampler order over the store, cut into global batches; every rank
-  // draws from its own copy, so all ranks see the same order. Rank r takes
-  // the r-th stride of each global batch (the standard distributed
-  // sampler); graph-parallel ranks cooperate on ONE shared batch per step,
-  // so there the global batch is per_rank_batch_size itself. Every rank
-  // must execute the same number of collective steps, so an epoch holds
-  // only full global batches.
+  // draws from its own copy of it. Rank r takes the r-th stride of each
+  // global batch; graph-parallel ranks share ONE batch of
+  // per_rank_batch_size graphs. Every rank must run the same number of
+  // collective steps, so an epoch holds only full global batches.
   const std::int64_t global_batch =
       gp ? options_.per_rank_batch_size
          : static_cast<std::int64_t>(R) * options_.per_rank_batch_size;
@@ -133,38 +176,21 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   SGNN_CHECK(initial_sampler.num_batches() > 0,
              "dataset smaller than one global batch");
 
-  const auto& copt = options_.checkpoint;
-  SGNN_CHECK(copt.every_steps <= 0 || !copt.directory.empty(),
-             "checkpoint.every_steps needs checkpoint.directory");
-  std::optional<ckpt::CheckpointManager> manager;
-  if (copt.every_steps > 0) manager.emplace(copt.directory, copt.keep_last);
-
-  // Graph-parallel runs write a distinct kind: their optimizer layout
-  // (flattened plain-Adam moments) is not interchangeable with the
-  // DDP/ZeRO sections, so cross-mode resumes fail loudly.
-  const std::string kind = gp ? "dist.gpar" : "dist";
-
-  // Resume (single-threaded, before the rank threads exist).
+  // Graph-parallel snapshots have their own kind: their plain-Adam moments
+  // do not fit the DDP/ZeRO sections, so cross-mode resumes fail loudly.
+  TrainLoop loop(gp ? "dist.gpar" : "dist", options_.checkpoint,
+                 *replicas_.front(), syncs, &comm,
+                 {{"meta.ranks", R},
+                  {"meta.strategy",
+                   static_cast<std::int64_t>(options_.strategy)}});
+  // Resume before the rank threads exist. A rank's loss tally is run-long.
+  std::int64_t start_step = 0;
   std::int64_t start_epoch = 0;
-  std::int64_t start_counted = 0;
-  // Each rank's run-long loss tally; a snapshot carries every rank's.
-  std::vector<LossTally> losses(static_cast<std::size_t>(R));
-  const auto view = find_resume_snapshot(copt.resume_from, kind);
-  if (view) {
-    SGNN_CHECK(view->i64("meta.ranks") == R,
-               "checkpoint was written for " << view->i64("meta.ranks")
-                                             << " ranks, trainer has " << R);
-    SGNN_CHECK(view->i64("meta.strategy") ==
-                   static_cast<std::int64_t>(options_.strategy),
-               "checkpoint strategy does not match trainer strategy");
-    load_training_state(*view, *replicas_.front(), syncs, initial_sampler,
-                        losses);
+  if (loop.resume(initial_sampler, start_step, start_epoch)) {
     for (int r = 1; r < R; ++r) {
       replicas_[static_cast<std::size_t>(r)]->copy_parameters_from(
           *replicas_.front());
     }
-    start_epoch = view->i64("meta.epoch");
-    start_counted = view->i64("meta.step");
   }
 
   std::vector<double> rank_seconds(static_cast<std::size_t>(R), 0.0);
@@ -188,149 +214,63 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
                                      .telemetry = options_.telemetry};
     EpochSampler sampler = initial_sampler;
     const WallTimer timer;
-    std::int64_t counted_steps = start_counted;
-    std::int64_t local_steps = 0;
+    std::int64_t step = start_step;
 
-    // Crash-during-overlap fault injection, fired inside the step's comm
-    // window: after every gradient bucket is posted and before any drain,
-    // or (graph-parallel) after the boundary gathers are posted and before
-    // the first wait. All ranks run the same step count, so every rank
-    // throws together and the posted (symmetric) ops still complete.
-    const auto crash_in_overlap = [&counted_steps, &copt] {
-      if (counted_steps + 1 == copt.crash_in_overlap_step) {
-        throw ckpt::SimulatedCrash(counted_steps);
-      }
+    // Crash-during-overlap fault injection, between posting a step's last
+    // gradient bucket (or halo gather) and the first wait. Every rank
+    // throws at the same step, so the posted symmetric ops still complete.
+    const std::int64_t crash_step = options_.checkpoint.crash_in_overlap_step;
+    const auto crash_in_overlap = [&step, crash_step] {
+      if (step + 1 == crash_step) throw ckpt::SimulatedCrash(step);
     };
-    if (copt.crash_in_overlap_step > 0) {
-      sync.set_pre_drain_hook(crash_in_overlap);
-    }
+    if (crash_step > 0) sync.set_pre_drain_hook(crash_in_overlap);
+
+    const TrainLoop::RunBatch run_batch = [&](TrainStep& train_step) {
+      std::vector<const MolecularGraph*> samples;
+      {
+        const obs::TraceSpan span("fetch_batch", "data");
+        const std::span<const std::size_t> global = sampler.next();
+        for (std::int64_t b = 0; b < options_.per_rank_batch_size; ++b) {
+          const std::int64_t position = gp ? b : b * R + rank;
+          samples.push_back(&store.fetch(
+              rank, static_cast<std::int64_t>(
+                        global[static_cast<std::size_t>(position)])));
+        }
+      }
+      const GraphBatch batch = GraphBatch::from_graphs(samples);
+
+      EGNNModel::ForwardOptions forward_options;
+      forward_options.activation_checkpointing =
+          options_.activation_checkpointing;
+      // Graph-parallel: partition the shared batch and stand up the step's
+      // halo exchanger, whose buffers in-flight collectives own until the
+      // step returns.
+      std::optional<gpar::GraphPartition> partition;
+      std::optional<gpar::HaloExchanger> halo;
+      if (gp) {
+        partition.emplace(gpar::GraphPartition::build(batch, R));
+        halo.emplace(comm, rank, *partition, batch);
+        forward_options.graph_parallel = &*halo;
+        if (crash_step > 0) halo->set_pre_wait_hook(crash_in_overlap);
+      }
+      const Communicator::Traffic traffic_before =
+          rank == 0 ? comm.traffic() : Communicator::Traffic{};
+      obs::StepTelemetry telemetry = train_step.run(batch, forward_options);
+      if (rank == 0) {
+        account_step(interconnect_, R, comm.traffic().since(traffic_before),
+                     sync, halo ? &*halo : nullptr, telemetry, report);
+      }
+      return telemetry;
+    };
 
     for (std::int64_t epoch = start_epoch; epoch < options_.epochs; ++epoch) {
       // A fresh run's epoch 0 and a mid-epoch resume continue the order the
       // sampler holds; every other epoch reshuffles the previous one.
       if (!sampler.has_next()) sampler.begin_epoch();
-      while (sampler.has_next()) {
-        TrainStep train_step(context, counted_steps, epoch);
-        std::vector<const MolecularGraph*> samples;
-        {
-          const obs::TraceSpan span("fetch_batch", "data");
-          const std::span<const std::size_t> global = sampler.next();
-          for (std::int64_t b = 0; b < options_.per_rank_batch_size; ++b) {
-            const std::int64_t position = gp ? b : b * R + rank;
-            samples.push_back(&store.fetch(
-                rank, static_cast<std::int64_t>(
-                          global[static_cast<std::size_t>(position)])));
-          }
-        }
-        const GraphBatch batch = GraphBatch::from_graphs(samples);
-
-        EGNNModel::ForwardOptions forward_options;
-        forward_options.activation_checkpointing =
-            options_.activation_checkpointing;
-        // Graph-parallel: partition the shared batch and stand up this
-        // step's halo exchanger. Its buffers belong to in-flight
-        // collectives, so it must outlive backward — it lives to the end
-        // of the step iteration.
-        std::optional<gpar::GraphPartition> partition;
-        std::optional<gpar::HaloExchanger> halo;
-        if (gp) {
-          partition.emplace(gpar::GraphPartition::build(batch, R));
-          halo.emplace(comm, rank, *partition, batch);
-          forward_options.graph_parallel = &*halo;
-          if (copt.crash_in_overlap_step > 0) {
-            halo->set_pre_wait_hook(crash_in_overlap);
-          }
-        }
-        // Collective payload attributed to this step: the counters are
-        // updated once per collective (by rank 0 or the progress engine),
-        // and no collective of this step can complete before rank 0 posts
-        // it, so the delta is exact on rank 0 and reported 0 elsewhere.
-        const Communicator::Traffic traffic_before =
-            rank == 0 ? comm.traffic() : Communicator::Traffic{};
-        obs::StepTelemetry telemetry = train_step.run(batch, forward_options);
-        losses[ri].add(telemetry.loss);
-        if (rank == 0) {
-          // One formula for per-step and aggregate accounting: the modeled
-          // time of the step's traffic delta. seconds() is additive over
-          // deltas, so these per-step values sum exactly to the aggregate
-          // comm_seconds in the final report (no double-counted latency).
-          const Communicator::Traffic delta =
-              comm.traffic().since(traffic_before);
-          telemetry.collective_bytes = delta.total_bytes();
-          telemetry.comm_seconds_modeled = interconnect_.seconds(delta, R);
-          // Price the overlap honestly from the post/wait stamps of the
-          // step's non-blocking collectives: the sync's gradient buckets,
-          // or the halo exchanges of a graph-parallel step. Collectives
-          // without stamps (the ZeRO norm's scalar all-reduce, the blocking
-          // halo exchanges) count as fully exposed:
-          // exposed = overlap-priced exposure + (delta - event total).
-          std::vector<InterconnectModel::OverlapEvent> events =
-              sync.take_overlap_events();
-          telemetry.comm_buckets = static_cast<std::int64_t>(events.size());
-          if (halo) {
-            const auto halo_events = halo->take_events();
-            events.insert(events.end(), halo_events.begin(),
-                          halo_events.end());
-          }
-          const auto cost = interconnect_.overlap_cost(events, R);
-          const double exposed = std::min(
-              telemetry.comm_seconds_modeled,
-              cost.exposed_seconds +
-                  std::max(0.0, telemetry.comm_seconds_modeled -
-                                    cost.total_seconds));
-          telemetry.comm_exposed_seconds = exposed;
-          telemetry.comm_overlapped_seconds =
-              telemetry.comm_seconds_modeled - exposed;
-          if (halo) {
-            // Every collective of a graph-parallel step is halo traffic.
-            telemetry.halo_bytes = halo->halo_bytes();
-            telemetry.halo_exchanges = halo->exchanges();
-            telemetry.halo_exposed_seconds = exposed;
-            telemetry.halo_overlapped_seconds =
-                telemetry.comm_overlapped_seconds;
-            report.halo_bytes += telemetry.halo_bytes;
-            report.halo_exchanges += telemetry.halo_exchanges;
-            report.halo_exposed_seconds += telemetry.halo_exposed_seconds;
-            report.halo_overlapped_seconds +=
-                telemetry.halo_overlapped_seconds;
-          }
-          report.comm_exposed_seconds += telemetry.comm_exposed_seconds;
-          report.comm_overlapped_seconds += telemetry.comm_overlapped_seconds;
-          report.comm_buckets += telemetry.comm_buckets;
-        }
-        train_step.emit(telemetry);
-        ++counted_steps;
-        ++local_steps;
-
-        if (manager && counted_steps % copt.every_steps == 0) {
-          // Rank 0 snapshots ALL ranks' state between two barriers: every
-          // other rank is parked in the second barrier while the writer
-          // reads the shared parameters, the loss tallies and (for ZeRO)
-          // the other ranks' moment shards, so the cross-thread reads are
-          // race-free — the barrier's mutex/condvar provides the
-          // happens-before edge.
-          comm.barrier();
-          if (rank == 0) {
-            SnapshotBuilder builder;
-            save_training_state(builder, kind, counted_steps, epoch,
-                                *replicas_.front(), syncs, sampler,
-                                losses);
-            builder.add_i64("meta.ranks", R);
-            builder.add_i64("meta.strategy",
-                            static_cast<std::int64_t>(options_.strategy));
-            manager->save(static_cast<std::uint64_t>(counted_steps),
-                          builder.payload());
-          }
-          comm.barrier();
-        }
-        // Fault injection: every rank reaches this point with the same
-        // counted_steps and throws together — no rank is left behind in a
-        // barrier, so the simulated crash cannot deadlock the others.
-        ckpt::maybe_crash(copt, counted_steps);
-      }
+      loop.run_epoch(context, sampler, step, epoch, run_batch);
     }
     rank_seconds[ri] = timer.seconds();
-    if (rank == 0) report.steps = local_steps;
+    if (rank == 0) report.steps = step - start_step;
   };
 
   std::vector<std::exception_ptr> worker_errors(static_cast<std::size_t>(R));
@@ -342,9 +282,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   for (int r = 0; r < R; ++r) {
     threads.emplace_back([&worker, &worker_errors, r] {
       // An exception escaping a std::thread terminates the process; park it
-      // and rethrow on the joining thread instead. The fault-injection
-      // crash is step-synchronized, so every rank throws together and none
-      // is left waiting in a collective.
+      // and rethrow on the joining thread instead.
       try {
         worker(r);
       } catch (...) {
@@ -361,27 +299,21 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
              "replicas diverged — gradient synchronization is broken");
 
   double loss_sum = 0;
-  for (const LossTally& tally : losses) loss_sum += tally.mean();
+  for (const LossTally& tally : loop.losses()) loss_sum += tally.mean();
   report.final_train_loss = loss_sum / R;
   report.compute_seconds =
       *std::max_element(rank_seconds.begin(), rank_seconds.end());
   report.collective_traffic = comm.traffic();
   report.data_traffic = store.stats();
-  report.peak_memory = MemoryTracker::instance().peak();
-  report.peak_phase = MemoryTracker::instance().peak_phase();
-  report.peak_forward =
-      MemoryTracker::instance().peak_during(TrainPhase::kForward);
-  report.peak_backward =
-      MemoryTracker::instance().peak_during(TrainPhase::kBackward);
-  report.peak_optimizer =
-      MemoryTracker::instance().peak_during(TrainPhase::kOptimizer);
+  const MemoryTracker& memory = MemoryTracker::instance();
+  report.peak_memory = memory.peak();
+  report.peak_phase = memory.peak_phase();
+  report.peak_forward = memory.peak_during(TrainPhase::kForward);
+  report.peak_backward = memory.peak_during(TrainPhase::kBackward);
+  report.peak_optimizer = memory.peak_during(TrainPhase::kOptimizer);
 
-  // Interconnect time from the aggregate traffic record: per-kind bandwidth
-  // terms plus per-call launch latency, through the SAME formula the
-  // per-step telemetry uses. The model is additive over traffic deltas, so
-  // this aggregate equals the sum of the per-step comm_seconds_modeled
-  // values (the old code charged latency both inside the bandwidth terms
-  // and again per call, double-counting it).
+  // The formula the per-step telemetry uses; additive over traffic deltas,
+  // so it equals the sum of the per-step comm_seconds_modeled values.
   report.comm_seconds = interconnect_.seconds(report.collective_traffic, R);
   return report;
 }

@@ -105,11 +105,11 @@ obs::StepTelemetry TrainStep::run(const GraphBatch& batch,
   return telemetry;
 }
 
-void TrainStep::emit(const obs::StepTelemetry& telemetry) const {
-  obs::record_step_metrics(telemetry);
-  if (context_.telemetry != nullptr) context_.telemetry->on_step(telemetry);
-}
+namespace {
 
+/// meta.kind, meta.step (completed steps), meta.epoch (the epoch of the
+/// NEXT step), sampler.{rng,order,cursor,batch_size}, loss.{sum,steps} (one
+/// entry per rank), the model.* sections and every rank's optimizer ones.
 void save_training_state(SnapshotBuilder& builder, const std::string& kind,
                          std::int64_t step, std::int64_t epoch,
                          const EGNNModel& model,
@@ -123,6 +123,7 @@ void save_training_state(SnapshotBuilder& builder, const std::string& kind,
   builder.add_bytes("sampler.rng", pod_bytes(position.rng));
   builder.add_u64s("sampler.order", position.order);
   builder.add_u64("sampler.cursor", position.cursor);
+  builder.add_u64("sampler.batch_size", position.batch_size);
   std::vector<real> sums;
   std::vector<std::uint64_t> steps;
   for (const LossTally& tally : losses) {
@@ -137,6 +138,9 @@ void save_training_state(SnapshotBuilder& builder, const std::string& kind,
   }
 }
 
+/// The newest readable snapshot under `location`: nullopt when it is empty
+/// or (with a warning) holds nothing readable; Error when its meta.kind is
+/// not `kind`, so another trainer's snapshot is never half-applied.
 std::optional<SnapshotView> find_resume_snapshot(const std::string& location,
                                                  const std::string& kind) {
   if (location.empty()) return std::nullopt;
@@ -157,6 +161,8 @@ std::optional<SnapshotView> find_resume_snapshot(const std::string& location,
   return view;
 }
 
+/// Restores the sampler first, so a position that does not fit fails
+/// before anything else changes; then the tallies, model and optimizers.
 void load_training_state(const SnapshotView& view, EGNNModel& model,
                          const std::vector<GradSync*>& syncs,
                          EpochSampler& sampler,
@@ -165,6 +171,7 @@ void load_training_state(const SnapshotView& view, EGNNModel& model,
   position.rng = pod_from_bytes<Rng::State>(view.bytes("sampler.rng"));
   position.order = view.u64s("sampler.order");
   position.cursor = view.u64("sampler.cursor");
+  position.batch_size = view.u64("sampler.batch_size");
   sampler.restore_state(position);
   const std::vector<real> sums = view.reals("loss.sum");
   const std::vector<std::uint64_t> steps = view.u64s("loss.steps");
@@ -177,6 +184,81 @@ void load_training_state(const SnapshotView& view, EGNNModel& model,
   load_model_sections(view, model);
   for (std::size_t r = 0; r < syncs.size(); ++r) {
     syncs[r]->load(view, static_cast<int>(r));
+  }
+}
+
+}  // namespace
+
+void TrainLoop::check_options(std::int64_t epochs,
+                              const ckpt::CheckpointOptions& checkpoint) {
+  SGNN_CHECK(epochs > 0, "epochs must be positive");
+  SGNN_CHECK(checkpoint.every_steps <= 0 || !checkpoint.directory.empty(),
+             "checkpoint.every_steps needs checkpoint.directory");
+}
+
+TrainLoop::TrainLoop(std::string kind,
+                     const ckpt::CheckpointOptions& checkpoint,
+                     EGNNModel& model, std::vector<GradSync*> syncs,
+                     Communicator* comm,
+                     std::vector<std::pair<std::string, std::int64_t>> meta)
+    : kind_(std::move(kind)),
+      checkpoint_(checkpoint),
+      model_(model),
+      syncs_(std::move(syncs)),
+      comm_(comm),
+      meta_(std::move(meta)),
+      losses_(syncs_.size()) {
+  if (checkpoint.every_steps > 0) {
+    manager_.emplace(checkpoint.directory, checkpoint.keep_last);
+  }
+}
+
+bool TrainLoop::resume(EpochSampler& sampler, std::int64_t& step,
+                       std::int64_t& epoch) {
+  const auto view = find_resume_snapshot(checkpoint_.resume_from, kind_);
+  if (!view) return false;
+  for (const auto& [name, value] : meta_) {
+    SGNN_CHECK(view->i64(name) == value, "checkpoint " << name << " is "
+                                             << view->i64(name)
+                                             << ", this run has " << value);
+  }
+  load_training_state(*view, model_, syncs_, sampler, losses_);
+  step = view->i64("meta.step");
+  epoch = view->i64("meta.epoch");
+  return true;
+}
+
+void TrainLoop::run_epoch(const TrainStep::Context& context,
+                          EpochSampler& sampler, std::int64_t& step,
+                          std::int64_t epoch, const RunBatch& run_batch) {
+  const int rank = std::max(context.rank, 0);
+  LossTally& tally = losses_[static_cast<std::size_t>(rank)];
+  while (sampler.has_next()) {
+    TrainStep train_step(context, step, epoch);
+    const obs::StepTelemetry telemetry = run_batch(train_step);
+    obs::record_step_metrics(telemetry);
+    if (context.telemetry != nullptr) context.telemetry->on_step(telemetry);
+    tally.add(telemetry.loss);
+    ++step;
+    if (manager_ && step % checkpoint_.every_steps == 0) {
+      // The one snapshot write. Rank 0 writes ALL ranks' state between two
+      // barriers: every other rank is parked in the second barrier while
+      // the writer reads the shared parameters, the loss tallies and (for
+      // ZeRO) the other ranks' moment shards, so the cross-thread reads are
+      // race-free — the barrier's mutex/condvar is the happens-before edge.
+      if (comm_ != nullptr) comm_->barrier();
+      if (rank == 0) {
+        SnapshotBuilder builder;
+        save_training_state(builder, kind_, step, epoch, model_, syncs_,
+                            sampler, losses_);
+        for (const auto& [name, value] : meta_) builder.add_i64(name, value);
+        manager_->save(static_cast<std::uint64_t>(step), builder.payload());
+      }
+      if (comm_ != nullptr) comm_->barrier();
+    }
+    // Fault injection: every rank reaches this point with the same step
+    // count and throws together, so no rank is left behind in a barrier.
+    ckpt::maybe_crash(checkpoint_, step);
   }
 }
 

@@ -1,17 +1,17 @@
 #pragma once
 
-// The training step and training-state snapshot code both trainers share:
-// Trainer::train_epoch is the single-process instance, every
-// DistributedTrainer rank thread the distributed one. What differs between
-// them — gradient synchronization and optimizer-state placement — sits
-// behind the GradSync each caller hands in.
+// The one training loop Trainer and every DistributedTrainer rank thread
+// run: the step body, the epoch loop around it, snapshots and resume.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sgnn/ckpt/checkpoint.hpp"
+#include "sgnn/comm/communicator.hpp"
 #include "sgnn/data/loader.hpp"
 #include "sgnn/nn/egnn.hpp"
 #include "sgnn/obs/prof.hpp"
@@ -24,10 +24,10 @@
 
 namespace sgnn {
 
-/// One training step. Construct it at the top of the step, BEFORE the batch
-/// is fetched: the step clock, the "train_step" profiler region and the
-/// kernel-profile snapshot start here, so batch assembly counts as step
-/// time. Then run() the batch and emit() the telemetry it returns.
+/// One training step. TrainLoop constructs it at the top of the step,
+/// BEFORE the batch is fetched: the step clock, the "train_step" profiler
+/// region and the kernel-profile snapshot start here, so batch assembly
+/// counts as step time. Then the caller's RunBatch run()s the batch.
 class TrainStep {
  public:
   /// What stays fixed across the steps of one rank's run.
@@ -60,9 +60,6 @@ class TrainStep {
   obs::StepTelemetry run(const GraphBatch& batch,
                          const EGNNModel::ForwardOptions& forward);
 
-  /// Feeds obs::MetricsRegistry and the context's sink.
-  void emit(const obs::StepTelemetry& telemetry) const;
-
  private:
   const Context& context_;
   std::int64_t step_;
@@ -72,33 +69,57 @@ class TrainStep {
   obs::prof::ProfRegion region_;
 };
 
-/// The snapshot writer both trainers use: meta.kind, meta.step (completed
-/// steps), meta.epoch (the epoch of the NEXT step: `epoch`, or the one
-/// after when the sampler has no batch left), sampler.{rng,order,cursor},
-/// loss.{sum,steps} (one entry per rank's tally), the model.* sections,
-/// and the optimizer sections of every rank's GradSync (syncs[r] is rank
-/// r's). The caller adds its own meta fields.
-void save_training_state(SnapshotBuilder& builder, const std::string& kind,
-                         std::int64_t step, std::int64_t epoch,
-                         const EGNNModel& model,
-                         const std::vector<GradSync*>& syncs,
-                         const EpochSampler& sampler,
-                         const std::vector<LossTally>& losses);
+/// The training loop both trainers run: Trainer drives one with its Adam,
+/// and one serves every rank thread of a DistributedTrainer run. It owns
+/// the run's snapshot writer, its resume path and each rank's loss tally.
+/// What differs stays with the caller: the RunBatch that turns sampler
+/// indices into a batch, each rank's GradSync, and where an epoch starts.
+class TrainLoop {
+ public:
+  /// The preconditions both trainers share: epochs > 0, and a snapshot
+  /// cadence only with a directory.
+  static void check_options(std::int64_t epochs,
+                            const ckpt::CheckpointOptions& checkpoint);
 
-/// The newest readable snapshot under `location` for a resume: nullopt
-/// when `location` is empty (a fresh run), or with a warning when nothing
-/// under it is readable; Error when its meta.kind is not
-/// `kind` (a snapshot of another trainer or mode is never half-applied).
-std::optional<SnapshotView> find_resume_snapshot(const std::string& location,
-                                                 const std::string& kind);
+  /// `kind` is the snapshots' meta.kind, `model` the replica they hold,
+  /// `syncs[r]` rank r's GradSync. With a `comm`, each save is collective
+  /// and rank 0 writes every rank's state. A snapshot records `meta` and a
+  /// resume must match it.
+  TrainLoop(std::string kind, const ckpt::CheckpointOptions& checkpoint,
+            EGNNModel& model, std::vector<GradSync*> syncs,
+            Communicator* comm = nullptr,
+            std::vector<std::pair<std::string, std::int64_t>> meta = {});
 
-/// Restores what save_training_state wrote into `sampler` (first, so a
-/// position that does not fit it fails before anything else changes),
-/// `losses` (which must hold one tally per rank), `model` and each rank's
-/// GradSync; the caller reads the meta counters.
-void load_training_state(const SnapshotView& view, EGNNModel& model,
-                         const std::vector<GradSync*>& syncs,
-                         EpochSampler& sampler,
-                         std::vector<LossTally>& losses);
+  /// The one resume, from checkpoint.resume_from: restores `sampler` (Error
+  /// on another size or batch size), the loss tallies, the model, every
+  /// GradSync, `step` (completed steps) and `epoch` (the next step's).
+  /// False for a fresh run; Error on another kind or `meta`.
+  bool resume(EpochSampler& sampler, std::int64_t& step, std::int64_t& epoch);
+
+  /// Fetches the next batch, runs `step` on it and returns the telemetry;
+  /// the batch and whatever else serves only this step die with the call.
+  using RunBatch = std::function<obs::StepTelemetry(TrainStep& step)>;
+
+  /// Runs the batches left in `sampler`'s epoch `epoch` as the rank of
+  /// `context`. Per batch: a TrainStep, run_batch, telemetry, the rank's
+  /// loss tally, ++step (completed steps), a snapshot when due, and the
+  /// crash injection.
+  void run_epoch(const TrainStep::Context& context, EpochSampler& sampler,
+                 std::int64_t& step, std::int64_t epoch,
+                 const RunBatch& run_batch);
+
+  /// One running loss tally per rank, carried by every snapshot.
+  std::vector<LossTally>& losses() { return losses_; }
+
+ private:
+  std::string kind_;
+  const ckpt::CheckpointOptions& checkpoint_;
+  EGNNModel& model_;
+  std::vector<GradSync*> syncs_;
+  Communicator* comm_;
+  std::vector<std::pair<std::string, std::int64_t>> meta_;
+  std::vector<LossTally> losses_;
+  std::optional<ckpt::CheckpointManager> manager_;
+};
 
 }  // namespace sgnn

@@ -13,44 +13,18 @@ Trainer::Trainer(EGNNModel& model, const TrainOptions& options)
       options_(options),
       optimizer_(model.parameters(), options.adam),
       loss_scaler_(options.loss_scaling) {
-  SGNN_CHECK(options.epochs > 0, "epochs must be positive");
-  SGNN_CHECK(options.checkpoint.every_steps <= 0 ||
-                 !options.checkpoint.directory.empty(),
-             "checkpoint.every_steps needs checkpoint.directory");
+  TrainLoop::check_options(options.epochs, options.checkpoint);
   optimizer_.set_max_grad_norm(options.max_grad_norm);
+  loop_ = std::make_unique<TrainLoop>("trainer", options_.checkpoint, model_,
+                                      std::vector<GradSync*>{&optimizer_});
 }
 
-void Trainer::maybe_checkpoint(const DataLoader& loader) {
-  const auto& copt = options_.checkpoint;
-  if (copt.every_steps <= 0) return;
-  if (global_step_ % copt.every_steps != 0) return;
-  if (!ckpt_manager_) {
-    ckpt_manager_.emplace(copt.directory, copt.keep_last);
-  }
-  SnapshotBuilder builder;
-  save_training_state(builder, "trainer", global_step_, epoch_index_, model_,
-                      {&optimizer_}, loader.sampler(), {epoch_loss_});
-  ckpt_manager_->save(static_cast<std::uint64_t>(global_step_),
-                      builder.payload());
-}
-
-void Trainer::try_resume(DataLoader& loader) {
-  const auto view =
-      find_resume_snapshot(options_.checkpoint.resume_from, "trainer");
-  if (!view) return;
-  std::vector<LossTally> losses(1);
-  load_training_state(*view, model_, {&optimizer_}, loader.sampler(), losses);
-  epoch_loss_ = losses.front();
-  global_step_ = view->i64("meta.step");
-  epoch_index_ = view->i64("meta.epoch");
-  // A snapshot from an epoch's last step holds an exhausted order and
-  // meta.epoch already names the next epoch, which reshuffles as usual.
-  skip_begin_epoch_ = loader.has_next();
-}
+Trainer::~Trainer() = default;
 
 Trainer::EpochResult Trainer::train_epoch(DataLoader& loader) {
   const WallTimer timer;
 
+  LossTally& epoch_loss = loop_->losses().front();
   if (skip_begin_epoch_) {
     // First epoch after a resume: the loader already sits at the restored
     // mid-epoch position, and the loss tally holds the epoch's steps so
@@ -58,7 +32,7 @@ Trainer::EpochResult Trainer::train_epoch(DataLoader& loader) {
     skip_begin_epoch_ = false;
   } else {
     loader.begin_epoch();
-    epoch_loss_ = LossTally{};
+    epoch_loss = LossTally{};
   }
   EGNNModel::ForwardOptions forward_options;
   forward_options.activation_checkpointing =
@@ -72,36 +46,32 @@ Trainer::EpochResult Trainer::train_epoch(DataLoader& loader) {
                                    .telemetry = telemetry_};
 
   const obs::TraceSpan epoch_span("train_epoch", "train");
-
-  while (loader.has_next()) {
-    TrainStep step(context, global_step_, epoch_index_);
-    GraphBatch batch = loader.next();
-    if (use_baseline_) baseline_.subtract_from(batch);
-    const obs::StepTelemetry telemetry = step.run(batch, forward_options);
-    step.emit(telemetry);
-    epoch_loss_.add(telemetry.loss);
-    ++global_step_;
-    maybe_checkpoint(loader);
-    ckpt::maybe_crash(options_.checkpoint, global_step_);
-  }
+  loop_->run_epoch(context, loader.sampler(), global_step_, epoch_index_,
+                   [&](TrainStep& step) {
+                     GraphBatch batch = loader.next();
+                     if (use_baseline_) baseline_.subtract_from(batch);
+                     return step.run(batch, forward_options);
+                   });
 
   ++epoch_index_;
   EpochResult result;
-  result.mean_train_loss = epoch_loss_.mean();
+  result.mean_train_loss = epoch_loss.mean();
   result.seconds = timer.seconds();
   return result;
 }
 
 std::vector<Trainer::EpochResult> Trainer::fit(DataLoader& loader) {
-  try_resume(loader);
+  if (loop_->resume(loader.sampler(), global_step_, epoch_index_)) {
+    // A snapshot from an epoch's last step holds an exhausted order and
+    // meta.epoch already names the next epoch, which reshuffles as usual.
+    skip_begin_epoch_ = loader.has_next();
+  }
   std::vector<EpochResult> history;
   // Replay the per-epoch decay up to the resume point by repeated
   // multiplication — the same float sequence the original run produced
   // (pow() could differ in the last bit, breaking bit-identical resume).
   double lr = options_.adam.learning_rate;
-  for (std::int64_t epoch = 0; epoch < epoch_index_; ++epoch) {
-    lr *= options_.lr_decay;
-  }
+  for (std::int64_t e = 0; e < epoch_index_; ++e) lr *= options_.lr_decay;
   for (std::int64_t epoch = epoch_index_; epoch < options_.epochs; ++epoch) {
     // A step-based schedule takes precedence over the per-epoch decay.
     if (!options_.schedule) optimizer_.set_learning_rate(lr);

@@ -339,6 +339,26 @@ TEST(TrainerResumeTest, CorruptNewestCheckpointFallsBackToPreviousGood) {
   EXPECT_EQ(resumed, reference);
 }
 
+TEST(TrainerResumeTest, ResumeAtAnotherBatchSizeIsRejected) {
+  // The snapshot's sampler position counts batches of 4; continuing it in
+  // batches of 5 would misalign every later step, so the resume fails.
+  TempDir dir("sgnn_trainer_batch_size_test");
+  trainer_run(dir.path(), 2, 2, "", true);
+  const auto& dataset = tiny_dataset();
+  const auto split = dataset.split(0.25, 5);
+  ModelConfig config;
+  config.hidden_dim = 10;
+  config.num_layers = 2;
+  EGNNModel model(config);
+  TrainOptions options;
+  options.epochs = 2;
+  options.batch_size = 5;
+  options.checkpoint.resume_from = dir.path();
+  Trainer trainer(model, options);
+  DataLoader loader(dataset.view(split.train), options.batch_size, 11);
+  EXPECT_THROW(trainer.fit(loader), Error);
+}
+
 /// A 3-epoch run over 6 graphs at batch 4 (2 steps per epoch): the
 /// per-epoch mean losses and the final parameters.
 std::pair<std::vector<double>, std::vector<real>> small_fit(
@@ -578,6 +598,26 @@ TEST(DistributedResumeTest, StoreOfAnotherSizeIsRejected) {
   EXPECT_THROW(trainer.train(smaller), Error);
 }
 
+TEST(DistributedResumeTest, ResumeAtAnotherBatchSizeIsRejected) {
+  // Written at per-rank batch 4 (global 8); a per-rank batch of 3 would
+  // cut the restored order into misaligned global batches of 6.
+  DDStore store(2);
+  store.insert(tiny_dataset().graphs());
+  TempDir dir("sgnn_dist_batch_size_test");
+  dist_run(DistStrategy::kDDP, store, dir.path(), 2, 3, "", true);
+
+  ModelConfig config;
+  config.hidden_dim = 10;
+  config.num_layers = 2;
+  DistTrainOptions options;
+  options.num_ranks = 2;
+  options.epochs = 2;
+  options.per_rank_batch_size = 3;
+  options.checkpoint.resume_from = dir.path();
+  DistributedTrainer trainer(config, options);
+  EXPECT_THROW(trainer.train(store), Error);
+}
+
 TEST(DistributedResumeTest, ReportCountsOnlyTheStepsThisCallRan) {
   DDStore store(2);
   store.insert(tiny_dataset().graphs());
@@ -753,7 +793,8 @@ TEST(SnapshotLayoutTest, SectionNamesAndKindsArePinned) {
       "model.config.hidden_dim", "model.param_count",
       "model.shape.0",     "model.param.0", "optim.timestep",
       "optim.lr",          "sampler.rng",   "sampler.order",
-      "sampler.cursor",    "loss.sum",      "loss.steps"};
+      "sampler.cursor",    "sampler.batch_size", "loss.sum",
+      "loss.steps"};
   const std::vector<std::string> dist_meta = {"meta.ranks", "meta.strategy"};
   // Names no snapshot kind writes any more.
   const std::vector<std::string> retired = {

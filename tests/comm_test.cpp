@@ -58,12 +58,18 @@ TEST_P(CommRankSweep, ReduceScatterThenAllGatherReconstructsSum) {
           static_cast<real>((r + 1)) * static_cast<real>(i));
     }
   }
-  std::vector<std::vector<real>> reconstructed(static_cast<std::size_t>(R));
+  std::vector<std::size_t> counts;
+  for (int r = 0; r < R; ++r) {
+    const auto [begin, end] = Communicator::shard_range(n, r, R);
+    counts.push_back(end - begin);
+  }
+  std::vector<std::vector<real>> reconstructed(static_cast<std::size_t>(R),
+                                               std::vector<real>(n));
   run_ranks(R, [&](int rank) {
-    const auto shard =
-        comm.reduce_scatter_sum(rank, input[static_cast<std::size_t>(rank)]);
-    reconstructed[static_cast<std::size_t>(rank)] =
-        comm.all_gather(rank, shard, n);
+    const auto ri = static_cast<std::size_t>(rank);
+    std::vector<real> shard(counts[ri]);
+    comm.ireduce_scatter_counts(rank, input[ri], counts, shard).wait();
+    comm.iall_gather_counts(rank, shard, counts, reconstructed[ri]).wait();
   });
   for (int r = 0; r < R; ++r) {
     ASSERT_EQ(reconstructed[static_cast<std::size_t>(r)].size(), n);
@@ -201,8 +207,10 @@ TEST(CommunicatorTest, CollectivesRejectOutOfRangeRanks) {
   std::vector<real> data(4, 1.0);
   EXPECT_THROW(comm.all_reduce_sum(-1, data), Error);
   EXPECT_THROW(comm.all_reduce_sum(2, data), Error);
-  EXPECT_THROW(comm.reduce_scatter_sum(5, data), Error);
-  EXPECT_THROW(comm.all_gather(-3, data, 8), Error);
+  const std::vector<std::size_t> counts = {2, 2};
+  std::vector<real> piece(2, 1.0);
+  EXPECT_THROW(comm.ireduce_scatter_counts(5, data, counts, piece), Error);
+  EXPECT_THROW(comm.iall_gather_counts(-3, piece, counts, data), Error);
 }
 
 // -- non-blocking collectives -------------------------------------------------

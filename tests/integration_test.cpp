@@ -90,6 +90,46 @@ TEST_F(IntegrationTest, SingleRankDistributedMatchesTrainerSemantics) {
   EXPECT_EQ(report.comm_seconds, 0.0);
   EXPECT_EQ(report.data_traffic.remote_fetches, 0u);
   EXPECT_EQ(trainer.replica_divergence(), 0.0);
+
+  // Trainer and every 1-rank strategy run the same loop, so they train to
+  // the same bytes. One graph: with more, the trainers' epoch-0 orders
+  // differ and the in-batch sum order moves the last bit.
+  ModelConfig small;
+  small.hidden_dim = 10;
+  small.num_layers = 2;
+  const MolecularGraph& graph = dataset().graphs().front();
+  EGNNModel reference(small);
+  TrainOptions train_options;
+  train_options.epochs = 3;
+  train_options.batch_size = 1;
+  train_options.lr_decay = 1.0;
+  Trainer single(reference, train_options);
+  DataLoader loader({&graph}, train_options.batch_size, 11);
+  single.fit(loader);
+  const std::vector<Tensor> expected = reference.parameters();
+
+  DDStore one_graph(1);
+  one_graph.insert({graph});
+  for (const DistStrategy strategy :
+       {DistStrategy::kDDP, DistStrategy::kZeRO1}) {
+    DistTrainOptions dist_options;
+    dist_options.num_ranks = 1;
+    dist_options.epochs = 3;
+    dist_options.per_rank_batch_size = 1;
+    dist_options.strategy = strategy;
+    DistributedTrainer one_rank(small, dist_options);
+    one_rank.train(one_graph);
+    const std::vector<Tensor> actual = one_rank.model().parameters();
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const real* a = actual[i].data();
+      const real* e = expected[i].data();
+      for (std::int64_t k = 0; k < expected[i].numel(); ++k) {
+        EXPECT_EQ(a[k], e[k]) << "strategy " << static_cast<int>(strategy)
+                              << " parameter " << i << " element " << k;
+      }
+    }
+  }
 }
 
 TEST_F(IntegrationTest, SweepPointsRespondToDataSize) {

@@ -88,8 +88,7 @@ bool is_hook_header(const std::string& target) {
 
 /// Blocking communicator entry points; the scanner skips `::`-qualified
 /// spellings (static members of other classes).
-const char* kBlockingCalls[] = {"barrier", "all_reduce_sum",
-                                "reduce_scatter_sum", "all_gather"};
+const char* kBlockingCalls[] = {"barrier", "all_reduce_sum"};
 
 /// Tokens that make an `if`/`while` condition rank-divergent. Deliberately
 /// NOT `num_ranks`/`ranks`: those are uniform across ranks, and
