@@ -103,7 +103,10 @@ struct DistTrainReport {
   MemBreakdown peak_memory;
   TrainPhase peak_phase = TrainPhase::kIdle;
   /// Highest total usage while each phase was active (Fig. 6(a)'s
-  /// three-stage profile).
+  /// three-stage profile). With more than one rank these depend on how
+  /// the rank threads interleave: a sample is charged to the sampling
+  /// thread's phase but counts every rank's live bytes, so one rank's
+  /// optimizer-phase peak can include another rank's activations.
   std::int64_t peak_forward = 0;
   std::int64_t peak_backward = 0;
   std::int64_t peak_optimizer = 0;

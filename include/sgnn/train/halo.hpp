@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "sgnn/comm/communicator.hpp"
@@ -90,6 +91,21 @@ class HaloExchanger final : public GraphParallelHook,
     bool open = false;    ///< true between post and wait
   };
 
+  /// Per-rank element counts of one all-gather, and their sum.
+  struct GatherCounts {
+    std::vector<std::size_t> per_rank;
+    std::size_t total = 0;
+  };
+  /// Counts of an all-gather in which rank r contributes
+  /// `rows_of(ranks[r])` rows of `cols` reals.
+  GatherCounts gather_counts(
+      std::int64_t cols,
+      std::size_t (*rows_of)(const RankPartition& rank)) const;
+  /// Posts this rank's `piece` of the all-gather over `counts`, waits at
+  /// once (fully exposed), accounts the exchange and returns the
+  /// rank-order concatenation.
+  std::vector<real> gather_now(std::span<const real> piece,
+                               const GatherCounts& counts);
   /// Packs this rank's boundary rows of `rows` and posts the gather.
   void post_boundary_gather(const real* rows, std::int64_t cols,
                             PendingGather& pending);

@@ -1,9 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "sgnn/tensor/tensor.hpp"
 
 namespace sgnn {
 
@@ -37,14 +34,5 @@ class LrSchedule {
   std::int64_t total_steps_ = 1;
   std::int64_t steps_per_epoch_ = 1;
 };
-
-/// Joint L2 norm of all defined gradients (undefined gradients count as
-/// zero). Shared by clipping and the per-step telemetry.
-double grad_l2_norm(const std::vector<Tensor>& parameters);
-
-/// Rescales all gradients so their joint L2 norm does not exceed
-/// `max_norm`; returns the pre-clip norm. Parameters without gradients are
-/// ignored. The standard stabilizer for large-model training.
-double clip_grad_norm(const std::vector<Tensor>& parameters, double max_norm);
 
 }  // namespace sgnn

@@ -48,7 +48,7 @@ struct TrainOptions {
 /// Single-process trainer: the building block the scaling sweeps call, and
 /// the reference the distributed trainers are tested against. It runs the
 /// same training loop as every DistributedTrainer rank — step body,
-/// snapshot writer and resume path — with plain Adam as the GradSync.
+/// snapshot writer and resume path — with an unsynchronized Adam.
 class Trainer {
  public:
   Trainer(EGNNModel& model, const TrainOptions& options);

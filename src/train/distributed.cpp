@@ -16,7 +16,6 @@
 #include "sgnn/obs/trace.hpp"
 #include "sgnn/tensor/kernels.hpp"
 #include "sgnn/train/halo.hpp"
-#include "sgnn/train/zero.hpp"
 #include "sgnn/util/error.hpp"
 #include "sgnn/util/timer.hpp"
 
@@ -24,33 +23,30 @@ namespace sgnn {
 
 namespace {
 
-/// The one place the strategy becomes code: one rank's gradient sync.
-/// Graph-parallel ranks use PLAIN Adam: their gradients are already
-/// replicated exactly, and a DDP all-reduce-then-average of R identical
-/// gradients is NOT a bitwise no-op (g + g + g rounds), so averaging would
-/// break the parity contract.
-std::unique_ptr<GradSync> make_grad_sync(const DistTrainOptions& options,
-                                         Communicator& comm,
-                                         std::vector<Tensor> parameters) {
-  std::unique_ptr<GradSync> sync;
-  if (options.graph_parallel) {
-    sync = std::make_unique<Adam>(std::move(parameters), options.adam);
-  } else if (options.strategy == DistStrategy::kDDP) {
-    sync = std::make_unique<DDPAdam>(comm, std::move(parameters), options.adam,
-                                     options.bucket_bytes);
-  } else {
-    sync = std::make_unique<ZeroAdam>(comm, std::move(parameters),
-                                      options.adam, options.bucket_bytes);
-  }
-  sync->set_max_grad_norm(options.max_grad_norm);
-  return sync;
+/// One rank's optimizer: the options pick its collective. Graph-parallel
+/// ranks get no communicator: their gradients are already replicated
+/// exactly, and a DDP all-reduce-then-average of R identical gradients is
+/// NOT a bitwise no-op (g + g + g rounds), so averaging would break the
+/// parity contract.
+std::unique_ptr<Adam> make_grad_sync(const DistTrainOptions& options,
+                                     Communicator& comm,
+                                     std::vector<Tensor> parameters) {
+  auto optimizer = std::make_unique<Adam>(
+      std::move(parameters), options.adam,
+      options.graph_parallel ? nullptr : &comm,
+      options.strategy == DistStrategy::kZeRO1
+          ? CollectiveKind::kReduceScatter
+          : CollectiveKind::kAllReduce,
+      options.bucket_bytes);
+  optimizer->set_max_grad_norm(options.max_grad_norm);
+  return optimizer;
 }
 
 /// Rank 0's comm and halo accounting of one step from the traffic `delta`
 /// its collectives added: exact on rank 0, since no collective of a step
 /// completes before rank 0 posts it. The other ranks report 0.
 void account_step(const InterconnectModel& interconnect, int num_ranks,
-                  const Communicator::Traffic& delta, GradSync& sync,
+                  const Communicator::Traffic& delta, Adam& optimizer,
                   gpar::HaloExchanger* halo, obs::StepTelemetry& telemetry,
                   DistTrainReport& report) {
   // seconds() is additive over deltas, so the per-step values sum exactly
@@ -62,7 +58,7 @@ void account_step(const InterconnectModel& interconnect, int num_ranks,
   // stamps (the ZeRO norm's all-reduce, blocking halo exchanges) count as
   // fully exposed: exposed = overlap-priced exposure + (delta - event total).
   std::vector<InterconnectModel::OverlapEvent> events =
-      sync.take_overlap_events();
+      optimizer.take_overlap_events();
   telemetry.comm_buckets = static_cast<std::int64_t>(events.size());
   if (halo != nullptr) {
     const auto halo_events = halo->take_events();
@@ -152,14 +148,14 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   Communicator comm(R);
   MemoryTracker::instance().reset_peak();
 
-  // Per-rank gradient syncs, constructed up front so optimizer-state
-  // memory is part of the profile from step zero, as in a real framework.
-  std::vector<std::unique_ptr<GradSync>> owned_syncs;
-  std::vector<GradSync*> syncs;
+  // Per-rank optimizers, constructed up front so optimizer-state memory is
+  // part of the profile from step zero, as in a real framework.
+  std::vector<std::unique_ptr<Adam>> owned_optimizers;
+  std::vector<Adam*> optimizers;
   for (int r = 0; r < R; ++r) {
-    owned_syncs.push_back(make_grad_sync(
+    owned_optimizers.push_back(make_grad_sync(
         options_, comm, replicas_[static_cast<std::size_t>(r)]->parameters()));
-    syncs.push_back(owned_syncs.back().get());
+    optimizers.push_back(owned_optimizers.back().get());
   }
 
   // One sampler order over the store, cut into global batches; every rank
@@ -179,7 +175,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   // Graph-parallel snapshots have their own kind: their plain-Adam moments
   // do not fit the DDP/ZeRO sections, so cross-mode resumes fail loudly.
   TrainLoop loop(gp ? "dist.gpar" : "dist", options_.checkpoint,
-                 *replicas_.front(), syncs, &comm,
+                 *replicas_.front(), optimizers, &comm,
                  {{"meta.ranks", R},
                   {"meta.strategy",
                    static_cast<std::int64_t>(options_.strategy)}});
@@ -203,10 +199,10 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
     // Tags spans and log lines from this thread with the rank, so the
     // exported trace renders one timeline per simulated GPU.
     const obs::ScopedTraceRank trace_rank(rank);
-    GradSync& sync = *syncs[ri];
+    Adam& optimizer = *optimizers[ri];
     LossScaler no_loss_scaling{LossScaler::Options{}};
     const TrainStep::Context context{.model = *replicas_[ri],
-                                     .sync = sync,
+                                     .optimizer = optimizer,
                                      .rank = rank,
                                      .loss_weights = options_.loss_weights,
                                      .schedule = options_.schedule,
@@ -223,7 +219,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
     const auto crash_in_overlap = [&step, crash_step] {
       if (step + 1 == crash_step) throw ckpt::SimulatedCrash(step);
     };
-    if (crash_step > 0) sync.set_pre_drain_hook(crash_in_overlap);
+    if (crash_step > 0) optimizer.set_pre_drain_hook(crash_in_overlap);
 
     const TrainLoop::RunBatch run_batch = [&](TrainStep& train_step) {
       std::vector<const MolecularGraph*> samples;
@@ -258,7 +254,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
       obs::StepTelemetry telemetry = train_step.run(batch, forward_options);
       if (rank == 0) {
         account_step(interconnect_, R, comm.traffic().since(traffic_before),
-                     sync, halo ? &*halo : nullptr, telemetry, report);
+                     optimizer, halo ? &*halo : nullptr, telemetry, report);
       }
       return telemetry;
     };

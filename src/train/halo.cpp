@@ -88,21 +88,43 @@ void HaloExchanger::count_exchange(std::uint64_t bytes) {
   }
 }
 
+HaloExchanger::GatherCounts HaloExchanger::gather_counts(
+    std::int64_t cols,
+    std::size_t (*rows_of)(const RankPartition& rank)) const {
+  GatherCounts counts;
+  counts.per_rank.reserve(static_cast<std::size_t>(part_.num_ranks));
+  for (int r = 0; r < part_.num_ranks; ++r) {
+    counts.per_rank.push_back(
+        rows_of(part_.ranks[static_cast<std::size_t>(r)]) *
+        static_cast<std::size_t>(cols));
+    counts.total += counts.per_rank.back();
+  }
+  return counts;
+}
+
+std::vector<real> HaloExchanger::gather_now(std::span<const real> piece,
+                                            const GatherCounts& counts) {
+  std::vector<real> gathered(counts.total);
+  const double post = clock_.seconds();
+  CollectiveHandle handle =
+      comm_.iall_gather_counts(me_, piece, counts.per_rank, gathered);
+  handle.wait();
+  const std::uint64_t bytes = counts.total * sizeof(real);
+  record_event(CollectiveKind::kAllGather, bytes, post, post);
+  count_exchange(bytes);
+  return gathered;
+}
+
 void HaloExchanger::post_boundary_gather(const real* rows, std::int64_t cols,
                                          PendingGather& pending) {
   SGNN_CHECK(!pending.open, "halo boundary gather already in flight");
-  const int num_ranks = part_.num_ranks;
-  std::vector<std::size_t> counts(static_cast<std::size_t>(num_ranks));
-  std::size_t total = 0;
-  for (int r = 0; r < num_ranks; ++r) {
-    counts[static_cast<std::size_t>(r)] =
-        part_.ranks[static_cast<std::size_t>(r)].boundary.size() *
-        static_cast<std::size_t>(cols);
-    total += counts[static_cast<std::size_t>(r)];
-  }
+  const GatherCounts counts =
+      gather_counts(cols, [](const RankPartition& rank) {
+        return rank.boundary.size();
+      });
   pending.open = true;
-  pending.posted = total > 0;
-  pending.bytes = total * sizeof(real);
+  pending.posted = counts.total > 0;
+  pending.bytes = counts.total * sizeof(real);
   pending.post_seconds = clock_.seconds();
   if (!pending.posted) return;  // symmetric: counts are global
 
@@ -113,9 +135,9 @@ void HaloExchanger::post_boundary_gather(const real* rows, std::int64_t cols,
     std::copy_n(rows + local * cols, static_cast<std::size_t>(cols),
                 out + static_cast<std::int64_t>(i) * cols);
   }
-  pending.gathered.resize(total);
-  pending.handle =
-      comm_.iall_gather_counts(me_, pending.piece, counts, pending.gathered);
+  pending.gathered.resize(counts.total);
+  pending.handle = comm_.iall_gather_counts(me_, pending.piece,
+                                            counts.per_rank, pending.gathered);
   count_exchange(pending.bytes);
 }
 
@@ -195,7 +217,6 @@ Tensor HaloExchanger::select_src_h(const Tensor& h) {
 Tensor HaloExchanger::ghost_scatter_grad(const Tensor& grad,
                                          std::int64_t cols) {
   const obs::prof::ProfRegion region("halo");
-  const int num_ranks = part_.num_ranks;
   const std::int64_t owned = mine_.num_owned();
   Tensor out = Tensor::zeros(Shape{owned, cols});
 
@@ -203,17 +224,13 @@ Tensor HaloExchanger::ghost_scatter_grad(const Tensor& grad,
   // rows are shipped PER EDGE (not pre-summed per node) precisely so the
   // owner can fold them in global edge order — pre-summing would re-bracket
   // the floating-point accumulation and break bit-identity.
-  std::vector<std::size_t> counts(static_cast<std::size_t>(num_ranks));
-  std::size_t total = 0;
-  for (int r = 0; r < num_ranks; ++r) {
-    counts[static_cast<std::size_t>(r)] =
-        part_.ranks[static_cast<std::size_t>(r)].ghost_edges.size() *
-        static_cast<std::size_t>(cols);
-    total += counts[static_cast<std::size_t>(r)];
-  }
+  const GatherCounts counts =
+      gather_counts(cols, [](const RankPartition& rank) {
+        return rank.ghost_edges.size();
+      });
   const real* pg = grad.data();
-  std::vector<real> gathered(total);
-  if (total > 0) {
+  std::vector<real> gathered;
+  if (counts.total > 0) {
     std::vector<real> piece(mine_.ghost_edges.size() *
                             static_cast<std::size_t>(cols));
     for (std::size_t i = 0; i < mine_.ghost_edges.size(); ++i) {
@@ -221,13 +238,8 @@ Tensor HaloExchanger::ghost_scatter_grad(const Tensor& grad,
                   static_cast<std::size_t>(cols),
                   piece.data() + static_cast<std::int64_t>(i) * cols);
     }
-    const double post = clock_.seconds();
-    CollectiveHandle handle =
-        comm_.iall_gather_counts(me_, piece, counts, gathered);
-    handle.wait();  // backward needs the rows immediately: fully exposed
-    record_event(CollectiveKind::kAllGather, total * sizeof(real), post,
-                 post);
-    count_exchange(total * sizeof(real));
+    // Backward needs the rows immediately: fully exposed.
+    gathered = gather_now(piece, counts);
   }
 
   // Fold every edge's contribution into its owner row in GLOBAL edge order:
@@ -239,10 +251,10 @@ Tensor HaloExchanger::ghost_scatter_grad(const Tensor& grad,
           static_cast<std::int64_t>(sizeof(real)),
           obs::prof::sat_add(
               obs::prof::sat_mul(2, mine_.num_local_edges(), cols),
-              2 * static_cast<std::int64_t>(total))));
+              2 * static_cast<std::int64_t>(counts.total))));
   real* po = out.data();
   std::size_t offset = 0;
-  for (int r = 0; r < num_ranks; ++r) {
+  for (int r = 0; r < part_.num_ranks; ++r) {
     if (r == me_) {
       const std::int64_t edges = mine_.num_local_edges();
       for (std::int64_t e = 0; e < edges; ++e) {
@@ -261,7 +273,7 @@ Tensor HaloExchanger::ghost_scatter_grad(const Tensor& grad,
         for (std::int64_t c = 0; c < cols; ++c) dst[c] += row[c];
       }
     }
-    offset += counts[static_cast<std::size_t>(r)];
+    offset += counts.per_rank[static_cast<std::size_t>(r)];
   }
   return out;
 }
@@ -296,25 +308,13 @@ Tensor HaloExchanger::all_gather_rows(const Tensor& owned) {
                 out.data());
     return out;
   }
-  std::vector<std::size_t> counts(static_cast<std::size_t>(part_.num_ranks));
-  std::size_t total = 0;
-  for (int r = 0; r < part_.num_ranks; ++r) {
-    counts[static_cast<std::size_t>(r)] =
-        static_cast<std::size_t>(
-            part_.ranks[static_cast<std::size_t>(r)].num_owned()) *
-        static_cast<std::size_t>(cols);
-    total += counts[static_cast<std::size_t>(r)];
-  }
-  std::vector<real> piece(od.data(),
-                          od.data() + static_cast<std::size_t>(owned_rows) *
-                                          static_cast<std::size_t>(cols));
-  std::vector<real> gathered(total);
-  const double post = clock_.seconds();
-  CollectiveHandle handle =
-      comm_.iall_gather_counts(me_, piece, counts, gathered);
-  handle.wait();  // the heads need the full tensor now: fully exposed
-  record_event(CollectiveKind::kAllGather, total * sizeof(real), post, post);
-  count_exchange(total * sizeof(real));
+  const GatherCounts counts =
+      gather_counts(cols, [](const RankPartition& rank) {
+        return static_cast<std::size_t>(rank.num_owned());
+      });
+  // The heads need the full tensor now: fully exposed.
+  const std::vector<real> gathered = gather_now(
+      {od.data(), static_cast<std::size_t>(owned_rows * cols)}, counts);
   // Rank-order concatenation of contiguous owned ranges IS global node
   // order — no permutation needed.
   std::copy(gathered.begin(), gathered.end(), out.data());

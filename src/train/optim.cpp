@@ -2,20 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 
+#include "sgnn/obs/trace.hpp"
 #include "sgnn/store/snapshot.hpp"
-#include "sgnn/train/bucketer.hpp"
-#include "sgnn/train/schedule.hpp"
 #include "sgnn/util/error.hpp"
 #include "sgnn/util/thread_pool.hpp"
 
 namespace sgnn {
 
-GradSync::GradSync(std::vector<Tensor> parameters, const Options& options,
-                   Communicator* comm, CollectiveKind kind,
-                   std::size_t bucket_bytes)
-    : arena_(std::move(parameters)), options_(options), comm_(comm) {
+Adam::Adam(std::vector<Tensor> parameters, const Options& options,
+           Communicator* comm, CollectiveKind kind, std::size_t bucket_bytes)
+    : arena_(std::move(parameters)),
+      options_(options),
+      comm_(comm),
+      kind_(kind) {
   SGNN_CHECK(!arena_.parameters().empty(), "optimizer needs parameters");
   for (const auto& p : arena_.parameters()) {
     SGNN_CHECK(p.requires_grad(),
@@ -25,11 +27,21 @@ GradSync::GradSync(std::vector<Tensor> parameters, const Options& options,
     bucketer_ =
         std::make_unique<GradBucketer>(*comm_, arena_, kind, bucket_bytes);
   }
+  // A sharded rank allocates only 1/R of the optimizer state — the ZeRO
+  // stage-1 saving, visible to the memory tracker.
+  const std::size_t count =
+      sharded() ? Communicator::shard_range(arena_.size(), 0,
+                                            comm_->num_ranks())
+                      .second
+                : arena_.size();
+  const ScopedMemCategory scope(MemCategory::kOptimizerState);
+  m_ = Tensor::zeros(Shape{static_cast<std::int64_t>(count)});
+  v_ = Tensor::zeros(Shape{static_cast<std::int64_t>(count)});
 }
 
-GradSync::~GradSync() = default;
+Adam::~Adam() = default;
 
-void GradSync::backward(Tensor& loss, int rank) {
+void Adam::backward(Tensor& loss, int rank) {
   GradBucketer* const bucketer = bucketer_.get();
   if (bucketer == nullptr) {
     loss.backward();
@@ -41,15 +53,68 @@ void GradSync::backward(Tensor& loss, int rank) {
   loss.backward();
 }
 
-double GradSync::step(int rank, bool measure_norm) {
+double Adam::step(int rank, bool measure_norm) {
+  const obs::TraceSpan span("adam_step", "optimizer");
   ++timestep_;
-  const double norm = update(rank, measure_norm);
+  std::span<real> grad = arena_.grads();
+  std::span<real> values = arena_.values();
+  if (bucketer_) {
+    // Called unarmed, the step posts and drains everything itself
+    // (unoverlapped — still bit-identical).
+    if (!bucketer_->active()) bucketer_->begin_step(rank);
+    bucketer_->post_remaining();
+    if (pre_drain_hook_) pre_drain_hook_();
+    // The buckets reduce in place: the gradient buffer — under
+    // reduce-scatter only this rank's global shard of it — holds the rank
+    // sum, which this rank averages and applies to the same range of the
+    // values with its own moments.
+    bucketer_->drain();
+    if (sharded()) {
+      const auto [begin, end] =
+          Communicator::shard_range(arena_.size(), rank, comm_->num_ranks());
+      grad = grad.subspan(begin, end - begin);
+      values = values.subspan(begin, end - begin);
+    }
+    const auto scale = real{1} / static_cast<real>(comm_->num_ranks());
+    for (auto& g : grad) g *= scale;
+  }
+
+  double norm = 0;
+  if (max_grad_norm_ > 0 || measure_norm) {
+    // Every rank sums the identical vector (or its shard) in the same
+    // sequential order, so the norm — and the clip factor — is
+    // bit-identical across replicas and settings. A shard's partial sum of
+    // squares is all-reduced in fixed rank order; the sharded norm matches
+    // the full-vector one up to fp association.
+    double sum_sq = 0;
+    for (const auto g : grad) {
+      sum_sq += static_cast<double>(g) * static_cast<double>(g);
+    }
+    if (sharded()) {
+      real partial = static_cast<real>(sum_sq);
+      comm_->all_reduce_sum(rank, std::span<real>(&partial, 1));
+      sum_sq = static_cast<double>(partial);
+    }
+    norm = std::sqrt(sum_sq);
+    if (max_grad_norm_ > 0 && norm > max_grad_norm_) {
+      const auto factor = static_cast<real>(max_grad_norm_ / norm);
+      for (auto& g : grad) g *= factor;
+    }
+  }
+
+  update_flat(values.data(), grad.data(), m_.data(), v_.data(), grad.size(),
+              timestep_, options_);
+  if (bucketer_) {
+    // Every rank's updated shard lands straight in every rank's values.
+    if (sharded()) bucketer_->all_gather_params();
+    bucketer_->end_step();
+  }
   // The update works in place and allocates nothing; sample its footprint.
   MemoryTracker::instance().sample_phase();
   return norm;
 }
 
-void GradSync::save(SnapshotBuilder& builder, int rank) const {
+void Adam::save(SnapshotBuilder& builder, int rank) const {
   if (rank == 0) {
     builder.add_i64("optim.timestep", timestep_);
     builder.add_f64("optim.lr", options_.learning_rate);
@@ -61,7 +126,7 @@ void GradSync::save(SnapshotBuilder& builder, int rank) const {
   builder.add_reals("optim.v" + suffix, v_.data(), n);
 }
 
-void GradSync::load(const SnapshotView& view, int rank) {
+void Adam::load(const SnapshotView& view, int rank) {
   const std::int64_t timestep = view.i64("optim.timestep");
   SGNN_CHECK(timestep >= 0, "optimizer timestep must be non-negative");
   timestep_ = timestep;
@@ -77,53 +142,14 @@ void GradSync::load(const SnapshotView& view, int rank) {
   }
 }
 
-std::vector<InterconnectModel::OverlapEvent> GradSync::take_overlap_events() {
+std::vector<InterconnectModel::OverlapEvent> Adam::take_overlap_events() {
   if (!bucketer_) return {};
   return bucketer_->take_events();
 }
 
-void GradSync::allocate_moments(std::size_t count) {
-  const ScopedMemCategory scope(MemCategory::kOptimizerState);
-  m_ = Tensor::zeros(Shape{static_cast<std::int64_t>(count)});
-  v_ = Tensor::zeros(Shape{static_cast<std::int64_t>(count)});
-}
-
-void GradSync::reduce_gradients(int rank) {
-  if (!bucketer_->active()) bucketer_->begin_step(rank);
-  bucketer_->post_remaining();
-  if (pre_drain_hook_) pre_drain_hook_();
-  bucketer_->drain();
-}
-
-double GradSync::average_and_clip(std::span<real> grad, int rank,
-                                  bool measure_norm) const {
-  const auto scale = real{1} / static_cast<real>(comm_->num_ranks());
-  for (auto& g : grad) g *= scale;
-  if (max_grad_norm_ <= 0 && !measure_norm) return 0;
-  // Every rank sums the identical vector (or its shard) in the same
-  // sequential order, so the norm — and the clip factor — is bit-identical
-  // across replicas; the sharded norm matches the full-vector one up to fp
-  // association.
-  double sum_sq = 0;
-  for (const auto g : grad) {
-    sum_sq += static_cast<double>(g) * static_cast<double>(g);
-  }
-  if (sharded()) {
-    real partial = static_cast<real>(sum_sq);
-    comm_->all_reduce_sum(rank, std::span<real>(&partial, 1));
-    sum_sq = static_cast<double>(partial);
-  }
-  const double norm = std::sqrt(sum_sq);
-  if (max_grad_norm_ > 0 && norm > max_grad_norm_) {
-    const auto factor = static_cast<real>(max_grad_norm_ / norm);
-    for (auto& g : grad) g *= factor;
-  }
-  return norm;
-}
-
-void GradSync::update_flat(real* param, const real* grad, real* m, real* v,
-                           std::size_t count, std::int64_t timestep,
-                           const Options& options) {
+void Adam::update_flat(real* param, const real* grad, real* m, real* v,
+                       std::size_t count, std::int64_t timestep,
+                       const Options& options) {
   const auto beta1 = static_cast<real>(options.beta1);
   const auto beta2 = static_cast<real>(options.beta2);
   const auto eps = static_cast<real>(options.epsilon);
@@ -142,29 +168,6 @@ void GradSync::update_flat(real* param, const real* grad, real* m, real* v,
                    param[k] -= lr * m_hat / (std::sqrt(v_hat) + eps);
                  }
                });
-}
-
-Adam::Adam(std::vector<Tensor> parameters, const Options& options)
-    : GradSync(std::move(parameters), options) {
-  allocate_moments(arena_.size());
-}
-
-double Adam::update(int /*rank*/, bool measure_norm) {
-  const std::vector<Tensor>& parameters = arena_.parameters();
-  double norm = 0;
-  if (max_grad_norm_ > 0) {
-    norm = clip_grad_norm(parameters, max_grad_norm_);
-  } else if (measure_norm) {
-    norm = grad_l2_norm(parameters);
-  }
-  for (std::size_t i = 0; i < parameters.size(); ++i) {
-    if (!parameters[i].grad().defined()) continue;
-    const std::size_t at = arena_.offset(i);
-    update_flat(arena_.values().data() + at, arena_.grads().data() + at,
-                m_.data() + at, v_.data() + at,
-                arena_.offset(i + 1) - at, timestep_, options_);
-  }
-  return norm;
 }
 
 }  // namespace sgnn

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "sgnn/util/error.hpp"
-#include "sgnn/util/thread_pool.hpp"
 
 namespace sgnn {
 
@@ -69,48 +68,6 @@ double LrSchedule::at_step(std::int64_t step) const {
     }
   }
   throw Error("unknown schedule kind");
-}
-
-double grad_l2_norm(const std::vector<Tensor>& parameters) {
-  double total_sq = 0;
-  for (const auto& p : parameters) {
-    const Tensor grad = p.grad();
-    if (!grad.defined()) continue;
-    const real* g = grad.data();
-    // Chunked deterministic reduction: partials combined in chunk order so
-    // the norm is bit-identical across pool sizes.
-    total_sq += parallel_reduce_sum(
-        0, grad.numel(), kParallelMinWork,
-        [g](std::int64_t begin, std::int64_t end) {
-          double acc = 0;
-          for (std::int64_t i = begin; i < end; ++i) {
-            acc += static_cast<double>(g[i]) * static_cast<double>(g[i]);
-          }
-          return acc;
-        });
-  }
-  return std::sqrt(total_sq);
-}
-
-double clip_grad_norm(const std::vector<Tensor>& parameters,
-                      double max_norm) {
-  SGNN_CHECK(max_norm > 0, "max_norm must be positive");
-  const double norm = grad_l2_norm(parameters);
-  if (norm > max_norm && norm > 0) {
-    const auto scale = static_cast<real>(max_norm / norm);
-    for (const auto& p : parameters) {
-      Tensor grad = p.grad();
-      if (!grad.defined()) continue;
-      real* g = grad.data();
-      parallel_for(0, grad.numel(), kParallelMinWork,
-                   [=](std::int64_t begin, std::int64_t end) {
-                     for (std::int64_t i = begin; i < end; ++i) {
-                       g[i] *= scale;
-                     }
-                   });
-    }
-  }
-  return norm;
 }
 
 }  // namespace sgnn

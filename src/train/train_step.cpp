@@ -22,10 +22,10 @@ TrainStep::TrainStep(const Context& context, std::int64_t step,
 
 obs::StepTelemetry TrainStep::run(const GraphBatch& batch,
                                   const EGNNModel::ForwardOptions& forward) {
-  GradSync& sync = context_.sync;
+  Adam& optimizer = context_.optimizer;
   LossScaler& scaler = context_.loss_scaler;
   const int rank = std::max(context_.rank, 0);
-  sync.zero_grad();
+  optimizer.zero_grad();
 
   obs::StepTelemetry telemetry;
   Tensor total;
@@ -47,7 +47,7 @@ obs::StepTelemetry TrainStep::run(const GraphBatch& batch,
     const obs::TraceSpan span("backward", "train");
     const obs::prof::ProfRegion region("backward");
     const ScopedTrainPhase phase(TrainPhase::kBackward);
-    sync.backward(total, rank);
+    optimizer.backward(total, rank);
   }
   {
     const obs::TraceSpan span("optimizer", "train");
@@ -55,7 +55,7 @@ obs::StepTelemetry TrainStep::run(const GraphBatch& batch,
     const ScopedTrainPhase phase(TrainPhase::kOptimizer);
     if (context_.schedule) {
       // Pure function of the global step, so replicas agree for free.
-      sync.set_learning_rate(context_.schedule->at_step(step_));
+      optimizer.set_learning_rate(context_.schedule->at_step(step_));
     }
     bool apply = true;
     if (scaler.enabled()) {
@@ -65,7 +65,7 @@ obs::StepTelemetry TrainStep::run(const GraphBatch& batch,
     }
     if (apply) {
       telemetry.grad_norm =
-          sync.step(rank, /*measure_norm=*/context_.telemetry != nullptr);
+          optimizer.step(rank, /*measure_norm=*/context_.telemetry != nullptr);
     } else {
       // Overflow: skip the parameter update, keep the step count moving
       // (AMP semantics) so schedules and checkpoints stay aligned.
@@ -79,7 +79,7 @@ obs::StepTelemetry TrainStep::run(const GraphBatch& batch,
   telemetry.rank = context_.rank;
   // The EFFECTIVE learning rate this step used (schedule- and resume-aware),
   // not the base configuration value.
-  telemetry.learning_rate = sync.learning_rate();
+  telemetry.learning_rate = optimizer.learning_rate();
   telemetry.batch_graphs = batch.num_graphs;
   telemetry.batch_atoms = batch.num_nodes;
   telemetry.batch_edges = batch.num_edges;
@@ -113,7 +113,7 @@ namespace {
 void save_training_state(SnapshotBuilder& builder, const std::string& kind,
                          std::int64_t step, std::int64_t epoch,
                          const EGNNModel& model,
-                         const std::vector<GradSync*>& syncs,
+                         const std::vector<Adam*>& optimizers,
                          const EpochSampler& sampler,
                          const std::vector<LossTally>& losses) {
   builder.add_bytes("meta.kind", kind);
@@ -133,8 +133,8 @@ void save_training_state(SnapshotBuilder& builder, const std::string& kind,
   builder.add_reals("loss.sum", sums.data(), sums.size());
   builder.add_u64s("loss.steps", steps);
   save_model_sections(builder, model);
-  for (std::size_t r = 0; r < syncs.size(); ++r) {
-    syncs[r]->save(builder, static_cast<int>(r));
+  for (std::size_t r = 0; r < optimizers.size(); ++r) {
+    optimizers[r]->save(builder, static_cast<int>(r));
   }
 }
 
@@ -164,7 +164,7 @@ std::optional<SnapshotView> find_resume_snapshot(const std::string& location,
 /// Restores the sampler first, so a position that does not fit fails
 /// before anything else changes; then the tallies, model and optimizers.
 void load_training_state(const SnapshotView& view, EGNNModel& model,
-                         const std::vector<GradSync*>& syncs,
+                         const std::vector<Adam*>& optimizers,
                          EpochSampler& sampler,
                          std::vector<LossTally>& losses) {
   EpochSampler::State position;
@@ -182,8 +182,8 @@ void load_training_state(const SnapshotView& view, EGNNModel& model,
     losses[r] = LossTally{sums[r], static_cast<std::int64_t>(steps[r])};
   }
   load_model_sections(view, model);
-  for (std::size_t r = 0; r < syncs.size(); ++r) {
-    syncs[r]->load(view, static_cast<int>(r));
+  for (std::size_t r = 0; r < optimizers.size(); ++r) {
+    optimizers[r]->load(view, static_cast<int>(r));
   }
 }
 
@@ -198,16 +198,16 @@ void TrainLoop::check_options(std::int64_t epochs,
 
 TrainLoop::TrainLoop(std::string kind,
                      const ckpt::CheckpointOptions& checkpoint,
-                     EGNNModel& model, std::vector<GradSync*> syncs,
+                     EGNNModel& model, std::vector<Adam*> optimizers,
                      Communicator* comm,
                      std::vector<std::pair<std::string, std::int64_t>> meta)
     : kind_(std::move(kind)),
       checkpoint_(checkpoint),
       model_(model),
-      syncs_(std::move(syncs)),
+      optimizers_(std::move(optimizers)),
       comm_(comm),
       meta_(std::move(meta)),
-      losses_(syncs_.size()) {
+      losses_(optimizers_.size()) {
   if (checkpoint.every_steps > 0) {
     manager_.emplace(checkpoint.directory, checkpoint.keep_last);
   }
@@ -222,7 +222,7 @@ bool TrainLoop::resume(EpochSampler& sampler, std::int64_t& step,
                                              << view->i64(name)
                                              << ", this run has " << value);
   }
-  load_training_state(*view, model_, syncs_, sampler, losses_);
+  load_training_state(*view, model_, optimizers_, sampler, losses_);
   step = view->i64("meta.step");
   epoch = view->i64("meta.epoch");
   return true;
@@ -249,7 +249,7 @@ void TrainLoop::run_epoch(const TrainStep::Context& context,
       if (comm_ != nullptr) comm_->barrier();
       if (rank == 0) {
         SnapshotBuilder builder;
-        save_training_state(builder, kind_, step, epoch, model_, syncs_,
+        save_training_state(builder, kind_, step, epoch, model_, optimizers_,
                             sampler, losses_);
         for (const auto& [name, value] : meta_) builder.add_i64(name, value);
         manager_->save(static_cast<std::uint64_t>(step), builder.payload());

@@ -33,18 +33,19 @@ class TrainStep {
   /// What stays fixed across the steps of one rank's run.
   struct Context {
     EGNNModel& model;
-    GradSync& sync;
+    Adam& optimizer;
     /// Emitting rank; -1 for single-process training (as in
     /// StepTelemetry). Only rank 0 (or the single process) reads the
     /// kernel-profile deltas: prof::totals() aggregates every rank thread.
     int rank;
     const LossWeights& loss_weights;
-    /// Step-based LR schedule; overrides the sync's learning rate when set.
+    /// Step-based LR schedule; overrides the optimizer's learning rate
+    /// when set.
     const std::optional<LrSchedule>& schedule;
     /// Disabled scalers pass every step through unscaled.
     LossScaler& loss_scaler;
-    /// Not owned; null detaches. An attached sink also makes the sync
-    /// measure the gradient norm.
+    /// Not owned; null detaches. An attached sink also makes the
+    /// optimizer measure the gradient norm.
     obs::TelemetrySink* telemetry;
   };
 
@@ -53,9 +54,9 @@ class TrainStep {
   TrainStep(const Context& context, std::int64_t step, std::int64_t epoch);
 
   /// Runs the step on `batch`: zero_grad, forward + loss (scaled for
-  /// backward when loss scaling is on), backward with the sync armed, then
-  /// the optimizer phase — scheduled learning rate, overflow skip, unscale,
-  /// clip or norm, update. Returns the step's telemetry; the comm_* and
+  /// backward when loss scaling is on), backward with the optimizer's sync
+  /// armed, then the optimizer phase — scheduled learning rate, overflow
+  /// skip, unscale, clip or norm, update. Returns the step's telemetry; the comm_* and
   /// halo_* fields are left for a distributed caller to fill.
   obs::StepTelemetry run(const GraphBatch& batch,
                          const EGNNModel::ForwardOptions& forward);
@@ -73,7 +74,7 @@ class TrainStep {
 /// and one serves every rank thread of a DistributedTrainer run. It owns
 /// the run's snapshot writer, its resume path and each rank's loss tally.
 /// What differs stays with the caller: the RunBatch that turns sampler
-/// indices into a batch, each rank's GradSync, and where an epoch starts.
+/// indices into a batch, each rank's Adam, and where an epoch starts.
 class TrainLoop {
  public:
   /// The preconditions both trainers share: epochs > 0, and a snapshot
@@ -82,17 +83,17 @@ class TrainLoop {
                             const ckpt::CheckpointOptions& checkpoint);
 
   /// `kind` is the snapshots' meta.kind, `model` the replica they hold,
-  /// `syncs[r]` rank r's GradSync. With a `comm`, each save is collective
-  /// and rank 0 writes every rank's state. A snapshot records `meta` and a
-  /// resume must match it.
+  /// `optimizers[r]` rank r's Adam. With a `comm`, each save is
+  /// collective and rank 0 writes every rank's state. A snapshot records
+  /// `meta` and a resume must match it.
   TrainLoop(std::string kind, const ckpt::CheckpointOptions& checkpoint,
-            EGNNModel& model, std::vector<GradSync*> syncs,
+            EGNNModel& model, std::vector<Adam*> optimizers,
             Communicator* comm = nullptr,
             std::vector<std::pair<std::string, std::int64_t>> meta = {});
 
   /// The one resume, from checkpoint.resume_from: restores `sampler` (Error
   /// on another size or batch size), the loss tallies, the model, every
-  /// GradSync, `step` (completed steps) and `epoch` (the next step's).
+  /// optimizer, `step` (completed steps) and `epoch` (the next step's).
   /// False for a fresh run; Error on another kind or `meta`.
   bool resume(EpochSampler& sampler, std::int64_t& step, std::int64_t& epoch);
 
@@ -115,7 +116,7 @@ class TrainLoop {
   std::string kind_;
   const ckpt::CheckpointOptions& checkpoint_;
   EGNNModel& model_;
-  std::vector<GradSync*> syncs_;
+  std::vector<Adam*> optimizers_;
   Communicator* comm_;
   std::vector<std::pair<std::string, std::int64_t>> meta_;
   std::vector<LossTally> losses_;

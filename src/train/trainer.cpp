@@ -16,7 +16,7 @@ Trainer::Trainer(EGNNModel& model, const TrainOptions& options)
   TrainLoop::check_options(options.epochs, options.checkpoint);
   optimizer_.set_max_grad_norm(options.max_grad_norm);
   loop_ = std::make_unique<TrainLoop>("trainer", options_.checkpoint, model_,
-                                      std::vector<GradSync*>{&optimizer_});
+                                      std::vector<Adam*>{&optimizer_});
 }
 
 Trainer::~Trainer() = default;
@@ -38,7 +38,7 @@ Trainer::EpochResult Trainer::train_epoch(DataLoader& loader) {
   forward_options.activation_checkpointing =
       options_.activation_checkpointing;
   const TrainStep::Context context{.model = model_,
-                                   .sync = optimizer_,
+                                   .optimizer = optimizer_,
                                    .rank = -1,
                                    .loss_weights = options_.loss_weights,
                                    .schedule = options_.schedule,

@@ -19,7 +19,6 @@
 #include "sgnn/serve/server.hpp"
 #include "sgnn/train/distributed.hpp"
 #include "sgnn/train/trainer.hpp"
-#include "sgnn/train/zero.hpp"
 
 namespace sgnn {
 namespace {

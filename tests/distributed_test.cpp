@@ -13,7 +13,6 @@
 #include "sgnn/obs/telemetry.hpp"
 #include "sgnn/obs/trace.hpp"
 #include "sgnn/tensor/ops.hpp"
-#include "sgnn/train/zero.hpp"
 
 namespace sgnn {
 namespace {
@@ -40,6 +39,12 @@ void run_ranks(int num_ranks, Body body) {
   std::vector<std::thread> threads;
   for (int r = 0; r < num_ranks; ++r) threads.emplace_back(body, r);
   for (auto& t : threads) t.join();
+}
+
+/// The gradient collective of ZeRO-1 (`use_zero`) or of DDP.
+CollectiveKind collective_of(bool use_zero) {
+  return use_zero ? CollectiveKind::kReduceScatter
+                  : CollectiveKind::kAllReduce;
 }
 
 /// Property: R-rank DDP and ZeRO updates must equal a single-process Adam
@@ -106,16 +111,11 @@ TEST_P(StrategyEquivalence, DistributedUpdatesMatchSingleProcessAdam) {
           init_a.clone().set_requires_grad(true),
           init_b.clone().set_requires_grad(true)};
     }
-    std::vector<std::unique_ptr<DDPAdam>> ddp(static_cast<std::size_t>(R));
-    std::vector<std::unique_ptr<ZeroAdam>> zero(static_cast<std::size_t>(R));
+    std::vector<std::unique_ptr<Adam>> optimizers(static_cast<std::size_t>(R));
     for (int r = 0; r < R; ++r) {
-      if (use_zero) {
-        zero[static_cast<std::size_t>(r)] = std::make_unique<ZeroAdam>(
-            comm, params[static_cast<std::size_t>(r)], options);
-      } else {
-        ddp[static_cast<std::size_t>(r)] = std::make_unique<DDPAdam>(
-            comm, params[static_cast<std::size_t>(r)], options);
-      }
+      optimizers[static_cast<std::size_t>(r)] = std::make_unique<Adam>(
+          params[static_cast<std::size_t>(r)], options, &comm,
+          collective_of(use_zero));
     }
     run_ranks(R, [&](int rank) {
       const auto ri = static_cast<std::size_t>(rank);
@@ -129,11 +129,7 @@ TEST_P(StrategyEquivalence, DistributedUpdatesMatchSingleProcessAdam) {
           const Tensor coeff = grad_for(rank, shape, step + which);
           sum(p * coeff.detach()).backward();
         }
-        if (use_zero) {
-          zero[ri]->step(rank);
-        } else {
-          ddp[ri]->step(rank);
-        }
+        optimizers[ri]->step(rank);
       }
     });
 
@@ -168,7 +164,7 @@ TEST(ZeroAdamTest, OptimizerStateIsShardedAcrossRanks) {
   std::vector<Tensor> params = {
       Tensor::randn(Shape{1000}, rng).set_requires_grad(true)};
   const auto before = state_bytes();
-  const ZeroAdam sharded(comm, params, {});
+  const Adam sharded(params, {}, &comm, CollectiveKind::kReduceScatter);
   const auto shard_cost = state_bytes() - before;
   // 2 moments x 1000/4 elements (x sizeof real).
   EXPECT_EQ(shard_cost, static_cast<std::int64_t>(2 * 250 * sizeof(real)));
@@ -176,7 +172,7 @@ TEST(ZeroAdamTest, OptimizerStateIsShardedAcrossRanks) {
 
   Communicator solo(1);
   const auto before_full = state_bytes();
-  const DDPAdam full(solo, params, {});
+  const Adam full(params, {}, &solo, CollectiveKind::kAllReduce);
   const auto full_cost = state_bytes() - before_full;
   EXPECT_EQ(full_cost, static_cast<std::int64_t>(2 * 1000 * sizeof(real)));
 }
@@ -354,7 +350,7 @@ TEST(DistributedTrainerTest, DataTrafficReflectsShardLocality) {
 /// Clipping property: distributed updates with max_grad_norm must equal a
 /// single-process Adam step on the CLIPPED rank-averaged gradient, where
 /// the clip norm is joint over all parameters (the same contract the
-/// single Trainer's clip_grad_norm implements).
+/// unsynchronized Adam of the single Trainer implements).
 TEST_P(StrategyEquivalence, ClippedUpdatesMatchClippedSingleProcessAdam) {
   const int R = GetParam();
   const double max_norm = 0.05;  // small enough that every step clips
@@ -435,18 +431,12 @@ TEST_P(StrategyEquivalence, ClippedUpdatesMatchClippedSingleProcessAdam) {
           init_a.clone().set_requires_grad(true),
           init_b.clone().set_requires_grad(true)};
     }
-    std::vector<std::unique_ptr<DDPAdam>> ddp(static_cast<std::size_t>(R));
-    std::vector<std::unique_ptr<ZeroAdam>> zero(static_cast<std::size_t>(R));
+    std::vector<std::unique_ptr<Adam>> optimizers(static_cast<std::size_t>(R));
     for (int r = 0; r < R; ++r) {
-      if (use_zero) {
-        zero[static_cast<std::size_t>(r)] = std::make_unique<ZeroAdam>(
-            comm, params[static_cast<std::size_t>(r)], options);
-        zero[static_cast<std::size_t>(r)]->set_max_grad_norm(max_norm);
-      } else {
-        ddp[static_cast<std::size_t>(r)] = std::make_unique<DDPAdam>(
-            comm, params[static_cast<std::size_t>(r)], options);
-        ddp[static_cast<std::size_t>(r)]->set_max_grad_norm(max_norm);
-      }
+      optimizers[static_cast<std::size_t>(r)] = std::make_unique<Adam>(
+          params[static_cast<std::size_t>(r)], options, &comm,
+          collective_of(use_zero));
+      optimizers[static_cast<std::size_t>(r)]->set_max_grad_norm(max_norm);
     }
     run_ranks(R, [&](int rank) {
       const auto ri = static_cast<std::size_t>(rank);
@@ -458,11 +448,7 @@ TEST_P(StrategyEquivalence, ClippedUpdatesMatchClippedSingleProcessAdam) {
           const Tensor coeff = grad_for(rank, shape, step + which);
           sum(p * coeff.detach()).backward();
         }
-        if (use_zero) {
-          zero[ri]->step(rank);
-        } else {
-          ddp[ri]->step(rank);
-        }
+        optimizers[ri]->step(rank);
       }
     });
 
@@ -478,6 +464,91 @@ TEST_P(StrategyEquivalence, ClippedUpdatesMatchClippedSingleProcessAdam) {
               << (use_zero ? "zero" : "ddp") << " rank " << r << " param "
               << which << " element " << i;
         }
+      }
+    }
+  }
+}
+
+/// A parameter that has a gradient on step 1 and none on step 2 takes a
+/// zero gradient on step 2 in every setting: its moments decay and it keeps
+/// moving, identically for unsynchronized, DDP and ZeRO-1 Adam. The local
+/// reference consumes the rank average formed the way the collectives form
+/// it (a rank-order sum, then the 1/R scale), so all three agree bit for
+/// bit at any rank count.
+TEST_P(StrategyEquivalence, IntermittentGradientUpdatesIdentically) {
+  const int R = GetParam();
+  Rng rng(44);
+  const Tensor init_a = Tensor::randn(Shape{13}, rng);
+  const Tensor init_b = Tensor::randn(Shape{3, 5}, rng);
+  const auto coeff_for = [](int rank, const Shape& shape, int salt) {
+    Tensor g = Tensor::zeros(shape);
+    real* p = g.data();
+    for (std::int64_t i = 0; i < g.numel(); ++i) {
+      p[i] = static_cast<real>(0.01) * static_cast<real>(rank + 1) *
+             static_cast<real>(i + salt);
+    }
+    return g;
+  };
+  const auto average_for = [&](const Shape& shape, int salt) {
+    Tensor avg = Tensor::zeros(shape);
+    real* pa = avg.data();
+    for (int r = 0; r < R; ++r) {
+      const Tensor g = coeff_for(r, shape, salt);
+      for (std::int64_t i = 0; i < avg.numel(); ++i) pa[i] += g.data()[i];
+    }
+    const auto scale = real{1} / static_cast<real>(R);
+    for (std::int64_t i = 0; i < avg.numel(); ++i) pa[i] *= scale;
+    return avg;
+  };
+  // Parameter b (index 1) takes part in the loss on step 1 only.
+  const auto backward = [](std::vector<Tensor>& p, const Tensor& coeff_a,
+                           const Tensor& coeff_b, int step) {
+    Tensor total = sum(p[0] * coeff_a.detach());
+    if (step == 1) total = total + sum(p[1] * coeff_b.detach());
+    total.backward();
+  };
+  Adam::Options options;
+  options.learning_rate = 0.05;
+
+  std::vector<Tensor> ref = {init_a.clone().set_requires_grad(true),
+                             init_b.clone().set_requires_grad(true)};
+  Adam local(ref, options);
+  for (int step = 1; step <= 2; ++step) {
+    local.zero_grad();
+    backward(ref, average_for(Shape{13}, step),
+             average_for(Shape{3, 5}, step + 1), step);
+    local.step();
+  }
+  EXPECT_NE(ref[1].to_vector(), init_b.to_vector());
+
+  for (const bool use_zero : {false, true}) {
+    Communicator comm(R);
+    std::vector<std::vector<Tensor>> params(static_cast<std::size_t>(R));
+    std::vector<std::unique_ptr<Adam>> optimizers(static_cast<std::size_t>(R));
+    for (int r = 0; r < R; ++r) {
+      const auto ri = static_cast<std::size_t>(r);
+      params[ri] = {init_a.clone().set_requires_grad(true),
+                    init_b.clone().set_requires_grad(true)};
+      optimizers[ri] = std::make_unique<Adam>(params[ri], options, &comm,
+                                              collective_of(use_zero));
+    }
+    run_ranks(R, [&](int rank) {
+      const auto ri = static_cast<std::size_t>(rank);
+      for (int step = 1; step <= 2; ++step) {
+        optimizers[ri]->zero_grad();
+        backward(params[ri], coeff_for(rank, Shape{13}, step),
+                 coeff_for(rank, Shape{3, 5}, step + 1), step);
+        optimizers[ri]->step(rank);
+      }
+    });
+    for (int r = 0; r < R; ++r) {
+      for (int which = 0; which < 2; ++which) {
+        EXPECT_EQ(params[static_cast<std::size_t>(r)]
+                        [static_cast<std::size_t>(which)]
+                            .to_vector(),
+                  ref[static_cast<std::size_t>(which)].to_vector())
+            << (use_zero ? "zero" : "ddp") << " rank " << r << " param "
+            << which;
       }
     }
   }

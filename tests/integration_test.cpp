@@ -130,6 +130,52 @@ TEST_F(IntegrationTest, SingleRankDistributedMatchesTrainerSemantics) {
       }
     }
   }
+
+  // Clipped at a width whose gradient has enough elements for the norm's
+  // summation order to show: every setting runs the one Adam step, so the
+  // clip norm each step reports, and the clipped update, agree bit for bit.
+  ModelConfig wide;
+  wide.hidden_dim = 64;
+  wide.num_layers = 2;
+  const double max_norm = 1.0;
+  EGNNModel clipped_reference(wide);
+  train_options.max_grad_norm = max_norm;
+  Trainer clipped_single(clipped_reference, train_options);
+  obs::RecordingTelemetrySink single_sink;
+  clipped_single.set_telemetry(&single_sink);
+  DataLoader clipped_loader({&graph}, train_options.batch_size, 11);
+  clipped_single.fit(clipped_loader);
+  const std::vector<Tensor> clipped_expected = clipped_reference.parameters();
+  const std::vector<obs::StepTelemetry> expected_steps = single_sink.steps();
+  ASSERT_EQ(expected_steps.size(), 3u);
+  EXPECT_GT(expected_steps.front().grad_norm, max_norm) << "must clip";
+
+  for (const DistStrategy strategy :
+       {DistStrategy::kDDP, DistStrategy::kZeRO1}) {
+    DistTrainOptions dist_options;
+    dist_options.num_ranks = 1;
+    dist_options.epochs = 3;
+    dist_options.per_rank_batch_size = 1;
+    dist_options.strategy = strategy;
+    dist_options.max_grad_norm = max_norm;
+    obs::RecordingTelemetrySink sink;
+    dist_options.telemetry = &sink;
+    DistributedTrainer one_rank(wide, dist_options);
+    one_rank.train(one_graph);
+    const std::vector<obs::StepTelemetry> steps = sink.steps();
+    ASSERT_EQ(steps.size(), expected_steps.size());
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+      EXPECT_EQ(steps[s].grad_norm, expected_steps[s].grad_norm)
+          << "strategy " << static_cast<int>(strategy) << " step " << s;
+    }
+    const std::vector<Tensor> actual = one_rank.model().parameters();
+    ASSERT_EQ(actual.size(), clipped_expected.size());
+    for (std::size_t i = 0; i < clipped_expected.size(); ++i) {
+      EXPECT_EQ(actual[i].to_vector(), clipped_expected[i].to_vector())
+          << "clipped, strategy " << static_cast<int>(strategy)
+          << " parameter " << i;
+    }
+  }
 }
 
 TEST_F(IntegrationTest, SweepPointsRespondToDataSize) {

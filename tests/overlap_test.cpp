@@ -21,7 +21,6 @@
 #include "sgnn/tensor/ops.hpp"
 #include "sgnn/train/bucketer.hpp"
 #include "sgnn/train/distributed.hpp"
-#include "sgnn/train/zero.hpp"
 
 namespace sgnn {
 namespace {
@@ -59,7 +58,13 @@ void run_ranks(int num_ranks, Body body) {
 
 // -- optimizer-level parity ---------------------------------------------------
 
-/// Three steps of DDPAdam or ZeroAdam over two 16-element parameters with
+/// The gradient collective of ZeRO-1 (`use_zero`) or of DDP.
+CollectiveKind collective_of(bool use_zero) {
+  return use_zero ? CollectiveKind::kReduceScatter
+                  : CollectiveKind::kAllReduce;
+}
+
+/// Three steps of DDP or ZeRO-1 Adam over two 16-element parameters with
 /// formulaic per-rank gradients, the bucketer armed around backward exactly
 /// the way DistributedTrainer arms it. Returns rank 0's final parameters
 /// (all ranks are checked identical first).
@@ -83,25 +88,19 @@ std::vector<real> optimizer_run(bool use_zero, int R,
   Adam::Options options;
   options.learning_rate = 0.05;
   std::vector<std::vector<Tensor>> params(static_cast<std::size_t>(R));
-  std::vector<std::unique_ptr<DDPAdam>> ddp(static_cast<std::size_t>(R));
-  std::vector<std::unique_ptr<ZeroAdam>> zero(static_cast<std::size_t>(R));
+  std::vector<std::unique_ptr<Adam>> optimizers(static_cast<std::size_t>(R));
   for (int r = 0; r < R; ++r) {
     const auto ri = static_cast<std::size_t>(r);
     params[ri] = {init_a.clone().set_requires_grad(true),
                   init_b.clone().set_requires_grad(true)};
-    if (use_zero) {
-      zero[ri] =
-          std::make_unique<ZeroAdam>(comm, params[ri], options, bucket_bytes);
-    } else {
-      ddp[ri] =
-          std::make_unique<DDPAdam>(comm, params[ri], options, bucket_bytes);
-    }
+    optimizers[ri] = std::make_unique<Adam>(params[ri], options, &comm,
+                                            collective_of(use_zero),
+                                            bucket_bytes);
   }
 
   run_ranks(R, [&](int rank) {
     const auto ri = static_cast<std::size_t>(rank);
-    GradBucketer* const bucketer =
-        use_zero ? zero[ri]->bucketer() : ddp[ri]->bucketer();
+    GradBucketer* const bucketer = optimizers[ri]->bucketer();
     for (int step = 1; step <= 3; ++step) {
       for (Tensor& p : params[ri]) p.zero_grad();
       // One joint objective so a single backward produces both leaf
@@ -115,11 +114,7 @@ std::vector<real> optimizer_run(bool use_zero, int R,
             [bucketer](const void* leaf) { bucketer->on_leaf_grad(leaf); });
         total.backward();
       }
-      if (use_zero) {
-        zero[ri]->step(rank);
-      } else {
-        ddp[ri]->step(rank);
-      }
+      optimizers[ri]->step(rank);
     }
   });
 
@@ -154,7 +149,7 @@ INSTANTIATE_TEST_SUITE_P(Ranks, OptimizerOverlapParity, ::testing::Values(1, 4))
 
 // -- traffic pin --------------------------------------------------------------
 
-/// Per-step collective traffic of DDPAdam / ZeroAdam over a real model's
+/// Per-step collective traffic of DDP / ZeRO-1 Adam over a real model's
 /// parameter list, measured on rank 0 between two barriers after each step.
 std::vector<Communicator::Traffic> traffic_per_step(bool use_zero, int R,
                                                     std::size_t bucket_bytes,
@@ -164,17 +159,13 @@ std::vector<Communicator::Traffic> traffic_per_step(bool use_zero, int R,
   config.num_layers = 2;
   Communicator comm(R);
   std::vector<std::unique_ptr<EGNNModel>> models;
-  std::vector<std::unique_ptr<GradSync>> syncs;
+  std::vector<std::unique_ptr<Adam>> optimizers;
   for (int r = 0; r < R; ++r) {
     models.push_back(std::make_unique<EGNNModel>(config));
-    if (use_zero) {
-      syncs.push_back(std::make_unique<ZeroAdam>(
-          comm, models.back()->parameters(), Adam::Options{}, bucket_bytes));
-    } else {
-      syncs.push_back(std::make_unique<DDPAdam>(
-          comm, models.back()->parameters(), Adam::Options{}, bucket_bytes));
-    }
-    syncs.back()->set_max_grad_norm(clip ? 1.0 : 0.0);
+    optimizers.push_back(std::make_unique<Adam>(
+        models.back()->parameters(), Adam::Options{}, &comm,
+        collective_of(use_zero), bucket_bytes));
+    optimizers.back()->set_max_grad_norm(clip ? 1.0 : 0.0);
   }
   std::vector<Communicator::Traffic> deltas;
   run_ranks(R, [&](int rank) {
@@ -182,13 +173,13 @@ std::vector<Communicator::Traffic> traffic_per_step(bool use_zero, int R,
     const std::vector<Tensor> params = models[ri]->parameters();
     Communicator::Traffic before;
     for (int step = 0; step < steps; ++step) {
-      syncs[ri]->zero_grad();
+      optimizers[ri]->zero_grad();
       Tensor total = Tensor::scalar(0);
       for (const Tensor& p : params) {
         total = total + sum(p * Tensor::full(p.shape(), real(rank + step + 1)));
       }
-      syncs[ri]->backward(total, rank);
-      syncs[ri]->step(rank);
+      optimizers[ri]->backward(total, rank);
+      optimizers[ri]->step(rank);
       comm.barrier();
       if (rank == 0) {
         const Communicator::Traffic now = comm.traffic();

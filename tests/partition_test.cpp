@@ -29,7 +29,6 @@
 #include "sgnn/train/distributed.hpp"
 #include "sgnn/train/halo.hpp"
 #include "sgnn/train/loss.hpp"
-#include "sgnn/train/zero.hpp"
 #include "sgnn/util/rng.hpp"
 
 namespace sgnn {

@@ -192,11 +192,11 @@ TEST(ThreadingDeterminismTest, EgnnTrainStepBitIdentical) {
     config.num_layers = 2;
     const EGNNModel model(config);
     Adam optimizer(model.parameters(), Adam::Options{});
+    optimizer.set_max_grad_norm(1.0);
 
     const auto out = model.forward(batch);
     Tensor loss = sum(square(out.energy)) + sum(square(out.forces));
     loss.backward();
-    clip_grad_norm(model.parameters(), 1.0);
     optimizer.step();
 
     std::vector<real> flat = {loss.item()};

@@ -8,7 +8,6 @@
 #include "sgnn/store/snapshot.hpp"
 #include "sgnn/tensor/ops.hpp"
 #include "sgnn/train/optim.hpp"
-#include "sgnn/train/zero.hpp"
 
 namespace sgnn {
 namespace {
@@ -149,8 +148,9 @@ TEST(OptimTest, RejectsNonLeafParameters) {
   Tensor derived = w * 2.0;
   Communicator comm(1);
   EXPECT_THROW(Adam({derived}, {}), Error);
-  EXPECT_THROW(DDPAdam(comm, {derived}, {}), Error);
-  EXPECT_THROW(ZeroAdam(comm, {derived}, {}), Error);
+  EXPECT_THROW(Adam({derived}, {}, &comm, CollectiveKind::kAllReduce), Error);
+  EXPECT_THROW(Adam({derived}, {}, &comm, CollectiveKind::kReduceScatter),
+               Error);
 }
 
 TEST(TrainerTest, LossDecreasesOverTraining) {
