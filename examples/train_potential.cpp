@@ -1,8 +1,8 @@
 // Full training pipeline on the multi-source aggregated dataset: generate
 // data, persist it to an ADIOS-style bp container, reload, train with a
-// learning-rate schedule, report test metrics per source, and save the run
-// summary. This is the single-process version of the paper's training
-// loop (see distributed_training.cpp for the multi-rank one).
+// per-epoch learning-rate decay, report test metrics per source, and save
+// the run summary. This is the single-process version of the paper's
+// training loop (see distributed_training.cpp for the multi-rank one).
 //
 //   ./build/examples/train_potential [dataset_MiB] [epochs] [width]
 

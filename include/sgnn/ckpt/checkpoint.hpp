@@ -11,12 +11,12 @@ namespace sgnn::ckpt {
 
 /// Crash-safe training-state checkpointing policy on top of the snapshot
 /// container (sgnn/store/snapshot.hpp). A checkpoint is a snapshot holding
-/// the model.* sections of a model file plus optimizer moments, sampler RNG
-/// state and schedule position, so every checkpoint is also a loadable
-/// model file. The trainers assemble and consume the sections; this layer
-/// owns step-stamped naming, retention and recovery of the
-/// last-known-good checkpoint, and the fault injection the crash tests
-/// use. See docs/fault-tolerance.md for the full protocol.
+/// the model.* sections of a model file plus the optimizer's moments, step
+/// count and learning rate and the sampler's RNG state and epoch position,
+/// so every checkpoint is also a loadable model file. The trainers assemble
+/// and consume the sections; this layer owns step-stamped naming, retention
+/// and recovery of the last-known-good checkpoint, and the fault injection
+/// the crash tests use. See docs/fault-tolerance.md for the full protocol.
 
 /// Trainer-facing knobs; embedded in TrainOptions / DistTrainOptions.
 struct CheckpointOptions {

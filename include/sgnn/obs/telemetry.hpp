@@ -23,8 +23,7 @@ struct StepTelemetry {
   double loss = 0;           ///< total multitask loss of the batch
   /// Joint L2 norm of the gradient the update consumed, before clipping:
   /// the rank-averaged gradient under DDP/ZeRO, so every rank reports the
-  /// same value. 0 when the step was skipped, or when neither clipping nor
-  /// a telemetry sink asked for it.
+  /// same value. 0 when neither clipping nor a telemetry sink asked for it.
   double grad_norm = 0;
   double learning_rate = 0;  ///< LR applied by this step
 

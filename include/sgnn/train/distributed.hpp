@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "sgnn/train/bucketer.hpp"
 #include "sgnn/train/loss.hpp"
 #include "sgnn/train/optim.hpp"
-#include "sgnn/train/schedule.hpp"
 
 namespace sgnn {
 
@@ -44,12 +42,10 @@ struct DistTrainOptions {
   bool graph_parallel = false;
   std::int64_t epochs = 2;
   std::int64_t per_rank_batch_size = 4;
+  /// Every rank trains at adam.learning_rate throughout the run.
   Adam::Options adam;
   LossWeights loss_weights;
   std::uint64_t sampler_seed = 17;
-  /// Step-based LR schedule; overrides adam.learning_rate when set (parity
-  /// with TrainOptions::schedule — both trainers honor the same schedules).
-  std::optional<LrSchedule> schedule;
   /// Joint L2 clip applied to the rank-AVERAGED gradient; 0 disables.
   /// Clipping after averaging keeps replicas bit-identical (per-replica
   /// clipping before the all-reduce would break the sync invariant).

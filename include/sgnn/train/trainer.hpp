@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "sgnn/ckpt/checkpoint.hpp"
@@ -10,9 +9,7 @@
 #include "sgnn/nn/egnn.hpp"
 #include "sgnn/train/baseline.hpp"
 #include "sgnn/train/loss.hpp"
-#include "sgnn/train/loss_scaler.hpp"
 #include "sgnn/train/optim.hpp"
-#include "sgnn/train/schedule.hpp"
 
 namespace sgnn {
 
@@ -30,17 +27,11 @@ struct TrainOptions {
   Adam::Options adam;
   LossWeights loss_weights;
   bool activation_checkpointing = false;
-  /// Multiplicative learning-rate decay applied after every epoch
-  /// (ignored when `schedule` is set).
+  /// Multiplicative learning-rate decay applied after every epoch: epoch e
+  /// trains at adam.learning_rate * lr_decay^e. Must lie in (0, 1].
   double lr_decay = 0.85;
-  /// Step-based schedule overriding adam.learning_rate/lr_decay when set.
-  std::optional<LrSchedule> schedule;
   /// Joint L2 gradient-norm clip; 0 disables clipping.
   double max_grad_norm = 0.0;
-  /// Dynamic loss scaling for reduced-precision runs (single-process
-  /// Trainer only; the distributed trainers ignore it). Enable together
-  /// with SGNN_COMPUTE_DTYPE=float32 — harmless but pointless under fp64.
-  LossScaler::Options loss_scaling;
   /// Crash-safe training-state snapshots (see docs/fault-tolerance.md).
   ckpt::CheckpointOptions checkpoint;
 };
@@ -91,7 +82,6 @@ class Trainer {
   EGNNModel& model_;
   TrainOptions options_;
   Adam optimizer_;
-  LossScaler loss_scaler_;
   EnergyBaseline baseline_;
   bool use_baseline_ = false;
   std::int64_t global_step_ = 0;

@@ -200,13 +200,10 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
     // exported trace renders one timeline per simulated GPU.
     const obs::ScopedTraceRank trace_rank(rank);
     Adam& optimizer = *optimizers[ri];
-    LossScaler no_loss_scaling{LossScaler::Options{}};
     const TrainStep::Context context{.model = *replicas_[ri],
                                      .optimizer = optimizer,
                                      .rank = rank,
                                      .loss_weights = options_.loss_weights,
-                                     .schedule = options_.schedule,
-                                     .loss_scaler = no_loss_scaling,
                                      .telemetry = options_.telemetry};
     EpochSampler sampler = initial_sampler;
     const WallTimer timer;

@@ -18,6 +18,17 @@ Adam::Adam(std::vector<Tensor> parameters, const Options& options,
       options_(options),
       comm_(comm),
       kind_(kind) {
+  // Each comparison is also false for NaN.
+  SGNN_CHECK(std::isfinite(options.learning_rate) &&
+                 options.learning_rate > 0.0,
+             "Adam learning_rate must be positive and finite, got "
+                 << options.learning_rate);
+  SGNN_CHECK(options.beta1 >= 0.0 && options.beta1 < 1.0,
+             "Adam beta1 must lie in [0, 1), got " << options.beta1);
+  SGNN_CHECK(options.beta2 >= 0.0 && options.beta2 < 1.0,
+             "Adam beta2 must lie in [0, 1), got " << options.beta2);
+  SGNN_CHECK(options.epsilon > 0.0,
+             "Adam epsilon must be positive, got " << options.epsilon);
   SGNN_CHECK(!arena_.parameters().empty(), "optimizer needs parameters");
   for (const auto& p : arena_.parameters()) {
     SGNN_CHECK(p.requires_grad(),

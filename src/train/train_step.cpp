@@ -5,7 +5,6 @@
 #include "sgnn/nn/model_io.hpp"
 #include "sgnn/obs/trace.hpp"
 #include "sgnn/tensor/kernels.hpp"
-#include "sgnn/tensor/ops.hpp"
 #include "sgnn/util/error.hpp"
 #include "sgnn/util/logging.hpp"
 
@@ -23,7 +22,6 @@ TrainStep::TrainStep(const Context& context, std::int64_t step,
 obs::StepTelemetry TrainStep::run(const GraphBatch& batch,
                                   const EGNNModel::ForwardOptions& forward) {
   Adam& optimizer = context_.optimizer;
-  LossScaler& scaler = context_.loss_scaler;
   const int rank = std::max(context_.rank, 0);
   optimizer.zero_grad();
 
@@ -34,14 +32,8 @@ obs::StepTelemetry TrainStep::run(const GraphBatch& batch,
     const obs::prof::ProfRegion region("forward");
     const ScopedTrainPhase phase(TrainPhase::kForward);
     const auto out = context_.model.forward(batch, forward);
-    const LossTerms terms =
-        multitask_loss(out, batch, context_.loss_weights);
-    // The reported loss stays unscaled; only the backward graph sees the
-    // loss-scale factor.
-    telemetry.loss = terms.total.item();
-    total = scaler.enabled()
-                ? scale(terms.total, static_cast<real>(scaler.scale()))
-                : terms.total;
+    total = multitask_loss(out, batch, context_.loss_weights).total;
+    telemetry.loss = total.item();
   }
   {
     const obs::TraceSpan span("backward", "train");
@@ -53,32 +45,15 @@ obs::StepTelemetry TrainStep::run(const GraphBatch& batch,
     const obs::TraceSpan span("optimizer", "train");
     const obs::prof::ProfRegion region("optimizer");
     const ScopedTrainPhase phase(TrainPhase::kOptimizer);
-    if (context_.schedule) {
-      // Pure function of the global step, so replicas agree for free.
-      optimizer.set_learning_rate(context_.schedule->at_step(step_));
-    }
-    bool apply = true;
-    if (scaler.enabled()) {
-      const std::vector<Tensor> parameters = context_.model.parameters();
-      apply = scaler.update(LossScaler::grads_overflowed(parameters));
-      if (apply) scaler.unscale(parameters);
-    }
-    if (apply) {
-      telemetry.grad_norm =
-          optimizer.step(rank, /*measure_norm=*/context_.telemetry != nullptr);
-    } else {
-      // Overflow: skip the parameter update, keep the step count moving
-      // (AMP semantics) so schedules and checkpoints stay aligned.
-      SGNN_LOG_DEBUG << "step " << step_
-                     << ": non-finite gradients, optimizer step skipped";
-    }
+    telemetry.grad_norm =
+        optimizer.step(rank, /*measure_norm=*/context_.telemetry != nullptr);
   }
 
   telemetry.step = step_;
   telemetry.epoch = epoch_;
   telemetry.rank = context_.rank;
-  // The EFFECTIVE learning rate this step used (schedule- and resume-aware),
-  // not the base configuration value.
+  // The learning rate this step used: Trainer::fit's per-epoch decay
+  // (replayed on resume) moves it away from the configured value.
   telemetry.learning_rate = optimizer.learning_rate();
   telemetry.batch_graphs = batch.num_graphs;
   telemetry.batch_atoms = batch.num_nodes;

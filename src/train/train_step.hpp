@@ -17,9 +17,7 @@
 #include "sgnn/obs/prof.hpp"
 #include "sgnn/obs/telemetry.hpp"
 #include "sgnn/train/loss.hpp"
-#include "sgnn/train/loss_scaler.hpp"
 #include "sgnn/train/optim.hpp"
-#include "sgnn/train/schedule.hpp"
 #include "sgnn/util/timer.hpp"
 
 namespace sgnn {
@@ -39,25 +37,19 @@ class TrainStep {
     /// kernel-profile deltas: prof::totals() aggregates every rank thread.
     int rank;
     const LossWeights& loss_weights;
-    /// Step-based LR schedule; overrides the optimizer's learning rate
-    /// when set.
-    const std::optional<LrSchedule>& schedule;
-    /// Disabled scalers pass every step through unscaled.
-    LossScaler& loss_scaler;
     /// Not owned; null detaches. An attached sink also makes the
     /// optimizer measure the gradient norm.
     obs::TelemetrySink* telemetry;
   };
 
-  /// `step` is the global index of the step about to run (it picks the
-  /// scheduled learning rate), `epoch` the epoch it belongs to.
+  /// `step` is the global index of the step about to run, `epoch` the
+  /// epoch it belongs to.
   TrainStep(const Context& context, std::int64_t step, std::int64_t epoch);
 
-  /// Runs the step on `batch`: zero_grad, forward + loss (scaled for
-  /// backward when loss scaling is on), backward with the optimizer's sync
-  /// armed, then the optimizer phase — scheduled learning rate, overflow
-  /// skip, unscale, clip or norm, update. Returns the step's telemetry; the comm_* and
-  /// halo_* fields are left for a distributed caller to fill.
+  /// Runs the step on `batch`: zero_grad, forward + loss, backward with the
+  /// optimizer's sync armed, then the optimizer's clip or norm and update.
+  /// Returns the step's telemetry; the comm_* and halo_* fields are left
+  /// for a distributed caller to fill.
   obs::StepTelemetry run(const GraphBatch& batch,
                          const EGNNModel::ForwardOptions& forward);
 

@@ -11,9 +11,11 @@ namespace sgnn {
 Trainer::Trainer(EGNNModel& model, const TrainOptions& options)
     : model_(model),
       options_(options),
-      optimizer_(model.parameters(), options.adam),
-      loss_scaler_(options.loss_scaling) {
+      optimizer_(model.parameters(), options.adam) {
   TrainLoop::check_options(options.epochs, options.checkpoint);
+  // Also false for NaN and infinities.
+  SGNN_CHECK(options.lr_decay > 0.0 && options.lr_decay <= 1.0,
+             "lr_decay must lie in (0, 1], got " << options.lr_decay);
   optimizer_.set_max_grad_norm(options.max_grad_norm);
   loop_ = std::make_unique<TrainLoop>("trainer", options_.checkpoint, model_,
                                       std::vector<Adam*>{&optimizer_});
@@ -41,8 +43,6 @@ Trainer::EpochResult Trainer::train_epoch(DataLoader& loader) {
                                    .optimizer = optimizer_,
                                    .rank = -1,
                                    .loss_weights = options_.loss_weights,
-                                   .schedule = options_.schedule,
-                                   .loss_scaler = loss_scaler_,
                                    .telemetry = telemetry_};
 
   const obs::TraceSpan epoch_span("train_epoch", "train");
@@ -73,8 +73,7 @@ std::vector<Trainer::EpochResult> Trainer::fit(DataLoader& loader) {
   double lr = options_.adam.learning_rate;
   for (std::int64_t e = 0; e < epoch_index_; ++e) lr *= options_.lr_decay;
   for (std::int64_t epoch = epoch_index_; epoch < options_.epochs; ++epoch) {
-    // A step-based schedule takes precedence over the per-epoch decay.
-    if (!options_.schedule) optimizer_.set_learning_rate(lr);
+    optimizer_.set_learning_rate(lr);
     history.push_back(train_epoch(loader));
     lr *= options_.lr_decay;
   }
@@ -84,6 +83,8 @@ std::vector<Trainer::EpochResult> Trainer::fit(DataLoader& loader) {
 EvalMetrics Trainer::evaluate(const std::vector<const MolecularGraph*>& graphs,
                               std::int64_t batch_size) const {
   SGNN_CHECK(!graphs.empty(), "evaluate on empty set");
+  SGNN_CHECK(batch_size > 0,
+             "evaluate batch_size must be positive, got " << batch_size);
   MetricAccumulator accumulator;
   std::size_t cursor = 0;
   while (cursor < graphs.size()) {

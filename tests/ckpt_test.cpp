@@ -433,7 +433,6 @@ std::vector<real> dist_run(DistStrategy strategy, const DDStore& store,
   options.per_rank_batch_size = 4;
   options.strategy = strategy;
   options.max_grad_norm = 1.0;
-  options.schedule = LrSchedule::warmup_cosine(2e-3, 3, 40);
   options.checkpoint.every_steps = every_steps;
   options.checkpoint.directory = ckpt_dir;
   options.checkpoint.crash_after_step = crash_after;
@@ -662,7 +661,6 @@ std::vector<real> gpar_run(const DDStore& store, const std::string& ckpt_dir,
   options.strategy = DistStrategy::kDDP;
   options.graph_parallel = true;
   options.max_grad_norm = 0.0;  // required by the bit-identity contract
-  options.schedule = LrSchedule::warmup_cosine(2e-3, 3, 40);
   options.checkpoint.every_steps = every_steps;
   options.checkpoint.directory = ckpt_dir;
   options.checkpoint.crash_in_overlap_step = crash_in_overlap;

@@ -1,15 +1,10 @@
 // Mixed-precision training: the float32 compute path must carry gradcheck
 // (at float-sized tolerances) and land within tolerance of the fp64 loss
-// trajectory, and the dynamic loss scaler must implement the AMP recipe —
-// backoff on overflow, growth after clean intervals, exact no-op under fp64
-// because every scale is a power of two.
-
-#include "sgnn/train/loss_scaler.hpp"
+// trajectory.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "sgnn/data/dataset.hpp"
@@ -21,105 +16,6 @@
 
 namespace sgnn {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// -- LossScaler unit behaviour ----------------------------------------------
-
-LossScaler::Options small_options() {
-  LossScaler::Options options;
-  options.enabled = true;
-  options.init_scale = 8.0;
-  options.growth_factor = 2.0;
-  options.backoff_factor = 0.5;
-  options.growth_interval = 2;
-  options.min_scale = 1.0;
-  return options;
-}
-
-TEST(LossScalerTest, BacksOffOnOverflowAndSkipsTheStep) {
-  LossScaler scaler(small_options());
-  EXPECT_DOUBLE_EQ(scaler.scale(), 8.0);
-  EXPECT_FALSE(scaler.update(/*overflowed=*/true));
-  EXPECT_DOUBLE_EQ(scaler.scale(), 4.0);
-  EXPECT_EQ(scaler.skipped_steps(), 1);
-  EXPECT_EQ(scaler.good_steps(), 0);
-}
-
-TEST(LossScalerTest, GrowsAfterCleanInterval) {
-  LossScaler scaler(small_options());
-  EXPECT_TRUE(scaler.update(false));
-  EXPECT_DOUBLE_EQ(scaler.scale(), 8.0);  // interval not reached yet
-  EXPECT_TRUE(scaler.update(false));
-  EXPECT_DOUBLE_EQ(scaler.scale(), 16.0);
-  EXPECT_EQ(scaler.good_steps(), 0);  // counter resets on growth
-}
-
-TEST(LossScalerTest, OverflowResetsTheGrowthCounter) {
-  LossScaler scaler(small_options());
-  EXPECT_TRUE(scaler.update(false));
-  EXPECT_FALSE(scaler.update(true));
-  // The clean step before the overflow no longer counts toward growth.
-  EXPECT_TRUE(scaler.update(false));
-  EXPECT_DOUBLE_EQ(scaler.scale(), 4.0);
-}
-
-TEST(LossScalerTest, BackoffClampsAtMinScale) {
-  auto options = small_options();
-  options.init_scale = 2.0;
-  LossScaler scaler(options);
-  EXPECT_FALSE(scaler.update(true));
-  EXPECT_DOUBLE_EQ(scaler.scale(), 1.0);
-  EXPECT_FALSE(scaler.update(true));
-  EXPECT_DOUBLE_EQ(scaler.scale(), 1.0);  // floor holds
-}
-
-TEST(LossScalerTest, DisabledScalerOnlyVetoesNonFiniteSteps) {
-  LossScaler scaler(LossScaler::Options{});
-  EXPECT_FALSE(scaler.enabled());
-  EXPECT_DOUBLE_EQ(scaler.scale(), 1.0);
-  EXPECT_TRUE(scaler.update(false));
-  EXPECT_FALSE(scaler.update(true));
-  EXPECT_DOUBLE_EQ(scaler.scale(), 1.0);
-}
-
-TEST(LossScalerTest, RejectsBadOptions) {
-  auto options = small_options();
-  options.backoff_factor = 1.5;
-  EXPECT_THROW(LossScaler{options}, Error);
-  options = small_options();
-  options.init_scale = 0;
-  EXPECT_THROW(LossScaler{options}, Error);
-}
-
-TEST(LossScalerTest, DetectsNonFiniteGradients) {
-  Tensor w = Tensor::from_vector({1.0, 2.0}, Shape{2});
-  w.set_requires_grad(true);
-  Tensor no_grad = Tensor::from_vector({3.0}, Shape{1});
-  no_grad.set_requires_grad(true);  // leaf with no backward yet
-
-  sum(w * 2.0).backward();
-  EXPECT_FALSE(LossScaler::grads_overflowed({w, no_grad}));
-
-  Tensor v = Tensor::from_vector({1.0, 2.0}, Shape{2});
-  v.set_requires_grad(true);
-  sum(v * kInf).backward();
-  EXPECT_TRUE(LossScaler::grads_overflowed({v}));
-}
-
-TEST(LossScalerTest, UnscaleDividesGradientsInPlace) {
-  auto options = small_options();
-  options.init_scale = 4.0;
-  const LossScaler scaler(options);
-
-  Tensor w = Tensor::from_vector({1.0, -1.0, 0.5}, Shape{3});
-  w.set_requires_grad(true);
-  sum(w * 8.0).backward();  // grad == 8 everywhere
-  scaler.unscale({w});
-  for (const double g : w.grad().to_vector()) {
-    EXPECT_DOUBLE_EQ(g, 2.0);
-  }
-}
 
 // -- training integration ---------------------------------------------------
 
@@ -134,8 +30,7 @@ const AggregatedDataset& tiny_dataset() {
   return dataset;
 }
 
-std::vector<Trainer::EpochResult> run_training(
-    const LossScaler::Options& scaling) {
+std::vector<Trainer::EpochResult> run_training() {
   const auto& dataset = tiny_dataset();
   const auto split = dataset.split(0.25, 7);
 
@@ -148,36 +43,18 @@ std::vector<Trainer::EpochResult> run_training(
   options.epochs = 5;
   options.batch_size = 4;
   options.adam.learning_rate = 2e-3;
-  options.loss_scaling = scaling;
   Trainer trainer(model, options);
   trainer.set_energy_baseline(EnergyBaseline::fit(dataset.view(split.train)));
   DataLoader loader(dataset.view(split.train), options.batch_size, 99);
   return trainer.fit(loader);
 }
 
-TEST(MixedPrecisionTest, LossScalingIsExactUnderFp64) {
-  // Every scale the scaler ever uses is a power of two, so scaling the loss
-  // and dividing the gradients back is exact in binary floating point: the
-  // scaled fp64 run must reproduce the plain trajectory bit-for-bit.
-  const auto plain = run_training(LossScaler::Options{});
-  auto scaling = LossScaler::Options{};
-  scaling.enabled = true;
-  const auto scaled = run_training(scaling);
-  ASSERT_EQ(plain.size(), scaled.size());
-  for (std::size_t e = 0; e < plain.size(); ++e) {
-    EXPECT_DOUBLE_EQ(plain[e].mean_train_loss, scaled[e].mean_train_loss)
-        << "epoch " << e;
-  }
-}
-
 TEST(MixedPrecisionTest, Fp32TrainingTracksFp64LossWithinTolerance) {
-  const auto fp64 = run_training(LossScaler::Options{});
+  const auto fp64 = run_training();
   std::vector<Trainer::EpochResult> fp32;
   {
     kernels::ScopedComputeDtype scope(kernels::ComputeDtype::kFloat32);
-    auto scaling = LossScaler::Options{};
-    scaling.enabled = true;
-    fp32 = run_training(scaling);
+    fp32 = run_training();
   }
   ASSERT_EQ(fp64.size(), fp32.size());
   // Both runs must make real progress...

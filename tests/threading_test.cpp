@@ -16,7 +16,6 @@
 #include "sgnn/potential/potential.hpp"
 #include "sgnn/tensor/ops.hpp"
 #include "sgnn/train/optim.hpp"
-#include "sgnn/train/schedule.hpp"
 #include "sgnn/util/error.hpp"
 #include "sgnn/util/rng.hpp"
 

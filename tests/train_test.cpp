@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sgnn/data/dataset.hpp"
 #include "sgnn/store/snapshot.hpp"
@@ -11,6 +15,9 @@
 
 namespace sgnn {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 const ReferencePotential& shared_potential() {
   static const ReferencePotential potential;
@@ -153,6 +160,49 @@ TEST(OptimTest, RejectsNonLeafParameters) {
                Error);
 }
 
+TEST(OptimTest, RejectsInvalidOptions) {
+  const std::vector<std::pair<double Adam::Options::*, double>> invalid = {
+      {&Adam::Options::learning_rate, 0.0},
+      {&Adam::Options::learning_rate, -1e-3},
+      {&Adam::Options::learning_rate, kNaN},
+      {&Adam::Options::learning_rate, kInf},
+      {&Adam::Options::beta1, -0.1},
+      {&Adam::Options::beta1, 1.0},
+      {&Adam::Options::beta2, 1.0},
+      {&Adam::Options::beta2, kNaN},
+      {&Adam::Options::epsilon, 0.0},
+      {&Adam::Options::epsilon, -1e-8},
+  };
+  Tensor w = Tensor::scalar(1.0).set_requires_grad(true);
+  Communicator comm(1);
+  for (const auto& [field, value] : invalid) {
+    Adam::Options options;
+    options.*field = value;
+    EXPECT_THROW(Adam({w}, options), Error) << value;
+    EXPECT_THROW(Adam({w}, options, &comm, CollectiveKind::kReduceScatter),
+                 Error)
+        << value;
+  }
+  Adam::Options edge;
+  edge.beta1 = 0.0;
+  EXPECT_NO_THROW(Adam({w}, edge));
+}
+
+TEST(TrainerTest, RejectsInvalidLrDecay) {
+  ModelConfig config;
+  config.hidden_dim = 8;
+  config.num_layers = 1;
+  EGNNModel model(config);
+  for (const double decay : {0.0, -0.5, 1.5, kNaN, kInf}) {
+    TrainOptions options;
+    options.lr_decay = decay;
+    EXPECT_THROW(Trainer(model, options), Error) << "lr_decay " << decay;
+  }
+  TrainOptions constant;
+  constant.lr_decay = 1.0;
+  EXPECT_NO_THROW(Trainer(model, constant));
+}
+
 TEST(TrainerTest, LossDecreasesOverTraining) {
   const auto& dataset = tiny_dataset();
   const auto split = dataset.split(0.25, 5);
@@ -220,28 +270,23 @@ TEST(TrainerTest, EvaluateIsIndependentOfBatchSize) {
   EXPECT_NEAR(a.force_mae, b.force_mae, 1e-9);
 }
 
-TEST(TrainerTest, WarmupCosineScheduleDrivesTheOptimizer) {
+TEST(TrainerTest, EvaluateRejectsNonPositiveBatchSize) {
   const auto& dataset = tiny_dataset();
-  const auto split = dataset.split(0.25, 5);
   ModelConfig config;
-  config.hidden_dim = 12;
-  config.num_layers = 2;
+  config.hidden_dim = 8;
+  config.num_layers = 1;
   EGNNModel model(config);
-  TrainOptions options;
-  options.epochs = 8;
-  options.batch_size = 4;
-  options.schedule = LrSchedule::warmup_cosine(3e-3, 4, 24);
-  options.max_grad_norm = 5.0;
-  Trainer trainer(model, options);
-  trainer.set_energy_baseline(EnergyBaseline::fit(dataset.view(split.train)));
-  DataLoader loader(dataset.view(split.train), options.batch_size, 11);
-  const auto history = trainer.fit(loader);
-  ASSERT_EQ(history.size(), 8u);
-  // Epoch-level train loss is noisy on this tiny set; the best late-run
-  // epoch must still clearly beat the first (warmup) epoch.
-  const double late_best = std::min(history[6].mean_train_loss,
-                                    history[7].mean_train_loss);
-  EXPECT_LT(late_best, history.front().mean_train_loss);
+  const Trainer trainer(model, TrainOptions{});
+  const auto view = dataset.view({0, 1});
+  for (const std::int64_t batch_size : {0, -1}) {
+    try {
+      trainer.evaluate(view, batch_size);
+      ADD_FAILURE() << "batch_size " << batch_size << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("batch_size"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(TrainerTest, GradClippingKeepsTrainingFiniteAtHighLr) {
