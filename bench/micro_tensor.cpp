@@ -251,6 +251,34 @@ void BM_LinearAct(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearAct)->ArgsProduct({{16, 128}, {0, 1}});
 
+// The elementwise binary kernel through its driver on one lane, out = a·b
+// over n elements, in each operand form (kernels::Broadcast order: 0 a and
+// b streamed, 1 a is one element, 2 b is one element) and compute dtype.
+void BM_Binary(benchmark::State& state) {
+  const auto form = state.range(0);
+  const auto n = state.range(2);
+  const int lanes = ThreadPool::instance().size();
+  ThreadPool::instance().resize(1);
+  kernels::ScopedComputeDtype scope(state.range(1) != 0
+                                        ? kernels::ComputeDtype::kFloat32
+                                        : kernels::ComputeDtype::kFloat64);
+  Rng rng(9);
+  const Tensor a = Tensor::uniform(Shape{n}, rng, 0.5, 2.0);
+  const Tensor b = Tensor::uniform(Shape{n}, rng, 0.5, 2.0);
+  Tensor out = Tensor::zeros(Shape{n});
+  for (auto _ : state) {
+    kernels::binary(kernels::BinaryOp::kMul, a.data(), b.data(), out.data(), n,
+                    static_cast<kernels::Broadcast>(form));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  ThreadPool::instance().resize(lanes);
+}
+BENCHMARK(BM_Binary)
+    ->ArgNames({"form", "fp32", "n"})
+    ->ArgsProduct({{0, 1, 2}, {0, 1}, {1 << 16}});
+
 void BM_BroadcastMul(benchmark::State& state) {
   const auto rows = state.range(0);
   Rng rng(6);

@@ -41,8 +41,12 @@ namespace sgnn::kernels {
 enum class Backend { kScalar = 0, kSimd = 1 };
 enum class ComputeDtype { kFloat64 = 0, kFloat32 = 1 };
 
-/// Elementwise binary kernels (same-shape and scalar-broadcast fast paths).
+/// Elementwise binary kernels.
 enum class BinaryOp { kAdd, kSub, kMul, kDiv };
+
+/// Which operand of a binary kernel, if either, holds one element that is
+/// read for every i (a scalar operand is a broadcast, not another kernel).
+enum class Broadcast { kNone, kA, kB };
 
 /// Elementwise unary kernels. `c` is the op parameter where one exists
 /// (kScale: factor, kAddScalar: addend, kPow: exponent, kClampMin: bound).
@@ -81,13 +85,34 @@ struct Gemm {
   bool accumulate;
 };
 
+/// One compute dtype's elementwise and reduction kernels. They take
+/// pre-offset pointers and a count, read and write `real` storage, and in
+/// the fp32 set round every operand through float (docs/kernels.md).
+struct ElementwiseKernels {
+  // out[i] = a[i] ∘ b[i]; a broadcast operand is read at element 0.
+  void (*binary)(BinaryOp op, const real* a, const real* b, real* out,
+                 std::int64_t n, Broadcast scalar);
+  // ga[i] = d(out)/da * g[i], gb[i] = d(out)/db * g[i] (same-shape inputs).
+  void (*binary_bwd)(BinaryOp op, const real* a, const real* b,
+                     const real* g, real* ga, real* gb, std::int64_t n);
+  void (*unary)(UnaryOp op, const real* x, real* out, real c,
+                std::int64_t n);
+  void (*unary_bwd)(UnaryOp op, const real* x, const real* g, real* gx,
+                    real c, std::int64_t n);
+  // gx[i] = s·(1 + v·(1 − s))·g[i] with s = sigmoid(v) saved by the forward:
+  // the kSilu unary_bwd expression without recomputing the exp.
+  void (*silu_bwd_saved)(const real* v, const real* s, const real* g,
+                         real* gx, std::int64_t n);
+  // Chunk sum with a fp64 accumulator (the fp32 set rounds each input).
+  double (*sum_chunk)(const real* x, std::int64_t n);
+  // dst[i] += src[i]; the ordered inner step of axis reductions.
+  void (*accumulate)(const real* src, real* dst, std::int64_t n);
+};
+
 /// One backend's kernel entry points. Band kernels take element pointers to
 /// whole operands plus a [row_begin, row_end) band so the caller can shard
-/// with parallel_for while the table owns the inner loops. Elementwise
-/// kernels take pre-offset pointers and a count. The `_f32` flavours of the
-/// elementwise/reduction kernels read and write `real` storage but round
-/// every operand through float; the `_f32` GEMM runs on float scratch
-/// buffers prepared by the drivers below.
+/// with parallel_for while the table owns the inner loops. The `_f32` GEMM
+/// runs on float scratch buffers prepared by the drivers below.
 struct KernelTable {
   // Rows [row_begin, row_end) of g.c. `packed_b` is g's B, one panel of
   // at most 256 reduction steps, packed by the driver into gemm_nr-wide
@@ -100,45 +125,8 @@ struct KernelTable {
   std::int64_t gemm_nr_f64;
   std::int64_t gemm_nr_f32;
 
-  void (*binary_f64)(BinaryOp op, const real* a, const real* b, real* out,
-                     std::int64_t n);
-  void (*binary_f32)(BinaryOp op, const real* a, const real* b, real* out,
-                     std::int64_t n);
-  void (*binary_scalar_l_f64)(BinaryOp op, real a, const real* b, real* out,
-                              std::int64_t n);
-  void (*binary_scalar_l_f32)(BinaryOp op, real a, const real* b, real* out,
-                              std::int64_t n);
-  void (*binary_scalar_r_f64)(BinaryOp op, const real* a, real b, real* out,
-                              std::int64_t n);
-  void (*binary_scalar_r_f32)(BinaryOp op, const real* a, real b, real* out,
-                              std::int64_t n);
-  // ga[i] = d(out)/da * g[i], gb[i] = d(out)/db * g[i] (same-shape inputs).
-  void (*binary_bwd_f64)(BinaryOp op, const real* a, const real* b,
-                         const real* g, real* ga, real* gb, std::int64_t n);
-  void (*binary_bwd_f32)(BinaryOp op, const real* a, const real* b,
-                         const real* g, real* ga, real* gb, std::int64_t n);
-
-  void (*unary_f64)(UnaryOp op, const real* x, real* out, real c,
-                    std::int64_t n);
-  void (*unary_f32)(UnaryOp op, const real* x, real* out, real c,
-                    std::int64_t n);
-  void (*unary_bwd_f64)(UnaryOp op, const real* x, const real* g, real* gx,
-                        real c, std::int64_t n);
-  void (*unary_bwd_f32)(UnaryOp op, const real* x, const real* g, real* gx,
-                        real c, std::int64_t n);
-  // gx[i] = s·(1 + v·(1 − s))·g[i] with s = sigmoid(v) saved by the forward:
-  // the kSilu unary_bwd expression without recomputing the exp.
-  void (*silu_bwd_saved_f64)(const real* v, const real* s, const real* g,
-                             real* gx, std::int64_t n);
-  void (*silu_bwd_saved_f32)(const real* v, const real* s, const real* g,
-                             real* gx, std::int64_t n);
-
-  // Chunk sum with a fp64 accumulator (fp32 flavour rounds each input).
-  double (*sum_chunk_f64)(const real* x, std::int64_t n);
-  double (*sum_chunk_f32)(const real* x, std::int64_t n);
-  // dst[i] += src[i]; the ordered inner step of axis reductions.
-  void (*accumulate_f64)(const real* src, real* dst, std::int64_t n);
-  void (*accumulate_f32)(const real* src, real* dst, std::int64_t n);
+  // Indexed by ComputeDtype: the same kernels instantiated per dtype.
+  ElementwiseKernels elementwise[2];
 
   // Compute-ceiling probe: `reps` rounds of independent mul+add chains on
   // this backend's widest lanes, never leaving registers. Returns the flops
@@ -149,8 +137,8 @@ struct KernelTable {
 /// The scalar reference table (always available).
 const KernelTable& scalar_table();
 
-/// The vectorized table. On targets compiled without AVX2/NEON support its
-/// entries alias the scalar reference implementations.
+/// The vectorized table. On targets compiled without AVX2/NEON support it
+/// is the scalar reference table.
 const KernelTable& simd_table();
 
 /// True when the SIMD table is actually vectorized AND the running CPU
@@ -170,6 +158,11 @@ Backend active_backend();
 ComputeDtype active_compute_dtype();
 
 const KernelTable& active_table();
+
+/// The active backend's elementwise set for `dtype`, by default the active
+/// compute dtype: the one place a kernel call picks its dtype.
+const ElementwiseKernels& elementwise(
+    ComputeDtype dtype = active_compute_dtype());
 
 const char* backend_name(Backend backend);
 const char* dtype_name(ComputeDtype dtype);
@@ -229,12 +222,10 @@ void matmul_at_b(const real* a, const real* b, real* c, std::int64_t m,
 void matmul_a_bt(const real* a, const real* b, real* c, std::int64_t m,
                  std::int64_t n, std::int64_t k);
 
+/// out[i] = a[i] ∘ b[i] over n elements, with a[0] (Broadcast::kA) or
+/// b[0] (Broadcast::kB) standing for every element of a scalar operand.
 void binary(BinaryOp op, const real* a, const real* b, real* out,
-            std::int64_t n);
-void binary_scalar_l(BinaryOp op, real a, const real* b, real* out,
-                     std::int64_t n);
-void binary_scalar_r(BinaryOp op, const real* a, real b, real* out,
-                     std::int64_t n);
+            std::int64_t n, Broadcast scalar);
 void binary_backward(BinaryOp op, const real* a, const real* b, const real* g,
                      real* ga, real* gb, std::int64_t n);
 

@@ -37,8 +37,10 @@ struct DistTrainOptions {
   /// the single-rank unpartitioned one (the partition-parity tests enforce
   /// this). per_rank_batch_size is then the GLOBAL batch size, optimizer
   /// state is plain per-rank Adam (docs/graph-parallelism.md says why DDP
-  /// averaging would break bit-identity), and the run requires kDDP,
-  /// float64 compute and max_grad_norm == 0.
+  /// averaging would break bit-identity), and the run requires kDDP and
+  /// float64 compute. Clipping is allowed: each rank's communicator-free
+  /// Adam forms the clip norm from the replicated gradients in the
+  /// single-process order.
   bool graph_parallel = false;
   std::int64_t epochs = 2;
   std::int64_t per_rank_batch_size = 4;
@@ -46,7 +48,8 @@ struct DistTrainOptions {
   Adam::Options adam;
   LossWeights loss_weights;
   std::uint64_t sampler_seed = 17;
-  /// Joint L2 clip applied to the rank-AVERAGED gradient; 0 disables.
+  /// Joint L2 clip applied to the rank-AVERAGED gradient (under
+  /// graph_parallel, to the replicated one); 0 disables.
   /// Clipping after averaging keeps replicas bit-identical (per-replica
   /// clipping before the all-reduce would break the sync invariant).
   double max_grad_norm = 0.0;

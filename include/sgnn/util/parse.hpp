@@ -4,10 +4,12 @@
 // plain ostream formatting honor the process locale: under e.g. de_DE a
 // telemetry line "loss":0.5 would parse as 0 (comma decimal separator) and
 // doubles would print as "0,5", silently corrupting every JSON artifact.
-// All numeric text the repo reads or writes goes through these helpers.
+// All numeric text the repo reads or writes goes through these helpers, and
+// every JSON string it writes goes through json_escape.
 
 #include <charconv>
 #include <cstddef>
+#include <cstdio>
 #include <iomanip>
 #include <locale>
 #include <sstream>
@@ -66,6 +68,32 @@ inline std::string format_double(double value, int precision = 17) {
   os.imbue(std::locale::classic());
   os << std::setprecision(precision) << value;
   return os.str();
+}
+
+/// `s` escaped for the inside of a JSON string: quote, backslash and every
+/// control character (as \n, \t, \r or \u00XX).
+inline std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace sgnn::util

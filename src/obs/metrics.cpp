@@ -2,16 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 #include <limits>
-#include <locale>
 #include <sstream>
 
 #include "sgnn/util/error.hpp"
+#include "sgnn/util/parse.hpp"
 
 namespace sgnn::obs {
 
 namespace {
+
+using util::format_double;
+using util::json_escape;
 
 void atomic_add(std::atomic<double>& target, double delta) {
   double current = target.load(std::memory_order_relaxed);
@@ -32,15 +34,6 @@ void atomic_max(std::atomic<double>& target, double value) {
   while (value > current && !target.compare_exchange_weak(
                                 current, value, std::memory_order_relaxed)) {
   }
-}
-
-std::string format_double(double value) {
-  std::ostringstream os;
-  // Classic locale: JSON output must use '.' decimals whatever the process
-  // locale says.
-  os.imbue(std::locale::classic());
-  os << std::setprecision(17) << value;
-  return os.str();
 }
 
 }  // namespace
@@ -205,21 +198,22 @@ std::string MetricsSnapshot::to_json() const {
   for (const auto& [name, value] : counters) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + name + "\":" + std::to_string(value);
+    out += "\"" + json_escape(name) + "\":" + std::to_string(value);
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, value] : gauges) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + name + "\":" + format_double(value);
+    out += "\"" + json_escape(name) + "\":" + format_double(value);
   }
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + name + "\":{\"count\":" + std::to_string(h.count) +
+    out += "\"" + json_escape(name) +
+           "\":{\"count\":" + std::to_string(h.count) +
            ",\"sum\":" + format_double(h.sum) +
            ",\"mean\":" + format_double(h.mean()) +
            ",\"p50\":" + format_double(h.quantile(0.50)) +

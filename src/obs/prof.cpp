@@ -6,10 +6,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <locale>
 #include <sstream>
 
 #include "sgnn/tensor/kernels.hpp"
+#include "sgnn/util/parse.hpp"
 #include "sgnn/util/thread_pool.hpp"
 
 namespace sgnn::obs::prof {
@@ -142,14 +142,8 @@ void reset() {
 
 namespace {
 
-std::string format_double(double value) {
-  std::ostringstream os;
-  // Classic locale: JSON output must use '.' decimals whatever the process
-  // locale says.
-  os.imbue(std::locale::classic());
-  os << std::setprecision(17) << value;
-  return os.str();
-}
+using util::format_double;
+using util::json_escape;
 
 double ns_to_s(std::int64_t ns) { return static_cast<double>(ns) * 1e-9; }
 
@@ -251,20 +245,6 @@ void finish_kernel_row(KernelRow& k, const Calibration& machine) {
       std::min(machine.peak_gflops, k.intensity * machine.peak_gbps);
   k.roofline_fraction =
       k.attainable_gflops > 0 ? k.gflops / k.attainable_gflops : 0;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out;
 }
 
 /// The compute roof: every pool lane runs the register-only mul+add probe

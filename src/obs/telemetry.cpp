@@ -8,7 +8,7 @@ namespace sgnn::obs {
 
 namespace {
 
-std::string format_double(double value) { return util::format_double(value); }
+using util::format_double;
 
 /// Extracts the numeric value of `"key":<number>` from a flat JSON line.
 /// Locale-independent: the telemetry format always uses '.' decimals.

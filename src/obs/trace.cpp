@@ -6,6 +6,7 @@
 
 #include "sgnn/util/error.hpp"
 #include "sgnn/util/logging.hpp"
+#include "sgnn/util/parse.hpp"
 
 namespace sgnn::obs {
 
@@ -25,26 +26,6 @@ std::uint32_t assign_tid() {
 /// Rank -1 spans (dataset generation, single-process training) get their own
 /// timeline lane instead of colliding with rank 0.
 constexpr int kUnrankedPid = 1000;
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 }  // namespace
 
@@ -146,9 +127,9 @@ std::string TraceRecorder::to_chrome_json() const {
     if (!first) out += ",";
     first = false;
     out += "{\"name\":\"";
-    append_escaped(out, event.name);
+    out += util::json_escape(event.name);
     out += "\",\"cat\":\"";
-    append_escaped(out, event.category);
+    out += util::json_escape(event.category);
     out += "\",\"ph\":\"X\",\"ts\":";
     out += std::to_string(event.begin_us);
     out += ",\"dur\":";
@@ -165,9 +146,9 @@ std::string TraceRecorder::to_chrome_json() const {
         if (!first_arg) out += ",";
         first_arg = false;
         out += "\"";
-        append_escaped(out, key);
+        out += util::json_escape(key);
         out += "\":\"";
-        append_escaped(out, value);
+        out += util::json_escape(value);
         out += "\"";
       }
       out += "}";

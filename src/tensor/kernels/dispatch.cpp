@@ -123,6 +123,10 @@ const KernelTable& active_table() {
   return active_backend() == Backend::kSimd ? simd_table() : scalar_table();
 }
 
+const ElementwiseKernels& elementwise(ComputeDtype dtype) {
+  return active_table().elementwise[static_cast<int>(dtype)];
+}
+
 const char* backend_name(Backend backend) {
   return backend == Backend::kSimd ? "simd" : "scalar";
 }
@@ -329,44 +333,18 @@ double mul_add_probe(std::int64_t reps) {
 }
 
 void binary(BinaryOp op, const real* a, const real* b, real* out,
-            std::int64_t n) {
-  const KernelTable& t = active_table();
-  const auto fn = active_compute_dtype() == ComputeDtype::kFloat32
-                      ? t.binary_f32
-                      : t.binary_f64;
+            std::int64_t n, Broadcast scalar) {
+  const auto fn = elementwise().binary;
   parallel_for(0, n, kGrain, [=](std::int64_t begin, std::int64_t end) {
-    fn(op, a + begin, b + begin, out + begin, end - begin);
-  });
-}
-
-void binary_scalar_l(BinaryOp op, real a, const real* b, real* out,
-                     std::int64_t n) {
-  const KernelTable& t = active_table();
-  const auto fn = active_compute_dtype() == ComputeDtype::kFloat32
-                      ? t.binary_scalar_l_f32
-                      : t.binary_scalar_l_f64;
-  parallel_for(0, n, kGrain, [=](std::int64_t begin, std::int64_t end) {
-    fn(op, a, b + begin, out + begin, end - begin);
-  });
-}
-
-void binary_scalar_r(BinaryOp op, const real* a, real b, real* out,
-                     std::int64_t n) {
-  const KernelTable& t = active_table();
-  const auto fn = active_compute_dtype() == ComputeDtype::kFloat32
-                      ? t.binary_scalar_r_f32
-                      : t.binary_scalar_r_f64;
-  parallel_for(0, n, kGrain, [=](std::int64_t begin, std::int64_t end) {
-    fn(op, a + begin, b, out + begin, end - begin);
+    fn(op, scalar == Broadcast::kA ? a : a + begin,
+       scalar == Broadcast::kB ? b : b + begin, out + begin, end - begin,
+       scalar);
   });
 }
 
 void binary_backward(BinaryOp op, const real* a, const real* b, const real* g,
                      real* ga, real* gb, std::int64_t n) {
-  const KernelTable& t = active_table();
-  const auto fn = active_compute_dtype() == ComputeDtype::kFloat32
-                      ? t.binary_bwd_f32
-                      : t.binary_bwd_f64;
+  const auto fn = elementwise().binary_bwd;
   parallel_for(0, n, kGrain, [=](std::int64_t begin, std::int64_t end) {
     fn(op, a + begin, b + begin, g + begin, ga + begin, gb + begin,
        end - begin);
@@ -374,10 +352,7 @@ void binary_backward(BinaryOp op, const real* a, const real* b, const real* g,
 }
 
 void unary(UnaryOp op, const real* x, real* out, real c, std::int64_t n) {
-  const KernelTable& t = active_table();
-  const auto fn = active_compute_dtype() == ComputeDtype::kFloat32
-                      ? t.unary_f32
-                      : t.unary_f64;
+  const auto fn = elementwise().unary;
   parallel_for(0, n, kGrain, [=](std::int64_t begin, std::int64_t end) {
     fn(op, x + begin, out + begin, c, end - begin);
   });
@@ -385,20 +360,14 @@ void unary(UnaryOp op, const real* x, real* out, real c, std::int64_t n) {
 
 void unary_backward(UnaryOp op, const real* x, const real* g, real* gx,
                     real c, std::int64_t n) {
-  const KernelTable& t = active_table();
-  const auto fn = active_compute_dtype() == ComputeDtype::kFloat32
-                      ? t.unary_bwd_f32
-                      : t.unary_bwd_f64;
+  const auto fn = elementwise().unary_bwd;
   parallel_for(0, n, kGrain, [=](std::int64_t begin, std::int64_t end) {
     fn(op, x + begin, g + begin, gx + begin, c, end - begin);
   });
 }
 
 double reduce_sum(const real* x, std::int64_t n) {
-  const KernelTable& t = active_table();
-  const auto fn = active_compute_dtype() == ComputeDtype::kFloat32
-                      ? t.sum_chunk_f32
-                      : t.sum_chunk_f64;
+  const auto fn = elementwise().sum_chunk;
   return parallel_reduce_sum(0, n, kGrain,
                              [=](std::int64_t begin, std::int64_t end) {
                                return fn(x + begin, end - begin);
@@ -406,11 +375,7 @@ double reduce_sum(const real* x, std::int64_t n) {
 }
 
 void accumulate(const real* src, real* dst, std::int64_t n) {
-  const KernelTable& t = active_table();
-  const auto fn = active_compute_dtype() == ComputeDtype::kFloat32
-                      ? t.accumulate_f32
-                      : t.accumulate_f64;
-  fn(src, dst, n);
+  elementwise().accumulate(src, dst, n);
 }
 
 }  // namespace sgnn::kernels

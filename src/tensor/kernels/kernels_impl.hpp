@@ -3,7 +3,9 @@
 // Templated scalar reference kernels shared by both backend TUs: the scalar
 // table instantiates them as-is, the SIMD table uses them for remainder
 // lanes and for the transcendental ops it does not vectorize (so scalar and
-// SIMD results agree bit-for-bit there by construction).
+// SIMD results agree bit-for-bit there by construction). The binary body,
+// binary_forms, is written once over a lane vocabulary: one element here,
+// a vector of doubles in the SIMD TU.
 //
 // Everything lives in an anonymous namespace ON PURPOSE: each backend TU
 // gets its own internal-linkage copies, so the scalar table can never end up
@@ -131,91 +133,77 @@ C sigmoid_val_ref(C v) {
   return C{1} / (C{1} + std::exp(-v));
 }
 
+/// The lanes of the reference elementwise kernels: one element, read from
+/// `real` storage through C and widened back on store.
+template <typename C>
+struct RefLanes {
+  using Vec = C;
+  static constexpr std::int64_t W = 1;
+  static Vec load(const real* p) { return static_cast<C>(*p); }
+  static Vec splat(real s) { return static_cast<C>(s); }
+  static void store(real* p, Vec v) { *p = static_cast<real>(v); }
+  static Vec vadd(Vec a, Vec b) { return a + b; }
+  static Vec vsub(Vec a, Vec b) { return a - b; }
+  static Vec vmul(Vec a, Vec b) { return a * b; }
+  static Vec vdiv(Vec a, Vec b) { return a / b; }
+};
+
+/// out = x ∘ y over [0, n) in steps of L::W (n a multiple of it), where
+/// x(i) and y(i) give the operands' lanes at element i.
+template <typename L, typename X, typename Y>
+void binary_lanes(BinaryOp op, X x, Y y, real* out, std::int64_t n) {
+  switch (op) {
+    case BinaryOp::kAdd:
+      for (std::int64_t i = 0; i < n; i += L::W) {
+        L::store(out + i, L::vadd(x(i), y(i)));
+      }
+      return;
+    case BinaryOp::kSub:
+      for (std::int64_t i = 0; i < n; i += L::W) {
+        L::store(out + i, L::vsub(x(i), y(i)));
+      }
+      return;
+    case BinaryOp::kMul:
+      for (std::int64_t i = 0; i < n; i += L::W) {
+        L::store(out + i, L::vmul(x(i), y(i)));
+      }
+      return;
+    case BinaryOp::kDiv:
+      for (std::int64_t i = 0; i < n; i += L::W) {
+        L::store(out + i, L::vdiv(x(i), y(i)));
+      }
+      return;
+  }
+}
+
+/// binary_lanes with each operand either streamed or, when `scalar` names
+/// it, its element 0 read once and splat across every lane.
+template <typename L>
+void binary_forms(BinaryOp op, const real* a, const real* b, real* out,
+                  std::int64_t n, Broadcast scalar) {
+  const auto stream = [](const real* p) {
+    return [p](std::int64_t i) { return L::load(p + i); };
+  };
+  const auto splat = [](const real* p) {
+    return [v = L::splat(*p)](std::int64_t) { return v; };
+  };
+  switch (scalar) {
+    case Broadcast::kNone:
+      binary_lanes<L>(op, stream(a), stream(b), out, n);
+      return;
+    case Broadcast::kA:
+      binary_lanes<L>(op, splat(a), stream(b), out, n);
+      return;
+    case Broadcast::kB:
+      binary_lanes<L>(op, stream(a), splat(b), out, n);
+      return;
+  }
+}
+
 template <typename C>
 void binary_ref(BinaryOp op, const real* a, const real* b, real* out,
-                std::int64_t n) {
-  switch (op) {
-    case BinaryOp::kAdd:
-      for (std::int64_t i = 0; i < n; ++i) {
-        out[i] = static_cast<real>(static_cast<C>(a[i]) +
-                                   static_cast<C>(b[i]));
-      }
-      return;
-    case BinaryOp::kSub:
-      for (std::int64_t i = 0; i < n; ++i) {
-        out[i] = static_cast<real>(static_cast<C>(a[i]) -
-                                   static_cast<C>(b[i]));
-      }
-      return;
-    case BinaryOp::kMul:
-      for (std::int64_t i = 0; i < n; ++i) {
-        out[i] = static_cast<real>(static_cast<C>(a[i]) *
-                                   static_cast<C>(b[i]));
-      }
-      return;
-    case BinaryOp::kDiv:
-      for (std::int64_t i = 0; i < n; ++i) {
-        out[i] = static_cast<real>(static_cast<C>(a[i]) /
-                                   static_cast<C>(b[i]));
-      }
-      return;
-  }
-}
-
-template <typename C>
-void binary_scalar_l_ref(BinaryOp op, real a, const real* b, real* out,
-                         std::int64_t n) {
-  const C av = static_cast<C>(a);
-  switch (op) {
-    case BinaryOp::kAdd:
-      for (std::int64_t i = 0; i < n; ++i) {
-        out[i] = static_cast<real>(av + static_cast<C>(b[i]));
-      }
-      return;
-    case BinaryOp::kSub:
-      for (std::int64_t i = 0; i < n; ++i) {
-        out[i] = static_cast<real>(av - static_cast<C>(b[i]));
-      }
-      return;
-    case BinaryOp::kMul:
-      for (std::int64_t i = 0; i < n; ++i) {
-        out[i] = static_cast<real>(av * static_cast<C>(b[i]));
-      }
-      return;
-    case BinaryOp::kDiv:
-      for (std::int64_t i = 0; i < n; ++i) {
-        out[i] = static_cast<real>(av / static_cast<C>(b[i]));
-      }
-      return;
-  }
-}
-
-template <typename C>
-void binary_scalar_r_ref(BinaryOp op, const real* a, real b, real* out,
-                         std::int64_t n) {
-  const C bv = static_cast<C>(b);
-  switch (op) {
-    case BinaryOp::kAdd:
-      for (std::int64_t i = 0; i < n; ++i) {
-        out[i] = static_cast<real>(static_cast<C>(a[i]) + bv);
-      }
-      return;
-    case BinaryOp::kSub:
-      for (std::int64_t i = 0; i < n; ++i) {
-        out[i] = static_cast<real>(static_cast<C>(a[i]) - bv);
-      }
-      return;
-    case BinaryOp::kMul:
-      for (std::int64_t i = 0; i < n; ++i) {
-        out[i] = static_cast<real>(static_cast<C>(a[i]) * bv);
-      }
-      return;
-    case BinaryOp::kDiv:
-      for (std::int64_t i = 0; i < n; ++i) {
-        out[i] = static_cast<real>(static_cast<C>(a[i]) / bv);
-      }
-      return;
-  }
+                std::int64_t n, Broadcast scalar) {
+  binary_forms<RefLanes<C>>(op, a, b, out, n, scalar);
 }
 
 template <typename C>
@@ -477,6 +465,14 @@ void accumulate_ref(const real* src, real* dst, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
     dst[i] += static_cast<real>(static_cast<C>(src[i]));
   }
+}
+
+/// The reference elementwise set of compute type C.
+template <typename C>
+constexpr ElementwiseKernels reference_elementwise() {
+  return {binary_ref<C>,    binary_bwd_ref<C>,     unary_ref<C>,
+          unary_bwd_ref<C>, silu_bwd_saved_ref<C>, sum_chunk_ref<C>,
+          accumulate_ref<C>};
 }
 
 }  // namespace

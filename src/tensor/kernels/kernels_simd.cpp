@@ -139,182 +139,54 @@ void gemm_rows_vec(const Gemm<typename TR::S>& g,
 }
 
 // ---------------------------------------------------------------------------
-// Elementwise, fp64: the same IEEE operation per lane → bit-identical to the
-// reference. Transcendentals take the reference path wholesale.
+// Elementwise: the same IEEE operation per lane → bit-identical to the
+// reference. Binary ops, sums and accumulates take both dtypes through the
+// rounding R; the multi-op and transcendental kernels are fp64 only, and
+// take the reference path for what they do not vectorize.
 
-void binary_simd_f64(BinaryOp op, const real* a, const real* b, real* out,
-                     std::int64_t n) {
-  const std::int64_t nv = n - n % sd::kVD;
-  switch (op) {
-    case BinaryOp::kAdd:
-      for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-        sd::vd_store(out + i, sd::vd_add(sd::vd_load(a + i),
-                                         sd::vd_load(b + i)));
-      }
-      break;
-    case BinaryOp::kSub:
-      for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-        sd::vd_store(out + i, sd::vd_sub(sd::vd_load(a + i),
-                                         sd::vd_load(b + i)));
-      }
-      break;
-    case BinaryOp::kMul:
-      for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-        sd::vd_store(out + i, sd::vd_mul(sd::vd_load(a + i),
-                                         sd::vd_load(b + i)));
-      }
-      break;
-    case BinaryOp::kDiv:
-      for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-        sd::vd_store(out + i, sd::vd_div(sd::vd_load(a + i),
-                                         sd::vd_load(b + i)));
-      }
-      break;
-  }
-  if (nv < n) binary_ref<double>(op, a + nv, b + nv, out + nv, n - nv);
-}
+/// The fp64 rounding: double lanes as they are.
+struct KeepF64 {
+  using C = double;
+  static sd::vd round(sd::vd v) { return v; }
+};
 
-// Fp32 flavour: (double)((float)x ∘ (float)y), computed in double lanes.
-// The double operation on float-rounded inputs is exact for +, −, × (≤ 49
-// significant bits) and an innocuous double rounding for ÷ (53 ≥ 2·24 + 2),
-// so rounding the double result back to float precision yields exactly the
-// float operation — bit-identical to the scalar reference.
-void binary_simd_f32(BinaryOp op, const real* a, const real* b, real* out,
-                     std::int64_t n) {
-  const std::int64_t nv = n - n % sd::kVD;
-  for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-    const sd::vd x = sd::vd_round_f32(sd::vd_load(a + i));
-    const sd::vd y = sd::vd_round_f32(sd::vd_load(b + i));
-    sd::vd r = sd::vd_zero();
-    switch (op) {
-      case BinaryOp::kAdd:
-        r = sd::vd_add(x, y);
-        break;
-      case BinaryOp::kSub:
-        r = sd::vd_sub(x, y);
-        break;
-      case BinaryOp::kMul:
-        r = sd::vd_mul(x, y);
-        break;
-      case BinaryOp::kDiv:
-        r = sd::vd_div(x, y);
-        break;
-    }
-    sd::vd_store(out + i, sd::vd_round_f32(r));
-  }
-  if (nv < n) binary_ref<float>(op, a + nv, b + nv, out + nv, n - nv);
-}
+/// The fp32 rounding: each double lane rounded to float precision, the
+/// reference's (double)(float) on every operand and result.
+struct RoundF32 {
+  using C = float;
+  static sd::vd round(sd::vd v) { return sd::vd_round_f32(v); }
+};
 
-void binary_scalar_l_simd_f64(BinaryOp op, real a, const real* b, real* out,
-                              std::int64_t n) {
-  const std::int64_t nv = n - n % sd::kVD;
-  const sd::vd av = sd::vd_set1(a);
-  switch (op) {
-    case BinaryOp::kAdd:
-      for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-        sd::vd_store(out + i, sd::vd_add(av, sd::vd_load(b + i)));
-      }
-      break;
-    case BinaryOp::kSub:
-      for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-        sd::vd_store(out + i, sd::vd_sub(av, sd::vd_load(b + i)));
-      }
-      break;
-    case BinaryOp::kMul:
-      for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-        sd::vd_store(out + i, sd::vd_mul(av, sd::vd_load(b + i)));
-      }
-      break;
-    case BinaryOp::kDiv:
-      for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-        sd::vd_store(out + i, sd::vd_div(av, sd::vd_load(b + i)));
-      }
-      break;
-  }
-  if (nv < n) binary_scalar_l_ref<double>(op, a, b + nv, out + nv, n - nv);
-}
+/// binary_lanes' vocabulary over double lanes, rounded by R on load and
+/// on store.
+template <typename R>
+struct VecLanes {
+  using Vec = sd::vd;
+  static constexpr std::int64_t W = sd::kVD;
+  static Vec load(const real* p) { return R::round(sd::vd_load(p)); }
+  static Vec splat(real s) { return R::round(sd::vd_set1(s)); }
+  static void store(real* p, Vec v) { sd::vd_store(p, R::round(v)); }
+  static Vec vadd(Vec a, Vec b) { return sd::vd_add(a, b); }
+  static Vec vsub(Vec a, Vec b) { return sd::vd_sub(a, b); }
+  static Vec vmul(Vec a, Vec b) { return sd::vd_mul(a, b); }
+  static Vec vdiv(Vec a, Vec b) { return sd::vd_div(a, b); }
+};
 
-void binary_scalar_l_simd_f32(BinaryOp op, real a, const real* b, real* out,
-                              std::int64_t n) {
+// Under fp32 this is (double)((float)x ∘ (float)y), computed in double
+// lanes. The double operation on float-rounded inputs is exact for +, −, ×
+// (≤ 49 significant bits) and an innocuous double rounding for ÷
+// (53 ≥ 2·24 + 2), so rounding the double result back to float precision
+// yields exactly the float operation — bit-identical to the reference.
+template <typename R>
+void binary_simd(BinaryOp op, const real* a, const real* b, real* out,
+                 std::int64_t n, Broadcast scalar) {
   const std::int64_t nv = n - n % sd::kVD;
-  const sd::vd av =
-      sd::vd_set1(static_cast<double>(static_cast<float>(a)));
-  for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-    const sd::vd y = sd::vd_round_f32(sd::vd_load(b + i));
-    sd::vd r = sd::vd_zero();
-    switch (op) {
-      case BinaryOp::kAdd:
-        r = sd::vd_add(av, y);
-        break;
-      case BinaryOp::kSub:
-        r = sd::vd_sub(av, y);
-        break;
-      case BinaryOp::kMul:
-        r = sd::vd_mul(av, y);
-        break;
-      case BinaryOp::kDiv:
-        r = sd::vd_div(av, y);
-        break;
-    }
-    sd::vd_store(out + i, sd::vd_round_f32(r));
+  binary_forms<VecLanes<R>>(op, a, b, out, nv, scalar);
+  if (nv < n) {
+    binary_ref<typename R::C>(op, scalar == Broadcast::kA ? a : a + nv,
+                              scalar == Broadcast::kB ? b : b + nv, out + nv,
+                              n - nv, scalar);
   }
-  if (nv < n) binary_scalar_l_ref<float>(op, a, b + nv, out + nv, n - nv);
-}
-
-void binary_scalar_r_simd_f64(BinaryOp op, const real* a, real b, real* out,
-                              std::int64_t n) {
-  const std::int64_t nv = n - n % sd::kVD;
-  const sd::vd bv = sd::vd_set1(b);
-  switch (op) {
-    case BinaryOp::kAdd:
-      for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-        sd::vd_store(out + i, sd::vd_add(sd::vd_load(a + i), bv));
-      }
-      break;
-    case BinaryOp::kSub:
-      for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-        sd::vd_store(out + i, sd::vd_sub(sd::vd_load(a + i), bv));
-      }
-      break;
-    case BinaryOp::kMul:
-      for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-        sd::vd_store(out + i, sd::vd_mul(sd::vd_load(a + i), bv));
-      }
-      break;
-    case BinaryOp::kDiv:
-      for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-        sd::vd_store(out + i, sd::vd_div(sd::vd_load(a + i), bv));
-      }
-      break;
-  }
-  if (nv < n) binary_scalar_r_ref<double>(op, a + nv, b, out + nv, n - nv);
-}
-
-void binary_scalar_r_simd_f32(BinaryOp op, const real* a, real b, real* out,
-                              std::int64_t n) {
-  const std::int64_t nv = n - n % sd::kVD;
-  const sd::vd bv =
-      sd::vd_set1(static_cast<double>(static_cast<float>(b)));
-  for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-    const sd::vd x = sd::vd_round_f32(sd::vd_load(a + i));
-    sd::vd r = sd::vd_zero();
-    switch (op) {
-      case BinaryOp::kAdd:
-        r = sd::vd_add(x, bv);
-        break;
-      case BinaryOp::kSub:
-        r = sd::vd_sub(x, bv);
-        break;
-      case BinaryOp::kMul:
-        r = sd::vd_mul(x, bv);
-        break;
-      case BinaryOp::kDiv:
-        r = sd::vd_div(x, bv);
-        break;
-    }
-    sd::vd_store(out + i, sd::vd_round_f32(r));
-  }
-  if (nv < n) binary_scalar_r_ref<float>(op, a + nv, b, out + nv, n - nv);
 }
 
 void binary_bwd_simd_f64(BinaryOp op, const real* a, const real* b,
@@ -503,34 +375,15 @@ void silu_bwd_saved_simd_f64(const real* v, const real* s, const real* g,
 // ---------------------------------------------------------------------------
 // Reductions.
 
-double sum_chunk_simd_f64(const real* x, std::int64_t n) {
+template <typename R>
+double sum_chunk_simd(const real* x, std::int64_t n) {
   constexpr std::int64_t pw = 2 * sd::kVD;
   const std::int64_t nv = n - n % pw;
   sd::vd acc0 = sd::vd_zero();
   sd::vd acc1 = sd::vd_zero();
   for (std::int64_t i = 0; i < nv; i += pw) {
-    acc0 = sd::vd_add(acc0, sd::vd_load(x + i));
-    acc1 = sd::vd_add(acc1, sd::vd_load(x + i + sd::kVD));
-  }
-  double lanes0[sd::kVD];
-  double lanes1[sd::kVD];
-  sd::vd_store(lanes0, acc0);
-  sd::vd_store(lanes1, acc1);
-  double acc = 0;
-  for (std::int64_t l = 0; l < sd::kVD; ++l) acc += lanes0[l];
-  for (std::int64_t l = 0; l < sd::kVD; ++l) acc += lanes1[l];
-  for (std::int64_t i = nv; i < n; ++i) acc += x[i];
-  return acc;
-}
-
-double sum_chunk_simd_f32(const real* x, std::int64_t n) {
-  constexpr std::int64_t pw = 2 * sd::kVD;
-  const std::int64_t nv = n - n % pw;
-  sd::vd acc0 = sd::vd_zero();
-  sd::vd acc1 = sd::vd_zero();
-  for (std::int64_t i = 0; i < nv; i += pw) {
-    acc0 = sd::vd_add(acc0, sd::vd_round_f32(sd::vd_load(x + i)));
-    acc1 = sd::vd_add(acc1, sd::vd_round_f32(sd::vd_load(x + i + sd::kVD)));
+    acc0 = sd::vd_add(acc0, R::round(sd::vd_load(x + i)));
+    acc1 = sd::vd_add(acc1, R::round(sd::vd_load(x + i + sd::kVD)));
   }
   double lanes0[sd::kVD];
   double lanes1[sd::kVD];
@@ -540,28 +393,19 @@ double sum_chunk_simd_f32(const real* x, std::int64_t n) {
   for (std::int64_t l = 0; l < sd::kVD; ++l) acc += lanes0[l];
   for (std::int64_t l = 0; l < sd::kVD; ++l) acc += lanes1[l];
   for (std::int64_t i = nv; i < n; ++i) {
-    acc += static_cast<double>(static_cast<float>(x[i]));
+    acc += static_cast<double>(static_cast<typename R::C>(x[i]));
   }
   return acc;
 }
 
-void accumulate_simd_f64(const real* src, real* dst, std::int64_t n) {
+template <typename R>
+void accumulate_simd(const real* src, real* dst, std::int64_t n) {
   const std::int64_t nv = n - n % sd::kVD;
   for (std::int64_t i = 0; i < nv; i += sd::kVD) {
     sd::vd_store(dst + i, sd::vd_add(sd::vd_load(dst + i),
-                                     sd::vd_load(src + i)));
+                                     R::round(sd::vd_load(src + i))));
   }
-  if (nv < n) accumulate_ref<double>(src + nv, dst + nv, n - nv);
-}
-
-void accumulate_simd_f32(const real* src, real* dst, std::int64_t n) {
-  const std::int64_t nv = n - n % sd::kVD;
-  for (std::int64_t i = 0; i < nv; i += sd::kVD) {
-    sd::vd_store(dst + i,
-                 sd::vd_add(sd::vd_load(dst + i),
-                            sd::vd_round_f32(sd::vd_load(src + i))));
-  }
-  if (nv < n) accumulate_ref<float>(src + nv, dst + nv, n - nv);
+  if (nv < n) accumulate_ref<typename R::C>(src + nv, dst + nv, n - nv);
 }
 
 }  // namespace
@@ -574,61 +418,28 @@ const KernelTable& simd_table() {
       /*gemm_rows_f32=*/gemm_rows_vec<TraitsW>,
       /*gemm_nr_f64=*/2 * TraitsD::W,
       /*gemm_nr_f32=*/2 * TraitsW::W,
-      /*binary_f64=*/binary_simd_f64,
-      /*binary_f32=*/binary_simd_f32,
-      /*binary_scalar_l_f64=*/binary_scalar_l_simd_f64,
-      /*binary_scalar_l_f32=*/binary_scalar_l_simd_f32,
-      /*binary_scalar_r_f64=*/binary_scalar_r_simd_f64,
-      /*binary_scalar_r_f32=*/binary_scalar_r_simd_f32,
-      /*binary_bwd_f64=*/binary_bwd_simd_f64,
-      /*binary_bwd_f32=*/binary_bwd_ref<float>,
-      /*unary_f64=*/unary_simd_f64,
-      /*unary_f32=*/unary_ref<float>,
-      /*unary_bwd_f64=*/unary_bwd_simd_f64,
-      /*unary_bwd_f32=*/unary_bwd_ref<float>,
-      /*silu_bwd_saved_f64=*/silu_bwd_saved_simd_f64,
-      /*silu_bwd_saved_f32=*/silu_bwd_saved_ref<float>,
-      /*sum_chunk_f64=*/sum_chunk_simd_f64,
-      /*sum_chunk_f32=*/sum_chunk_simd_f32,
-      /*accumulate_f64=*/accumulate_simd_f64,
-      /*accumulate_f32=*/accumulate_simd_f32,
+      /*elementwise=*/
+      {ElementwiseKernels{binary_simd<KeepF64>, binary_bwd_simd_f64,
+                          unary_simd_f64, unary_bwd_simd_f64,
+                          silu_bwd_saved_simd_f64, sum_chunk_simd<KeepF64>,
+                          accumulate_simd<KeepF64>},
+       // A multi-op expression in double lanes is not bit-identical to
+       // float arithmetic, so those kernels stay on the float reference.
+       ElementwiseKernels{binary_simd<RoundF32>, binary_bwd_ref<float>,
+                          unary_ref<float>, unary_bwd_ref<float>,
+                          silu_bwd_saved_ref<float>,
+                          sum_chunk_simd<RoundF32>,
+                          accumulate_simd<RoundF32>}},
       /*mul_add_probe=*/mul_add_probe_impl<TraitsD>,
   };
   return table;
 }
 
-#else  // !SGNN_SIMD_ANY: no vector ISA compiled in — alias the reference.
+#else  // !SGNN_SIMD_ANY: no vector ISA compiled in — the reference table.
 
 bool simd_table_vectorized() { return false; }
 
-const KernelTable& simd_table() {
-  static const KernelTable table = {
-      /*gemm_rows_f64=*/gemm_ref<real>,
-      /*gemm_rows_f32=*/gemm_ref<float>,
-      /*gemm_nr_f64=*/0,
-      /*gemm_nr_f32=*/0,
-      /*binary_f64=*/binary_ref<double>,
-      /*binary_f32=*/binary_ref<float>,
-      /*binary_scalar_l_f64=*/binary_scalar_l_ref<double>,
-      /*binary_scalar_l_f32=*/binary_scalar_l_ref<float>,
-      /*binary_scalar_r_f64=*/binary_scalar_r_ref<double>,
-      /*binary_scalar_r_f32=*/binary_scalar_r_ref<float>,
-      /*binary_bwd_f64=*/binary_bwd_ref<double>,
-      /*binary_bwd_f32=*/binary_bwd_ref<float>,
-      /*unary_f64=*/unary_ref<double>,
-      /*unary_f32=*/unary_ref<float>,
-      /*unary_bwd_f64=*/unary_bwd_ref<double>,
-      /*unary_bwd_f32=*/unary_bwd_ref<float>,
-      /*silu_bwd_saved_f64=*/silu_bwd_saved_ref<double>,
-      /*silu_bwd_saved_f32=*/silu_bwd_saved_ref<float>,
-      /*sum_chunk_f64=*/sum_chunk_ref<double>,
-      /*sum_chunk_f32=*/sum_chunk_ref<float>,
-      /*accumulate_f64=*/accumulate_ref<double>,
-      /*accumulate_f32=*/accumulate_ref<float>,
-      /*mul_add_probe=*/mul_add_probe_impl<TraitsScalar>,
-  };
-  return table;
-}
+const KernelTable& simd_table() { return scalar_table(); }
 
 #endif
 

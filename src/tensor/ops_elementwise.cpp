@@ -40,15 +40,14 @@ void binary_forward(BinaryOp op, const Tensor& ad, const Tensor& bd,
                     Tensor& out) {
   const std::int64_t n = out.numel();
   if (ad.shape() == bd.shape()) {
-    kernels::binary(op, ad.data(), bd.data(), out.data(), n);
+    kernels::binary(op, ad.data(), bd.data(), out.data(), n,
+                    kernels::Broadcast::kNone);
     return;
   }
-  if (ad.numel() == 1) {
-    kernels::binary_scalar_l(op, ad.data()[0], bd.data(), out.data(), n);
-    return;
-  }
-  if (bd.numel() == 1) {
-    kernels::binary_scalar_r(op, ad.data(), bd.data()[0], out.data(), n);
+  if (ad.numel() == 1 || bd.numel() == 1) {
+    kernels::binary(op, ad.data(), bd.data(), out.data(), n,
+                    ad.numel() == 1 ? kernels::Broadcast::kA
+                                    : kernels::Broadcast::kB);
     return;
   }
   binary_broadcast(ad, bd, out,

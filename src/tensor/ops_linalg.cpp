@@ -54,22 +54,19 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 namespace {
 
 using kernels::BinaryOp;
-using kernels::KernelTable;
+using kernels::Broadcast;
+using kernels::ElementwiseKernels;
 using kernels::UnaryOp;
 
 /// v[i, :] += b over `rows` rows of width n, in place, with the arithmetic
 /// add(matmul(x, w), b) uses for these shapes: a bias shaped like v
 /// (`one_row`) or holding one element (n == 1) takes the compute-dtype
 /// kernel, any other (1, n) bias the fp64 broadcast loop.
-void add_bias_rows(const KernelTable& t, bool f32, bool one_row, real* v,
+void add_bias_rows(const ElementwiseKernels& ew, bool one_row, real* v,
                    const real* b, std::int64_t rows, std::int64_t n) {
-  if (one_row) {
-    (f32 ? t.binary_f32 : t.binary_f64)(BinaryOp::kAdd, v, b, v, n);
-    return;
-  }
-  if (n == 1) {
-    (f32 ? t.binary_scalar_r_f32 : t.binary_scalar_r_f64)(BinaryOp::kAdd, v,
-                                                          b[0], v, rows);
+  if (one_row || n == 1) {
+    ew.binary(BinaryOp::kAdd, v, b, v, rows * n,
+              one_row ? Broadcast::kNone : Broadcast::kB);
     return;
   }
   for (std::int64_t i = 0; i < rows; ++i) {
@@ -80,47 +77,45 @@ void add_bias_rows(const KernelTable& t, bool f32, bool one_row, real* v,
 
 /// out = act(v) over `count` elements; also s = sigmoid(v) for SiLU when
 /// `s` is set (out may alias v only when `s` is not).
-void activate(const KernelTable& t, bool f32, Activation activation,
+void activate(const ElementwiseKernels& ew, Activation activation,
               const real* v, real* out, real* s, std::int64_t count) {
-  const auto unary = f32 ? t.unary_f32 : t.unary_f64;
   switch (activation) {
     case Activation::kNone:
       return;
     case Activation::kReLU:
-      unary(UnaryOp::kRelu, v, out, 0, count);
+      ew.unary(UnaryOp::kRelu, v, out, 0, count);
       return;
     case Activation::kTanh:
-      unary(UnaryOp::kTanh, v, out, 0, count);
+      ew.unary(UnaryOp::kTanh, v, out, 0, count);
       return;
     case Activation::kSiLU:
       if (s == nullptr) {
-        unary(UnaryOp::kSilu, v, out, 0, count);
+        ew.unary(UnaryOp::kSilu, v, out, 0, count);
         return;
       }
       // silu(v) = v * sigmoid(v), the kSilu expression split in two so the
       // sigmoid is kept for backward.
-      unary(UnaryOp::kSigmoid, v, s, 0, count);
-      (f32 ? t.binary_f32 : t.binary_f64)(BinaryOp::kMul, v, s, out, count);
+      ew.unary(UnaryOp::kSigmoid, v, s, 0, count);
+      ew.binary(BinaryOp::kMul, v, s, out, count, Broadcast::kNone);
       return;
   }
 }
 
 /// dv = g * act'(v) over `count` elements, SiLU from the saved sigmoid s.
-void activation_backward(const KernelTable& t, bool f32,
-                         Activation activation, const real* v, const real* s,
-                         const real* g, real* dv, std::int64_t count) {
-  const auto unary_bwd = f32 ? t.unary_bwd_f32 : t.unary_bwd_f64;
+void activation_backward(const ElementwiseKernels& ew, Activation activation,
+                         const real* v, const real* s, const real* g,
+                         real* dv, std::int64_t count) {
   switch (activation) {
     case Activation::kNone:
       return;
     case Activation::kReLU:
-      unary_bwd(UnaryOp::kRelu, v, g, dv, 0, count);
+      ew.unary_bwd(UnaryOp::kRelu, v, g, dv, 0, count);
       return;
     case Activation::kTanh:
-      unary_bwd(UnaryOp::kTanh, v, g, dv, 0, count);
+      ew.unary_bwd(UnaryOp::kTanh, v, g, dv, 0, count);
       return;
     case Activation::kSiLU:
-      (f32 ? t.silu_bwd_saved_f32 : t.silu_bwd_saved_f64)(v, s, g, dv, count);
+      ew.silu_bwd_saved(v, s, g, dv, count);
       return;
   }
 }
@@ -178,9 +173,10 @@ Tensor linear_act(const Tensor& x, const Tensor& w, const Tensor& b,
   Tensor out = Tensor::make_result(
       Shape{m, n}, std::move(inputs),
       [=](const Tensor& grad) -> std::vector<Tensor> {
-        const KernelTable& t = kernels::active_table();
-        const bool f32 = kernels::active_compute_dtype() ==
-                         kernels::ComputeDtype::kFloat32;
+        const ElementwiseKernels& ew = kernels::elementwise();
+        // The bias gradient's column sums stay fp64 in either dtype.
+        const auto accumulate =
+            kernels::elementwise(kernels::ComputeDtype::kFloat64).accumulate;
         Tensor dv = act_on ? Tensor::zeros(Shape{m, n}) : grad;
         Tensor dx;
         Tensor dw;
@@ -217,7 +213,7 @@ Tensor linear_act(const Tensor& x, const Tensor& w, const Tensor& b,
             real* pdv = dv.data();  // for kNone this is g: read only
             parallel_for(
                 0, n, parallel_grain(m),
-                [=, &t](std::int64_t j0, std::int64_t j1) {
+                [=, &ew](std::int64_t j0, std::int64_t j1) {
                   const std::int64_t block_rows =
                       std::max<std::int64_t>(1, kEpilogueBlockElements / n);
                   const std::int64_t width = j1 - j0;
@@ -228,13 +224,13 @@ Tensor linear_act(const Tensor& x, const Tensor& w, const Tensor& b,
                     for (std::int64_t i = i0; act_on && i < i1; i += step) {
                       const std::int64_t off = i * n + j0;
                       activation_backward(
-                          t, f32, activation, pv + off,
+                          ew, activation, pv + off,
                           ps == nullptr ? nullptr : ps + off, pg + off,
                           pdv + off, width == n ? step * n : width);
                     }
                     if (pdb == nullptr) continue;
                     for (std::int64_t i = i0; i < i1; ++i) {
-                      t.accumulate_f64(pdv + i * n + j0, pdb + j0, width);
+                      accumulate(pdv + i * n + j0, pdb + j0, width);
                     }
                   }
                 });
@@ -260,9 +256,7 @@ Tensor linear_act(const Tensor& x, const Tensor& w, const Tensor& b,
       sat_mul(kernels::compute_element_size(),
               sat_add(sat_add(sat_mul(m, k), sat_mul(k, n)),
                       sat_mul(1 + saved, m, n), bias_terms * n)));
-  const KernelTable& t = kernels::active_table();
-  const bool f32 =
-      kernels::active_compute_dtype() == kernels::ComputeDtype::kFloat32;
+  const ElementwiseKernels& ew = kernels::elementwise();
   real* po = out.data();
   real* pv = v.defined() ? v.data() : po;
   real* ps = s.defined() ? s.data() : nullptr;
@@ -272,10 +266,10 @@ Tensor linear_act(const Tensor& x, const Tensor& w, const Tensor& b,
                   [&](std::int64_t row_begin, std::int64_t row_end) {
                     const std::int64_t off = row_begin * n;
                     if (pb != nullptr) {
-                      add_bias_rows(t, f32, m == 1, pv + off, pb,
+                      add_bias_rows(ew, m == 1, pv + off, pb,
                                     row_end - row_begin, n);
                     }
-                    activate(t, f32, activation, pv + off, po + off,
+                    activate(ew, activation, pv + off, po + off,
                              ps == nullptr ? nullptr : ps + off,
                              (row_end - row_begin) * n);
                   });

@@ -131,9 +131,8 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   const bool gp = options_.graph_parallel;
   if (gp) {
     // The bit-identity proof (docs/graph-parallelism.md) covers the kDDP
-    // layout with replicated plain-Adam state, float64 compute, and no
-    // gradient clipping; anything else fails loudly instead of silently
-    // breaking the parity contract.
+    // layout with replicated plain-Adam state and float64 compute; anything
+    // else fails loudly instead of silently breaking the parity contract.
     SGNN_CHECK(options_.strategy == DistStrategy::kDDP,
                "graph_parallel requires the kDDP strategy (ZeRO shards "
                "optimizer state; graph-parallel ranks replicate it)");
@@ -141,8 +140,6 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
                    kernels::ComputeDtype::kFloat64,
                "graph_parallel bit-identity is proven for float64 compute "
                "only");
-    SGNN_CHECK(options_.max_grad_norm == 0.0,
-               "graph_parallel does not support gradient clipping");
   }
 
   Communicator comm(R);

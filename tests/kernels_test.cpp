@@ -1,6 +1,7 @@
 // sgnn::kernels backend layer: dispatch plumbing, the IEEE-754 matmul
 // regression (no zero-skip), scalar<->SIMD agreement (every GEMM form bit
-// for bit against the reference order, the documented sum tolerance), the
+// for bit against the reference order, every elementwise kernel and binary
+// operand form in both compute dtypes, the documented sum tolerance), the
 // fp32 compute flavour, and the saturating KernelScope cost arithmetic.
 
 #include "sgnn/tensor/kernels.hpp"
@@ -163,12 +164,15 @@ TEST(KernelDispatch, TablesAreFullyPopulated) {
     EXPECT_NE(table->gemm_rows_f64, nullptr);
     EXPECT_NE(table->gemm_rows_f32, nullptr);
     EXPECT_NE(table->mul_add_probe, nullptr);
-    EXPECT_NE(table->binary_f64, nullptr);
-    EXPECT_NE(table->binary_bwd_f64, nullptr);
-    EXPECT_NE(table->unary_f64, nullptr);
-    EXPECT_NE(table->unary_bwd_f64, nullptr);
-    EXPECT_NE(table->sum_chunk_f64, nullptr);
-    EXPECT_NE(table->accumulate_f64, nullptr);
+    for (const auto& set : table->elementwise) {
+      EXPECT_NE(set.binary, nullptr);
+      EXPECT_NE(set.binary_bwd, nullptr);
+      EXPECT_NE(set.unary, nullptr);
+      EXPECT_NE(set.unary_bwd, nullptr);
+      EXPECT_NE(set.silu_bwd_saved, nullptr);
+      EXPECT_NE(set.sum_chunk, nullptr);
+      EXPECT_NE(set.accumulate, nullptr);
+    }
   }
 }
 
@@ -415,67 +419,136 @@ TEST_F(KernelAgreement, GemmFormsAreBitIdenticalAcrossTileBoundaries) {
   ThreadPool::instance().resize(lanes);
 }
 
+/// The three operand forms of a binary kernel: both operands streamed, or
+/// one of them a single element read for every i.
+constexpr kernels::Broadcast kOperandForms[] = {
+    kernels::Broadcast::kNone, kernels::Broadcast::kA, kernels::Broadcast::kB};
+
+void run_binary(kernels::BinaryOp op, kernels::Broadcast form,
+                const std::vector<real>& a, const std::vector<real>& b,
+                std::vector<real>& out) {
+  kernels::binary(op, a.data(), b.data(), out.data(),
+                  static_cast<std::int64_t>(out.size()), form);
+}
+
+/// (C)x ∘ (C)y widened back: the per-element operation every binary
+/// kernel of compute type C must perform.
+template <typename C>
+real reference_binary(kernels::BinaryOp op, real x, real y) {
+  const C cx = static_cast<C>(x);
+  const C cy = static_cast<C>(y);
+  switch (op) {
+    case kernels::BinaryOp::kAdd: return static_cast<real>(cx + cy);
+    case kernels::BinaryOp::kSub: return static_cast<real>(cx - cy);
+    case kernels::BinaryOp::kMul: return static_cast<real>(cx * cy);
+    case kernels::BinaryOp::kDiv: return static_cast<real>(cx / cy);
+  }
+  return 0;
+}
+
+constexpr kernels::ComputeDtype kDtypes[] = {kernels::ComputeDtype::kFloat64,
+                                             kernels::ComputeDtype::kFloat32};
+
+// Every elementwise kernel in both compute dtypes; binary ops in all three
+// operand forms, each against the per-element reference, and a scalar
+// operand bit-identical to the same-shape op over that element repeated.
 TEST_F(KernelAgreement, ElementwiseForwardAndBackwardAreBitIdentical) {
   const std::int64_t n = 10007;  // prime: never a multiple of the lane width
   const auto a = random_vector(n, 707, 0.5, 2.0);
   const auto b = random_vector(n, 808, 0.5, 2.0);
   const auto g = random_vector(n, 909);
+  const std::vector<real> a_rep(static_cast<std::size_t>(n), a[0]);
+  const std::vector<real> b_rep(static_cast<std::size_t>(n), b[0]);
 
   using kernels::BinaryOp;
   using kernels::UnaryOp;
-  for (const auto op : {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul,
-                        BinaryOp::kDiv}) {
-    std::vector<real> scalar_out(n), simd_out(n);
-    std::vector<real> scalar_ga(n), scalar_gb(n), simd_ga(n), simd_gb(n);
-    {
-      kernels::ScopedBackend scope(kernels::Backend::kScalar);
-      kernels::binary(op, a.data(), b.data(), scalar_out.data(), n);
-      kernels::binary_backward(op, a.data(), b.data(), g.data(),
-                               scalar_ga.data(), scalar_gb.data(), n);
+  for (const auto dtype : kDtypes) {
+    kernels::ScopedComputeDtype dtype_scope(dtype);
+    const std::string dt = kernels::dtype_name(dtype);
+    for (const auto op : {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul,
+                          BinaryOp::kDiv}) {
+      for (const kernels::Broadcast form : kOperandForms) {
+        const std::string where = dt + " binary op " +
+                                  std::to_string(static_cast<int>(op)) +
+                                  " form " +
+                                  std::to_string(static_cast<int>(form));
+        std::vector<real> scalar_out(n), simd_out(n), expected(n);
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          const real x = form == kernels::Broadcast::kA ? a[0] : a[i];
+          const real y = form == kernels::Broadcast::kB ? b[0] : b[i];
+          expected[i] = dtype == kernels::ComputeDtype::kFloat64
+                            ? reference_binary<double>(op, x, y)
+                            : reference_binary<float>(op, x, y);
+        }
+        {
+          kernels::ScopedBackend scope(kernels::Backend::kScalar);
+          run_binary(op, form, a, b, scalar_out);
+        }
+        {
+          kernels::ScopedBackend scope(kernels::Backend::kSimd);
+          run_binary(op, form, a, b, simd_out);
+        }
+        ASSERT_EQ(bit_patterns(scalar_out), bit_patterns(expected)) << where;
+        ASSERT_EQ(bit_patterns(simd_out), bit_patterns(expected)) << where;
+        if (form == kernels::Broadcast::kNone) continue;
+        for (const auto backend : available_backends()) {
+          kernels::ScopedBackend scope(backend);
+          std::vector<real> repeated(n);
+          run_binary(op, kernels::Broadcast::kNone,
+                     form == kernels::Broadcast::kA ? a_rep : a,
+                     form == kernels::Broadcast::kB ? b_rep : b, repeated);
+          ASSERT_EQ(bit_patterns(simd_out), bit_patterns(repeated))
+              << where << " vs repeated, " << kernels::backend_name(backend);
+        }
+      }
+      std::vector<real> scalar_ga(n), scalar_gb(n), simd_ga(n), simd_gb(n);
+      {
+        kernels::ScopedBackend scope(kernels::Backend::kScalar);
+        kernels::binary_backward(op, a.data(), b.data(), g.data(),
+                                 scalar_ga.data(), scalar_gb.data(), n);
+      }
+      {
+        kernels::ScopedBackend scope(kernels::Backend::kSimd);
+        kernels::binary_backward(op, a.data(), b.data(), g.data(),
+                                 simd_ga.data(), simd_gb.data(), n);
+      }
+      const std::string where =
+          dt + " binary bwd " + std::to_string(static_cast<int>(op));
+      ASSERT_EQ(bit_patterns(scalar_ga), bit_patterns(simd_ga)) << where;
+      ASSERT_EQ(bit_patterns(scalar_gb), bit_patterns(simd_gb)) << where;
     }
-    {
-      kernels::ScopedBackend scope(kernels::Backend::kSimd);
-      kernels::binary(op, a.data(), b.data(), simd_out.data(), n);
-      kernels::binary_backward(op, a.data(), b.data(), g.data(),
-                               simd_ga.data(), simd_gb.data(), n);
-    }
-    for (std::size_t i = 0; i < scalar_out.size(); ++i) {
-      ASSERT_EQ(scalar_out[i], simd_out[i]) << "binary op " << static_cast<int>(op);
-      ASSERT_EQ(scalar_ga[i], simd_ga[i]) << "binary bwd ga " << static_cast<int>(op);
-      ASSERT_EQ(scalar_gb[i], simd_gb[i]) << "binary bwd gb " << static_cast<int>(op);
-    }
-  }
 
-  const struct {
-    UnaryOp op;
-    real c;
-  } unary_cases[] = {
-      {UnaryOp::kNeg, 0},        {UnaryOp::kScale, 1.7},
-      {UnaryOp::kAddScalar, .5}, {UnaryOp::kPow, 3.0},
-      {UnaryOp::kSquare, 0},     {UnaryOp::kSqrt, 0},
-      {UnaryOp::kExp, 0},        {UnaryOp::kLog, 0},
-      {UnaryOp::kAbs, 0},        {UnaryOp::kClampMin, 1.0},
-      {UnaryOp::kRelu, 0},       {UnaryOp::kSigmoid, 0},
-      {UnaryOp::kTanh, 0},       {UnaryOp::kSilu, 0},
-      {UnaryOp::kSoftplus, 0},
-  };
-  for (const auto& c : unary_cases) {
-    std::vector<real> scalar_out(n), simd_out(n), scalar_gx(n), simd_gx(n);
-    {
-      kernels::ScopedBackend scope(kernels::Backend::kScalar);
-      kernels::unary(c.op, a.data(), scalar_out.data(), c.c, n);
-      kernels::unary_backward(c.op, a.data(), g.data(), scalar_gx.data(),
-                              c.c, n);
-    }
-    {
-      kernels::ScopedBackend scope(kernels::Backend::kSimd);
-      kernels::unary(c.op, a.data(), simd_out.data(), c.c, n);
-      kernels::unary_backward(c.op, a.data(), g.data(), simd_gx.data(), c.c,
-                              n);
-    }
-    for (std::size_t i = 0; i < scalar_out.size(); ++i) {
-      ASSERT_EQ(scalar_out[i], simd_out[i]) << "unary op " << static_cast<int>(c.op);
-      ASSERT_EQ(scalar_gx[i], simd_gx[i]) << "unary bwd " << static_cast<int>(c.op);
+    const struct {
+      UnaryOp op;
+      real c;
+    } unary_cases[] = {
+        {UnaryOp::kNeg, 0},        {UnaryOp::kScale, 1.7},
+        {UnaryOp::kAddScalar, .5}, {UnaryOp::kPow, 3.0},
+        {UnaryOp::kSquare, 0},     {UnaryOp::kSqrt, 0},
+        {UnaryOp::kExp, 0},        {UnaryOp::kLog, 0},
+        {UnaryOp::kAbs, 0},        {UnaryOp::kClampMin, 1.0},
+        {UnaryOp::kRelu, 0},       {UnaryOp::kSigmoid, 0},
+        {UnaryOp::kTanh, 0},       {UnaryOp::kSilu, 0},
+        {UnaryOp::kSoftplus, 0},
+    };
+    for (const auto& c : unary_cases) {
+      std::vector<real> scalar_out(n), simd_out(n), scalar_gx(n), simd_gx(n);
+      {
+        kernels::ScopedBackend scope(kernels::Backend::kScalar);
+        kernels::unary(c.op, a.data(), scalar_out.data(), c.c, n);
+        kernels::unary_backward(c.op, a.data(), g.data(), scalar_gx.data(),
+                                c.c, n);
+      }
+      {
+        kernels::ScopedBackend scope(kernels::Backend::kSimd);
+        kernels::unary(c.op, a.data(), simd_out.data(), c.c, n);
+        kernels::unary_backward(c.op, a.data(), g.data(), simd_gx.data(),
+                                c.c, n);
+      }
+      const std::string where =
+          dt + " unary op " + std::to_string(static_cast<int>(c.op));
+      ASSERT_EQ(bit_patterns(scalar_out), bit_patterns(simd_out)) << where;
+      ASSERT_EQ(bit_patterns(scalar_gx), bit_patterns(simd_gx)) << where;
     }
   }
 }
@@ -483,25 +556,28 @@ TEST_F(KernelAgreement, ElementwiseForwardAndBackwardAreBitIdentical) {
 TEST_F(KernelAgreement, ReductionsAgree) {
   const std::int64_t n = 4099;
   const auto x = random_vector(n, 1111);
-  double scalar_sum = 0, simd_sum = 0;
-  std::vector<real> scalar_acc(257, 0.25), simd_acc(257, 0.25);
-  {
-    kernels::ScopedBackend scope(kernels::Backend::kScalar);
-    scalar_sum = kernels::reduce_sum(x.data(), n);
-    kernels::accumulate(x.data(), scalar_acc.data(), 257);
-  }
-  {
-    kernels::ScopedBackend scope(kernels::Backend::kSimd);
-    simd_sum = kernels::reduce_sum(x.data(), n);
-    kernels::accumulate(x.data(), simd_acc.data(), 257);
-  }
-  // Full sum splits across lanes: documented 1e-12 relative tolerance.
-  EXPECT_LE(std::abs(scalar_sum - simd_sum) /
-                std::max(std::abs(scalar_sum), 1.0),
-            1e-12);
-  // accumulate is a pure elementwise add: bit-identical.
-  for (std::size_t i = 0; i < scalar_acc.size(); ++i) {
-    ASSERT_EQ(scalar_acc[i], simd_acc[i]) << "accumulate element " << i;
+  for (const auto dtype : kDtypes) {
+    kernels::ScopedComputeDtype dtype_scope(dtype);
+    double scalar_sum = 0, simd_sum = 0;
+    std::vector<real> scalar_acc(257, 0.25), simd_acc(257, 0.25);
+    {
+      kernels::ScopedBackend scope(kernels::Backend::kScalar);
+      scalar_sum = kernels::reduce_sum(x.data(), n);
+      kernels::accumulate(x.data(), scalar_acc.data(), 257);
+    }
+    {
+      kernels::ScopedBackend scope(kernels::Backend::kSimd);
+      simd_sum = kernels::reduce_sum(x.data(), n);
+      kernels::accumulate(x.data(), simd_acc.data(), 257);
+    }
+    // Full sum splits across lanes: documented 1e-12 relative tolerance.
+    EXPECT_LE(std::abs(scalar_sum - simd_sum) /
+                  std::max(std::abs(scalar_sum), 1.0),
+              1e-12)
+        << kernels::dtype_name(dtype);
+    // accumulate is a pure elementwise add: bit-identical.
+    ASSERT_EQ(bit_patterns(scalar_acc), bit_patterns(simd_acc))
+        << kernels::dtype_name(dtype);
   }
 }
 
@@ -537,11 +613,13 @@ TEST(KernelFp32, ElementwiseRoundsOperandsThroughFloat) {
   real out64 = 0, out32 = 0;
   {
     kernels::ScopedComputeDtype scope(kernels::ComputeDtype::kFloat64);
-    kernels::binary(kernels::BinaryOp::kAdd, a.data(), b.data(), &out64, 1);
+    kernels::binary(kernels::BinaryOp::kAdd, a.data(), b.data(), &out64, 1,
+                    kernels::Broadcast::kNone);
   }
   {
     kernels::ScopedComputeDtype scope(kernels::ComputeDtype::kFloat32);
-    kernels::binary(kernels::BinaryOp::kAdd, a.data(), b.data(), &out32, 1);
+    kernels::binary(kernels::BinaryOp::kAdd, a.data(), b.data(), &out32, 1,
+                    kernels::Broadcast::kNone);
   }
   EXPECT_GT(out64, 3.0);
   EXPECT_EQ(out32, 3.0);

@@ -143,6 +143,16 @@ TEST(MetricsRegistryTest, SnapshotAndTextDump) {
             std::count(json.begin(), json.end(), '}'));
 }
 
+TEST(MetricsRegistryTest, JsonEscapesInstrumentNames) {
+  MetricsSnapshot snap;
+  snap.counters["quote\"d"] = 1;
+  snap.gauges["tab\tbed"] = 0.5;
+  const std::string json = snap.to_json();
+  EXPECT_NE(json.find("\"quote\\\"d\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"tab\\tbed\":0.5"), std::string::npos) << json;
+  EXPECT_EQ(json.find('\t'), std::string::npos) << json;
+}
+
 // ---------------------------------------------------------------- tracing
 
 class TraceTest : public ::testing::Test {

@@ -477,7 +477,7 @@ INSTANTIATE_TEST_SUITE_P(
 // -- trainer-level bit-identity -----------------------------------------------
 
 std::vector<real> parity_train(int ranks, bool graph_parallel,
-                               bool checkpointing,
+                               bool checkpointing, double max_grad_norm,
                                obs::TelemetrySink* sink = nullptr,
                                DistTrainReport* report_out = nullptr) {
   ModelConfig config;
@@ -490,7 +490,7 @@ std::vector<real> parity_train(int ranks, bool graph_parallel,
   options.strategy = DistStrategy::kDDP;
   options.graph_parallel = graph_parallel;
   options.activation_checkpointing = checkpointing;
-  options.max_grad_norm = 0.0;
+  options.max_grad_norm = max_grad_norm;
   options.bucket_bytes = 0;
   options.telemetry = sink;
   DistributedTrainer trainer(config, options);
@@ -505,14 +505,26 @@ TEST(PartitionParityTest, TrainedParametersMatchSingleRankByteForByte) {
   // The headline wall: a full graph-parallel training run — partitioned
   // forward, halo exchanges, ghost-gradient reduction, plain per-rank Adam —
   // lands on the EXACT bytes of the unpartitioned single-rank run, for
-  // every rank count, with and without activation checkpointing.
-  for (const bool checkpointing : {false, true}) {
-    const std::vector<real> reference =
-        parity_train(1, /*graph_parallel=*/false, checkpointing);
-    for (const int R : {1, 2, 4}) {
-      EXPECT_EQ(parity_train(R, /*graph_parallel=*/true, checkpointing),
-                reference)
-          << "ranks=" << R << (checkpointing ? " ckpt" : "");
+  // every rank count, with and without activation checkpointing and
+  // gradient clipping. The clip norm is the single-process sequential sum:
+  // each rank's communicator-free Adam reads the replicated gradients.
+  for (const double clip : {0.0, 1.0}) {
+    for (const bool checkpointing : {false, true}) {
+      const std::vector<real> reference =
+          parity_train(1, /*graph_parallel=*/false, checkpointing, clip);
+      if (clip > 0) {
+        // The clip must bind, or this case would repeat the unclipped one.
+        EXPECT_NE(reference,
+                  parity_train(1, /*graph_parallel=*/false, checkpointing,
+                               /*max_grad_norm=*/0.0));
+      }
+      for (const int R : {1, 2, 4}) {
+        EXPECT_EQ(
+            parity_train(R, /*graph_parallel=*/true, checkpointing, clip),
+            reference)
+            << "ranks=" << R << (checkpointing ? " ckpt" : "")
+            << " clip=" << clip;
+      }
     }
   }
 }
@@ -522,8 +534,8 @@ TEST(PartitionParityTest, TrainedParametersMatchSingleRankByteForByte) {
 TEST(GraphParallelTelemetryTest, HaloTrafficIsAccountedAndSplit) {
   obs::RecordingTelemetrySink sink;
   DistTrainReport report;
-  parity_train(2, /*graph_parallel=*/true, /*checkpointing=*/false, &sink,
-               &report);
+  parity_train(2, /*graph_parallel=*/true, /*checkpointing=*/false,
+               /*max_grad_norm=*/0.0, &sink, &report);
 
   EXPECT_GT(report.halo_bytes, 0u);
   EXPECT_GT(report.halo_exchanges, 0);
@@ -565,8 +577,8 @@ TEST(GraphParallelTelemetryTest, HaloTrafficIsAccountedAndSplit) {
 
 TEST(GraphParallelTelemetryTest, ReplicatedRunsReportZeroHaloTraffic) {
   DistTrainReport report;
-  parity_train(2, /*graph_parallel=*/false, /*checkpointing=*/false, nullptr,
-               &report);
+  parity_train(2, /*graph_parallel=*/false, /*checkpointing=*/false,
+               /*max_grad_norm=*/0.0, nullptr, &report);
   EXPECT_EQ(report.halo_bytes, 0u);
   EXPECT_EQ(report.halo_exchanges, 0);
   EXPECT_EQ(report.halo_exposed_seconds, 0.0);
@@ -587,14 +599,6 @@ TEST(GraphParallelOptionsTest, UnsupportedCombinationsFailLoudly) {
   zero_opts.strategy = DistStrategy::kZeRO1;
   DistributedTrainer zero_trainer(config, zero_opts);
   EXPECT_THROW(zero_trainer.train(*store), Error);
-
-  DistTrainOptions clip_opts;
-  clip_opts.num_ranks = 2;
-  clip_opts.graph_parallel = true;
-  clip_opts.strategy = DistStrategy::kDDP;
-  clip_opts.max_grad_norm = 1.0;
-  DistributedTrainer clip_trainer(config, clip_opts);
-  EXPECT_THROW(clip_trainer.train(*store), Error);
 }
 
 }  // namespace

@@ -373,6 +373,18 @@ TEST_F(ProfTest, JsonAndTextExports) {
   EXPECT_NE(text.find("matmul"), std::string::npos);
 }
 
+TEST_F(ProfTest, JsonEscapesControlCharactersInNames) {
+  {
+    const prof::ProfRegion region("a\tb");
+    const Tensor a = Tensor::full(Shape{4, 4}, 1.0);
+    (void)matmul(a, a);
+  }
+  const std::string json =
+      prof::report(/*with_calibration=*/false).to_json();
+  EXPECT_NE(json.find("a\\tb"), std::string::npos) << json;
+  EXPECT_EQ(json.find('\t'), std::string::npos) << json;
+}
+
 TEST_F(ProfTest, HotspotsSortedByExclusiveTime) {
   {
     const prof::ProfRegion step("step");
